@@ -65,11 +65,17 @@ def make_ide_state(np_: int, rng: np.random.Generator) -> IdeState:
     return IdeState(F=F, CR=CR, f_archive=list(F), cr_archive=list(CR))
 
 
-def _archive_pair(archive: list[float], rng: np.random.Generator) -> float:
-    if len(archive) < 2:
-        return 0.0
-    i, j = rng.choice(len(archive), size=2, replace=False)
-    return archive[i] - archive[j]
+def archive_differences(archive: list[float], n: int, rng: np.random.Generator) -> np.ndarray:
+    """`n` differences archive[i] - archive[j] of distinct entries i != j
+    (zeros when the archive holds fewer than two entries)."""
+    m = len(archive)
+    if m < 2:
+        return np.zeros(n)
+    i = rng.integers(m, size=n)
+    j = rng.integers(m - 1, size=n)
+    j += j >= i
+    values = np.asarray(archive, dtype=float)
+    return values[i] - values[j]
 
 
 def ide_update(state: IdeState, best_index: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -77,24 +83,18 @@ def ide_update(state: IdeState, best_index: int, rng: np.random.Generator) -> tu
     if not state.f_archive or not state.cr_archive:
         raise ValueError("iDE archives must be non-empty")
     np_ = len(state.F)
-    f_best = state.F[best_index]
-    cr_best = state.CR[best_index]
-    F = np.empty(np_)
-    CR = np.empty(np_)
-    for i in range(np_):
-        F[i] = f_best + rng.normal(0.0, 0.5) * _archive_pair(state.f_archive, rng)
-        CR[i] = cr_best + rng.normal(0.0, 0.5) * _archive_pair(state.cr_archive, rng)
+    F = state.F[best_index] + rng.normal(0.0, 0.5, np_) * archive_differences(state.f_archive, np_, rng)
+    CR = state.CR[best_index] + rng.normal(0.0, 0.5, np_) * archive_differences(state.cr_archive, np_, rng)
     return np.clip(F, F_LOW, F_HIGH), np.clip(CR, CR_LOW, CR_HIGH)
 
 
 def ide_record_success(state: IdeState, F: np.ndarray, CR: np.ndarray, replaced: np.ndarray) -> None:
     """Adopt trial parameters for winning individuals and archive them."""
-    for i, won in enumerate(replaced):
-        if won:
-            state.F[i] = F[i]
-            state.CR[i] = CR[i]
-            state.f_archive.append(float(F[i]))
-            state.cr_archive.append(float(CR[i]))
+    won = np.asarray(replaced, dtype=bool)
+    state.F[won] = F[won]
+    state.CR[won] = CR[won]
+    state.f_archive.extend(F[won].tolist())
+    state.cr_archive.extend(CR[won].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ f22 (Gallagher 21 peaks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,7 @@ class BenchmarkFunction:
     dimension: int
     lower: np.ndarray
     upper: np.ndarray
-    fn: Callable[[np.ndarray], float]
+    fn: Callable  # point (d,) -> float; registry objectives also map rows (n, d) -> (n,)
 
     @property
     def bounds_width(self) -> np.ndarray:
@@ -67,14 +67,40 @@ def evaluate(fn: BenchmarkFunction, x: np.ndarray, budget: EvalBudget | None = N
 
 
 def evaluate_population(fn: BenchmarkFunction, X: np.ndarray, budget: EvalBudget | None = None) -> np.ndarray:
+    """Evaluate every row of `X`, consuming `len(X)` units of `budget` if given.
+
+    A registry objective evaluates the whole population in one call; any
+    other callable (a counting wrapper, say) is called once per row.
+    """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != fn.dimension:
+        raise ValueError(f"{fn.name}: expected rows of length {fn.dimension}, got shape {X.shape}")
     if budget is not None:
         budget.consume(len(X))
+    if getattr(fn.fn, "batched", False):
+        return fn.fn(X)
     return np.array([float(fn.fn(x)) for x in X])
 
 
+def _batched(body: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """Registry objective from an array program over `(n, d)` rows.
+
+    A single point runs the same program as a one-row population, so
+    `evaluate` and `evaluate_population` agree bit for bit.
+    """
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return float(body(x[None, :])[0])
+        return body(x)
+
+    f.batched = True
+    return f
+
+
 # ---------------------------------------------------------------------------
-# BBOB transformation helpers (rotations fixed to identity).
+# BBOB transformation helpers (rotations fixed to identity); they act
+# elementwise or along the last axis, so they take single points and rows.
 
 def _lambda_alpha(alpha: float, d: int) -> np.ndarray:
     if d == 1:
@@ -91,54 +117,56 @@ def _t_osz(x: np.ndarray) -> np.ndarray:
 
 
 def _t_asy(x: np.ndarray, beta: float) -> np.ndarray:
-    d = len(x)
+    d = x.shape[-1]
     idx = np.arange(d) / (d - 1) if d > 1 else np.ones(1)
     exp = 1.0 + beta * idx * np.sqrt(np.maximum(x, 0.0))
     return np.where(x > 0.0, np.power(np.maximum(x, 0.0), exp), x)
 
 
-def _f_pen(x: np.ndarray) -> float:
-    return float(np.sum(np.maximum(0.0, np.abs(x) - 5.0) ** 2))
+def _f_pen(x: np.ndarray) -> np.ndarray:
+    return np.sum(np.maximum(0.0, np.abs(x) - 5.0) ** 2, axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Function definitions (x_opt = 0 / canonical sign vector, f_opt = 0, R = Q = I).
+# Each builder returns a `_batched` body over X of shape (n, d).
 
 def _sphere(d: int) -> Callable:
-    return lambda x: float(np.sum(x ** 2))
+    return _batched(lambda X: np.sum(X ** 2, axis=-1))
 
 
 def _ellipsoid(d: int) -> Callable:
     coeff = 10.0 ** (6.0 * np.arange(d) / (d - 1)) if d > 1 else np.ones(1)
 
-    def f(x):
-        z = _t_osz(x)
-        return float(np.sum(coeff * z ** 2))
+    def f(X):
+        z = _t_osz(X)
+        return np.sum(coeff * z ** 2, axis=-1)
 
-    return f
+    return _batched(f)
 
 
 def _rastrigin(d: int) -> Callable:
     lam = _lambda_alpha(10.0, d)
 
-    def f(x):
-        z = lam * _t_asy(_t_osz(x), 0.2)
-        return float(10.0 * (d - np.sum(np.cos(2 * np.pi * z))) + np.sum(z ** 2))
+    def f(X):
+        z = lam * _t_asy(_t_osz(X), 0.2)
+        return 10.0 * (d - np.sum(np.cos(2 * np.pi * z), axis=-1)) + np.sum(z ** 2, axis=-1)
 
-    return f
+    return _batched(f)
 
 
 def _bueche_rastrigin(d: int) -> Callable:
     base = 10.0 ** (0.5 * np.arange(d) / (d - 1)) if d > 1 else np.ones(1)
     odd = np.arange(d) % 2 == 0  # BBOB's odd indices i=1,3,... in 1-based numbering
 
-    def f(x):
-        t = _t_osz(x)
+    def f(X):
+        t = _t_osz(X)
         s = np.where((t > 0.0) & odd, 10.0 * base, base)
         z = s * t
-        return float(10.0 * (d - np.sum(np.cos(2 * np.pi * z))) + np.sum(z ** 2) + 100.0 * _f_pen(x))
+        return (10.0 * (d - np.sum(np.cos(2 * np.pi * z), axis=-1)) + np.sum(z ** 2, axis=-1)
+                + 100.0 * _f_pen(X))
 
-    return f
+    return _batched(f)
 
 
 def _linear_slope(d: int) -> Callable:
@@ -146,89 +174,78 @@ def _linear_slope(d: int) -> Callable:
     x_opt = 5.0 * np.ones(d)
     s = 10.0 ** (np.arange(d) / (d - 1)) if d > 1 else np.ones(1)
 
-    def f(x):
-        z = np.where(x_opt * x < 25.0, x, x_opt)
-        return float(np.sum(5.0 * np.abs(s) - s * z))
+    def f(X):
+        z = np.where(x_opt * X < 25.0, X, x_opt)
+        return np.sum(5.0 * np.abs(s) - s * z, axis=-1)
 
-    return f
+    return _batched(f)
 
 
 def _attractive_sector(d: int) -> Callable:
     lam = _lambda_alpha(10.0, d)
 
-    def f(x):
-        z = lam * x
+    def f(X):
+        z = lam * X
         s = np.where(z > 0.0, 100.0, 1.0)  # canonical +1 sign vector for x_opt
-        return float(_t_osz(np.array([np.sum((s * z) ** 2)]))[0] ** 0.9)
+        return _t_osz(np.sum((s * z) ** 2, axis=-1)) ** 0.9
 
-    return f
+    return _batched(f)
 
 
 def _step_ellipsoidal(d: int) -> Callable:
     lam = _lambda_alpha(10.0, d)
     coeff = 10.0 ** (2.0 * np.arange(d) / (d - 1)) if d > 1 else np.ones(1)
 
-    def f(x):
-        z_hat = lam * x
+    def f(X):
+        z_hat = lam * X
         z = np.where(np.abs(z_hat) > 0.5, np.floor(0.5 + z_hat), np.floor(0.5 + 10.0 * z_hat) / 10.0)
-        return float(0.1 * max(np.abs(z_hat[0]) / 1e4, np.sum(coeff * z ** 2)) + _f_pen(x))
+        return 0.1 * np.maximum(np.abs(z_hat[:, 0]) / 1e4, np.sum(coeff * z ** 2, axis=-1)) + _f_pen(X)
 
-    return f
-
-
-def _rosenbrock(d: int) -> Callable:
-    scale = max(1.0, math.sqrt(d) / 8.0)
-
-    def f(x):
-        z = scale * x + 1.0
-        return float(np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2))
-
-    return f
+    return _batched(f)
 
 
-def _rosenbrock_rotated(d: int) -> Callable:
-    scale = max(1.0, math.sqrt(d) / 8.0)
+def _rosenbrock_shifted(shift: float):
+    def make(d: int) -> Callable:
+        scale = max(1.0, math.sqrt(d) / 8.0)
 
-    def f(x):
-        z = scale * x + 0.5
-        return float(np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2))
+        def f(X):
+            z = scale * X + shift
+            return np.sum(100.0 * (z[:, :-1] ** 2 - z[:, 1:]) ** 2 + (z[:, :-1] - 1.0) ** 2, axis=-1)
 
-    return f
+        return _batched(f)
+
+    return make
 
 
 def _discus(d: int) -> Callable:
-    def f(x):
-        z = _t_osz(x)
-        return float(1e6 * z[0] ** 2 + np.sum(z[1:] ** 2))
+    def f(X):
+        z = _t_osz(X)
+        return 1e6 * z[:, 0] ** 2 + np.sum(z[:, 1:] ** 2, axis=-1)
 
-    return f
+    return _batched(f)
 
 
 def _bent_cigar(d: int) -> Callable:
-    def f(x):
-        z = _t_asy(x, 0.5)
-        return float(z[0] ** 2 + 1e6 * np.sum(z[1:] ** 2))
+    def f(X):
+        z = _t_asy(X, 0.5)
+        return z[:, 0] ** 2 + 1e6 * np.sum(z[:, 1:] ** 2, axis=-1)
 
-    return f
+    return _batched(f)
 
 
 def _sharp_ridge(d: int) -> Callable:
     lam = _lambda_alpha(10.0, d)
 
-    def f(x):
-        z = lam * x
-        return float(z[0] ** 2 + 100.0 * math.sqrt(np.sum(z[1:] ** 2)))
+    def f(X):
+        z = lam * X
+        return z[:, 0] ** 2 + 100.0 * np.sqrt(np.sum(z[:, 1:] ** 2, axis=-1))
 
-    return f
+    return _batched(f)
 
 
 def _different_powers(d: int) -> Callable:
     exps = 2.0 + (4.0 * np.arange(d) / (d - 1) if d > 1 else np.zeros(1))
-
-    def f(x):
-        return float(math.sqrt(np.sum(np.abs(x) ** exps)))
-
-    return f
+    return _batched(lambda X: np.sqrt(np.sum(np.abs(X) ** exps, axis=-1)))
 
 
 def _weierstrass(d: int) -> Callable:
@@ -238,25 +255,25 @@ def _weierstrass(d: int) -> Callable:
     three_pow = 3.0 ** k
     f0 = float(np.sum(half_pow * np.cos(2 * np.pi * three_pow * 0.5)))
 
-    def f(x):
-        z = lam * _t_osz(x)
-        inner = np.sum(half_pow[None, :] * np.cos(2 * np.pi * three_pow[None, :] * (z[:, None] + 0.5)), axis=1)
-        return float(10.0 * (np.mean(inner) - f0) ** 3 + 10.0 / d * _f_pen(x))
+    def f(X):
+        z = lam * _t_osz(X)
+        inner = np.sum(half_pow * np.cos(2 * np.pi * three_pow * (z[:, :, None] + 0.5)), axis=-1)
+        return 10.0 * (np.mean(inner, axis=-1) - f0) ** 3 + 10.0 / d * _f_pen(X)
 
-    return f
+    return _batched(f)
 
 
 def _schaffers(alpha: float):
     def make(d: int) -> Callable:
         lam = _lambda_alpha(alpha, d)
 
-        def f(x):
-            z = lam * _t_asy(x, 0.5)
-            s = np.sqrt(z[:-1] ** 2 + z[1:] ** 2)
+        def f(X):
+            z = lam * _t_asy(X, 0.5)
+            s = np.sqrt(z[:, :-1] ** 2 + z[:, 1:] ** 2)
             term = np.sqrt(s) + np.sqrt(s) * np.sin(50.0 * s ** 0.2) ** 2
-            return float((np.sum(term) / (d - 1)) ** 2 + 10.0 * _f_pen(x))
+            return (np.sum(term, axis=-1) / (d - 1)) ** 2 + 10.0 * _f_pen(X)
 
-        return f
+        return _batched(f)
 
     return make
 
@@ -264,45 +281,42 @@ def _schaffers(alpha: float):
 def _composite_gr(d: int) -> Callable:
     scale = max(1.0, math.sqrt(d) / 8.0)
 
-    def f(x):
-        z = scale * x + 0.5
-        s = 100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2
-        return float(10.0 / (d - 1) * np.sum(s / 4000.0 - np.cos(s)) + 10.0)
+    def f(X):
+        z = scale * X + 0.5
+        s = 100.0 * (z[:, :-1] ** 2 - z[:, 1:]) ** 2 + (z[:, :-1] - 1.0) ** 2
+        return 10.0 / (d - 1) * np.sum(s / 4000.0 - np.cos(s), axis=-1) + 10.0
 
-    return f
+    return _batched(f)
 
 
 def _schwefel(d: int) -> Callable:
     x_opt = 0.5 * 4.2096874633 * np.ones(d)
     lam = _lambda_alpha(10.0, d)
 
-    def f(x):
-        x_hat = 2.0 * x  # canonical +1 sign vector
+    def f(X):
+        x_hat = 2.0 * X  # canonical +1 sign vector
         z_hat = x_hat.copy()
-        z_hat[1:] = x_hat[1:] + 0.25 * (x_hat[:-1] - 2.0 * np.abs(x_opt[:-1]))
+        z_hat[:, 1:] = x_hat[:, 1:] + 0.25 * (x_hat[:, :-1] - 2.0 * np.abs(x_opt[:-1]))
         z = 100.0 * (lam * (z_hat - 2.0 * np.abs(x_opt)) + 2.0 * np.abs(x_opt))
-        return float(
-            -np.sum(z * np.sin(np.sqrt(np.abs(z)))) / (100.0 * d)
-            + 4.189828872724339
-            + 100.0 * _f_pen(z / 100.0)
-        )
+        return (-np.sum(z * np.sin(np.sqrt(np.abs(z))), axis=-1) / (100.0 * d)
+                + 4.189828872724339
+                + 100.0 * _f_pen(z / 100.0))
 
-    return f
+    return _batched(f)
 
 
 def _katsuura(d: int) -> Callable:
     lam = _lambda_alpha(100.0, d)
-    j = np.arange(1, 33)
-    two_j = 2.0 ** j
+    two_j = 2.0 ** np.arange(1, 33)
 
-    def f(x):
-        z = lam * x
-        frac = np.abs(two_j[None, :] * z[:, None] - np.round(two_j[None, :] * z[:, None])) / two_j[None, :]
-        terms = 1.0 + (np.arange(1, d + 1)) * np.sum(frac, axis=1)
-        prod = np.prod(terms ** (10.0 / d ** 1.2))
-        return float(10.0 / d ** 2 * prod - 10.0 / d ** 2 + _f_pen(x))
+    def f(X):
+        scaled = two_j * (lam * X)[:, :, None]
+        frac = np.abs(scaled - np.round(scaled)) / two_j
+        terms = 1.0 + np.arange(1, d + 1) * np.sum(frac, axis=-1)
+        prod = np.prod(terms ** (10.0 / d ** 1.2), axis=-1)
+        return 10.0 / d ** 2 * prod - 10.0 / d ** 2 + _f_pen(X)
 
-    return f
+    return _batched(f)
 
 
 def _lunacek_bi_rastrigin(d: int) -> Callable:
@@ -311,14 +325,15 @@ def _lunacek_bi_rastrigin(d: int) -> Callable:
     mu1 = -math.sqrt((mu0 ** 2 - 1.0) / s)
     lam = _lambda_alpha(100.0, d)
 
-    def f(x):
-        x_hat = 2.0 * x  # canonical +1 sign vector
+    def f(X):
+        x_hat = 2.0 * X  # canonical +1 sign vector
         z = lam * (x_hat - mu0)
-        first = np.sum((x_hat - mu0) ** 2)
-        second = d + s * np.sum((x_hat - mu1) ** 2)
-        return float(min(first, second) + 10.0 * (d - np.sum(np.cos(2 * np.pi * z))) + 1e4 * _f_pen(x))
+        first = np.sum((x_hat - mu0) ** 2, axis=-1)
+        second = d + s * np.sum((x_hat - mu1) ** 2, axis=-1)
+        return (np.minimum(first, second) + 10.0 * (d - np.sum(np.cos(2 * np.pi * z), axis=-1))
+                + 1e4 * _f_pen(X))
 
-    return f
+    return _batched(f)
 
 
 def _gallagher(n_peaks: int, seed: int):
@@ -330,12 +345,8 @@ def _gallagher(n_peaks: int, seed: int):
         w = np.empty(n_peaks)
         w[0] = 10.0
         w[1:] = 1.1 + 8.0 * np.arange(n_peaks - 1) / (n_peaks - 2)
-        if n_peaks == 101:
-            alphas = 1000.0 ** (2.0 * rng.permutation(n_peaks - 1) / (n_peaks - 2))
-            alpha0 = 1000.0
-        else:
-            alphas = 1000.0 ** (2.0 * rng.permutation(n_peaks - 1) / (n_peaks - 2))
-            alpha0 = 1000.0 ** 2
+        alphas = 1000.0 ** (2.0 * rng.permutation(n_peaks - 1) / (n_peaks - 2))
+        alpha0 = 1000.0 if n_peaks == 101 else 1000.0 ** 2
         scales = np.empty((n_peaks, d))
         scales[0] = _lambda_alpha(alpha0, d) ** 2 / alpha0 ** 0.25
         for i in range(1, n_peaks):
@@ -343,13 +354,13 @@ def _gallagher(n_peaks: int, seed: int):
             diag = _lambda_alpha(a, d) ** 2 / a ** 0.25
             scales[i] = rng.permutation(diag)
 
-        def f(x):
-            diff = x[None, :] - centers
-            quad = np.sum(diff ** 2 * scales, axis=1)
-            val = np.max(w * np.exp(-quad / (2.0 * d)))
-            return float(_t_osz(np.array([10.0 - val]))[0] ** 2 + _f_pen(x))
+        def f(X):
+            diff = X[:, None, :] - centers
+            quad = np.sum(diff ** 2 * scales, axis=-1)
+            val = np.max(w * np.exp(-quad / (2.0 * d)), axis=-1)
+            return _t_osz(10.0 - val) ** 2 + _f_pen(X)
 
-        return f
+        return _batched(f)
 
     return make
 
@@ -363,7 +374,7 @@ _TEN_D_ONLY = [
     ("Ellipsoid", _ellipsoid),
     ("Katsuura", _katsuura),
     ("Rastrigin", _rastrigin),
-    ("Rosenbrock", _rosenbrock),
+    ("Rosenbrock", _rosenbrock_shifted(1.0)),
     ("Schaffers", _schaffers(10.0)),
     ("Schwefel", _schwefel),
     ("Sphere", _sphere),
@@ -378,7 +389,7 @@ _MULTI_DIM = [
     ("LinearSlope", _linear_slope),
     ("SharpRidge", _sharp_ridge),
     ("StepEllipsoidal", _step_ellipsoidal),
-    ("RosenbrockRotated", _rosenbrock_rotated),
+    ("RosenbrockRotated", _rosenbrock_shifted(0.5)),
     ("SchaffersIllConditioned", _schaffers(1000.0)),
     ("LunacekBiR", _lunacek_bi_rastrigin),
     ("GG101me", _gallagher(101, 2101)),

@@ -121,22 +121,26 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # evaluate / compare helpers
 
-def _controller_factory(algorithm: str, adaptation: str, checkpoint: str | None,
+def _load_policy(path: str):
+    """The algorithm a checkpoint was trained for, and the loaded checkpoint."""
+    checkpoint = load_checkpoint(path)
+    return ("cmaes" if checkpoint[1] == "cma_sigma" else "de"), checkpoint
+
+
+def _controller_factory(algorithm: str, adaptation: str, checkpoint: tuple | None,
                         fixed_f: float, fixed_cr: float, fixed_sigma: float,
                         sigma0: float, fn_key: tuple):
+    """Controller constructor for one function. `checkpoint` is what
+    `load_checkpoint` returned, which `adaptation == "policy"` needs;
+    `algorithm` was read from that same checkpoint."""
     if adaptation == "policy":
         if checkpoint is None:
             raise ConfigError("--adaptation policy requires --checkpoint")
-        policy, kind, obs_spec = load_checkpoint(checkpoint)
+        policy, kind, obs_spec = checkpoint
+        controller = PolicySigmaController if kind == "cma_sigma" else PolicyDeController
         spec = action_spec(kind)
-        fn = get_function(*fn_key)
-        if kind == "cma_sigma":
-            if algorithm != "cmaes":
-                raise ConfigError("checkpoint trained for cmaes, not de")
-            return lambda: PolicySigmaController(policy, spec, obs_spec, fn.bounds_width)
-        if algorithm != "de":
-            raise ConfigError("checkpoint trained for de, not cmaes")
-        return lambda: PolicyDeController(policy, spec, obs_spec, fn.bounds_width)
+        width = get_function(*fn_key).bounds_width
+        return lambda: controller(policy, spec, obs_spec, width)
     if algorithm == "de":
         if adaptation == "ide":
             return IdeController
@@ -155,23 +159,18 @@ def _controller_factory(algorithm: str, adaptation: str, checkpoint: str | None,
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
-def _infer_algorithm(args) -> str:
-    if args.checkpoint:
-        _policy, kind, _obs = load_checkpoint(args.checkpoint)
-        return "cmaes" if kind == "cma_sigma" else "de"
-    return args.algorithm
-
-
 def cmd_evaluate(args) -> int:
     adaptation = args.adaptation
     if args.checkpoint and adaptation not in (None, "policy"):
         raise ConfigError("give either --checkpoint or a baseline --adaptation")
     if adaptation is None:
         adaptation = "policy" if args.checkpoint else "fixed"
-    algorithm = _infer_algorithm(args)
+    algorithm, checkpoint = args.algorithm, None
+    if args.checkpoint:
+        algorithm, checkpoint = _load_policy(args.checkpoint)
     fn = get_function(args.function, args.dimension)
     fn_key = (fn.name, fn.dimension)
-    factory = _controller_factory(algorithm, adaptation, args.checkpoint,
+    factory = _controller_factory(algorithm, adaptation, checkpoint,
                                   args.fixed_f, args.fixed_cr, args.fixed_sigma,
                                   args.sigma0, fn_key)
     result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
@@ -204,13 +203,12 @@ def cmd_compare(args) -> int:
     algorithm = None
     variants = []
     for path in args.checkpoint:
-        _policy, kind, _obs = load_checkpoint(path)
-        algo = "cmaes" if kind == "cma_sigma" else "de"
+        algo, checkpoint = _load_policy(path)
         if algorithm is None:
             algorithm = algo
         elif algorithm != algo:
             raise ConfigError("all compare variants must target the same algorithm")
-        variants.append((os.path.splitext(os.path.basename(path))[0], path))
+        variants.append((os.path.splitext(os.path.basename(path))[0], checkpoint))
 
     opponent = args.adaptation or ("csa" if algorithm == "cmaes" else "jde")
     if args.function:
@@ -218,31 +216,17 @@ def cmd_compare(args) -> int:
     else:
         functions = registry_list()
 
-    def metrics_for(factory_builder, fn_key):
-        factory = factory_builder(fn_key)
+    def metrics_for(adaptation, checkpoint, fn_key):
+        factory = _controller_factory(algorithm, adaptation, checkpoint, args.fixed_f,
+                                      args.fixed_cr, args.fixed_sigma, args.sigma0, fn_key)
         result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
                                    algorithm=algorithm, sigma0=args.sigma0, jobs=args.jobs)
         return result.aucs if args.metric == "auc" else result.bests
 
-    opponent_metrics = {}
-    for fn_key in functions:
-        factory_builder = lambda key: _controller_factory(
-            algorithm, opponent, None, args.fixed_f, args.fixed_cr,
-            args.fixed_sigma, args.sigma0, key)
-        opponent_metrics[fn_key] = metrics_for(factory_builder, fn_key)
-
-    variant_metrics = {}
-    for label, path in variants:
-        per_fn = {}
-        for fn_key in functions:
-            try:
-                builder = lambda key, p=path: _controller_factory(
-                    algorithm, "policy", p, args.fixed_f, args.fixed_cr,
-                    args.fixed_sigma, args.sigma0, key)
-                per_fn[fn_key] = metrics_for(builder, fn_key)
-            except (ValueError, ConfigError):
-                pass  # cell stays absent -> "n/a"
-        variant_metrics[label] = per_fn
+    opponent_metrics = {fn_key: metrics_for(opponent, None, fn_key) for fn_key in functions}
+    variant_metrics = {label: {fn_key: metrics_for("policy", checkpoint, fn_key)
+                               for fn_key in functions}
+                       for label, checkpoint in variants}
 
     matrix = build_comparison(variant_metrics, opponent_metrics, functions)
     os.makedirs(args.out, exist_ok=True)

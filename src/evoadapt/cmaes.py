@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, BudgetExhausted, EvalBudget, evaluate
+from .benchmarks import BenchmarkFunction, BudgetExhausted, EvalBudget, evaluate_population
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +91,7 @@ def cma_generation(state: CmaState, sigma: float, fn: BenchmarkFunction, lam: in
 
     samples = sample_offspring(state.mean, state.cov, sigma, lam, rng)
     genotypes = np.clip(samples, fn.lower, fn.upper)
-    fitnesses = np.array([evaluate(fn, x, budget) for x in genotypes])
+    fitnesses = evaluate_population(fn, genotypes, budget)
 
     order = np.argsort(fitnesses)
     elite = samples[order[:mu]]  # updates use the unclipped samples

@@ -11,7 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, BudgetExhausted, EvalBudget, evaluate
+# `evaluate` stays importable from here: perfbench/selftest.py looks it up as
+# `evoadapt.de.evaluate` to check that its tracer unpatches module attributes.
+from .benchmarks import (BenchmarkFunction, BudgetExhausted, EvalBudget,  # noqa: F401
+                         evaluate, evaluate_population)
 
 MIN_POPULATION = 4  # best + two distinct difference individuals + parent
 
@@ -41,18 +44,25 @@ def init_population(fn: BenchmarkFunction, np_: int, rng: np.random.Generator,
     if np_ < MIN_POPULATION:
         raise ValueError(f"population size must be >= {MIN_POPULATION}, got {np_}")
     genotypes = rng.uniform(fn.lower, fn.upper, size=(np_, fn.dimension))
-    fitnesses = np.array([evaluate(fn, x, budget) for x in genotypes])
+    fitnesses = evaluate_population(fn, genotypes, budget)
     return Population(genotypes, fitnesses, 0)
 
 
-def mutate_best1(best: np.ndarray, a: np.ndarray, b: np.ndarray, f: float) -> np.ndarray:
+def mutate_best1(best: np.ndarray, a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
+    """best + f (a - b); `f` is a scalar or broadcasts against the rows of `a`."""
     return best + f * (a - b)
 
 
-def _pick_pair(np_: int, exclude: set[int], rng: np.random.Generator) -> tuple[int, int]:
-    candidates = [j for j in range(np_) if j not in exclude]
-    a, b = rng.choice(len(candidates), size=2, replace=False)
-    return candidates[a], candidates[b]
+def pick_pairs(np_: int, best: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Difference indices (a[i], b[i]) for every individual i: distinct from
+    each other, from i and from `best`. Each row ranks random keys with i
+    and `best` masked out and keeps the two smallest."""
+    keys = rng.random((np_, np_))
+    rows = np.arange(np_)
+    keys[rows, rows] = np.inf
+    keys[:, best] = np.inf
+    pair = np.argpartition(keys, 1, axis=1)
+    return pair[:, 0], pair[:, 1]
 
 
 def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, rng: np.random.Generator,
@@ -70,18 +80,16 @@ def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, rng: np.random.
     if budget is not None and budget.remaining < np_:
         raise BudgetExhausted(f"generation needs {np_} evaluations, {budget.remaining} left")
 
+    X = pop.genotypes
     best = pop.best_index
-    children = np.empty_like(pop.genotypes)
-    for i in range(np_):
-        ia, ib = _pick_pair(np_, {i, best}, rng)
-        mutant = mutate_best1(pop.genotypes[best], pop.genotypes[ia], pop.genotypes[ib], F[i])
-        cross = rng.random(d) < CR[i]
-        cross[rng.integers(d)] = True  # j_rand: at least one mutant gene
-        child = np.where(cross, mutant, pop.genotypes[i])
-        children[i] = np.clip(child, fn.lower, fn.upper)
+    a, b = pick_pairs(np_, best, rng)
+    mutants = mutate_best1(X[best], X[a], X[b], F[:, None])
+    cross = rng.random((np_, d)) < CR[:, None]
+    cross[np.arange(np_), rng.integers(d, size=np_)] = True  # j_rand: at least one mutant gene
+    children = np.clip(np.where(cross, mutants, X), fn.lower, fn.upper)
 
-    child_fit = np.array([evaluate(fn, c, budget) for c in children])
+    child_fit = evaluate_population(fn, children, budget)
     replaced = child_fit <= pop.fitnesses
-    genotypes = np.where(replaced[:, None], children, pop.genotypes)
+    genotypes = np.where(replaced[:, None], children, X)
     fitnesses = np.where(replaced, child_fit, pop.fitnesses)
     return Population(genotypes, fitnesses, pop.generation_index + 1), replaced

@@ -19,7 +19,7 @@ def auc(best_fitness_curve) -> float:
         raise ValueError("curve is empty")
     if curve.size == 1:
         return 0.0
-    return float(np.trapezoid(curve))
+    return float(np.sum((curve[1:] + curve[:-1]) / 2.0))
 
 
 def best_of_run(trace) -> float:

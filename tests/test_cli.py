@@ -3,6 +3,7 @@ import json
 import pytest
 
 from evoadapt.benchmarks import registry_list
+from evoadapt import cli
 from evoadapt.cli import main
 from evoadapt.config import (ConfigError, config_from_dict, config_to_dict,
                              load_config)
@@ -190,6 +191,37 @@ class TestCompare:
 
     def test_missing_checkpoint_rejected(self, tmp_path):
         assert main(["compare", "--out", str(tmp_path / "x")]) == 2
+
+    def test_failing_cell_reports_its_error(self, trained_checkpoint, tmp_path,
+                                            monkeypatch, capsys):
+        real = cli.run_test_protocol
+
+        def failing_on_rastrigin(factory, fn_key, *args, **kwargs):
+            if fn_key == ("Rastrigin", 10):
+                raise ValueError("objective returned NaN on Rastrigin_10")
+            return real(factory, fn_key, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_test_protocol", failing_on_rastrigin)
+        out = tmp_path / "cmp"
+        code = main(["compare", "--checkpoint", trained_checkpoint,
+                     "--function", "Sphere:10", "--function", "Rastrigin:10",
+                     "--runs", "2", "--out", str(out)])
+        assert code == 2
+        assert "objective returned NaN on Rastrigin_10" in capsys.readouterr().err
+        assert not (out / "comparison_best.csv").exists()
+
+    def test_each_checkpoint_loaded_once(self, trained_checkpoint, tmp_path, monkeypatch):
+        loads = []
+        real = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or real(path))
+        code = main(["compare", "--checkpoint", trained_checkpoint,
+                     "--function", "Sphere:10", "--function", "Rastrigin:10",
+                     "--runs", "2", "--out", str(tmp_path / "cmp")])
+        assert code == 0 and loads == [trained_checkpoint]
+        loads.clear()
+        code = main(["evaluate", "--checkpoint", trained_checkpoint, "--function", "Sphere",
+                     "--dimension", "10", "--runs", "2", "--out", str(tmp_path / "ev")])
+        assert code == 0 and loads == [trained_checkpoint]
 
 
 class TestConfigRoundTrip:

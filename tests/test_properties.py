@@ -1,0 +1,110 @@
+"""Property tests of the batched objectives, the DE generation and iDE."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from evoadapt.baselines import archive_differences
+from evoadapt.benchmarks import (EvalBudget, evaluate, evaluate_population,
+                                 get_function, registry_list)
+from evoadapt.de import de_generation, init_population, pick_pairs
+
+# a little beyond the [-5, 5] box, so the boundary penalty terms run too
+COORDS = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False, allow_subnormal=False)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@pytest.mark.parametrize("name,dim", registry_list())
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_population_equals_rows_bit_for_bit(name, dim, data):
+    fn = get_function(name, dim)
+    n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+    X = data.draw(arrays(np.float64, (n, dim), elements=COORDS), label="X")
+    batched = evaluate_population(fn, X)
+    rows = np.array([evaluate(fn, x) for x in X])
+    assert batched.shape == (n,)
+    assert np.array_equal(batched, rows)
+    assert np.all(np.isfinite(batched))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=0, max_value=15), seed=SEEDS)
+def test_wrapped_objective_is_called_once_per_row(n, seed):
+    fn = get_function("Rastrigin", 10)
+    calls = [0]
+
+    def wrapper(x):
+        calls[0] += 1
+        return fn.fn(x)
+
+    X = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(n, 10))
+    budget = EvalBudget(100)
+    values = evaluate_population(dataclasses.replace(fn, fn=wrapper), X, budget)
+    assert calls[0] == n == budget.used
+    assert np.array_equal(values, evaluate_population(fn, X))
+
+
+def test_evaluate_population_rejects_wrong_width():
+    with pytest.raises(ValueError):
+        evaluate_population(get_function("Sphere", 10), np.zeros((3, 5)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(np_=st.integers(min_value=4, max_value=40), data=st.data(), seed=SEEDS)
+def test_mutation_pairs_are_distinct(np_, data, seed):
+    best = data.draw(st.integers(min_value=0, max_value=np_ - 1), label="best")
+    a, b = pick_pairs(np_, best, np.random.default_rng(seed))
+    rows = np.arange(np_)
+    assert a.shape == b.shape == (np_,)
+    assert np.all((a >= 0) & (a < np_) & (b >= 0) & (b < np_))
+    assert np.all(a != b)
+    assert np.all((a != rows) & (b != rows))
+    assert np.all((a != best) & (b != best))
+
+
+def test_mutation_pairs_reach_every_ordered_pair():
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(300):
+        a, b = pick_pairs(5, 0, rng)
+        seen.add((int(a[1]), int(b[1])))
+    # individual 1 with best 0 draws from {2, 3, 4}: six ordered pairs
+    assert seen == {(p, q) for p in (2, 3, 4) for q in (2, 3, 4) if p != q}
+
+
+@settings(max_examples=25, deadline=None)
+@given(entry=st.sampled_from(registry_list()), np_=st.integers(min_value=4, max_value=16),
+       F=st.floats(min_value=0.0, max_value=2.0), CR=st.floats(min_value=0.0, max_value=1.0),
+       seed=SEEDS)
+def test_de_generation_spends_np_evaluations_and_keeps_the_best(entry, np_, F, CR, seed):
+    fn = get_function(*entry)
+    rng = np.random.default_rng(seed)
+    budget = EvalBudget(6 * np_)
+    pop = init_population(fn, np_, rng, budget)
+    best = pop.best_fitness
+    for generation in range(1, 6):
+        pop, replaced = de_generation(pop, F, CR, fn, rng, budget)
+        assert budget.used == (generation + 1) * np_
+        assert replaced.shape == (np_,)
+        assert pop.best_fitness <= best
+        best = pop.best_fitness
+    assert np.all((pop.genotypes >= fn.lower) & (pop.genotypes <= fn.upper))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(min_value=1, max_value=60), n=st.integers(min_value=0, max_value=30),
+       seed=SEEDS)
+def test_ide_archive_pairs_are_distinct_entries(m, n, seed):
+    # entries 0, 1, ..., m-1: a difference is 0 exactly when i == j
+    diffs = archive_differences(list(np.arange(m, dtype=float)), n, np.random.default_rng(seed))
+    assert diffs.shape == (n,)
+    if m < 2:
+        assert np.all(diffs == 0.0)
+    else:
+        assert np.all(diffs != 0.0)
+        assert np.all(np.abs(diffs) <= m - 1)
