@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
 
@@ -15,8 +14,7 @@ from .benchmarks import BudgetExhausted, get_function, registry_list
 from .config import (ConfigError, ExperimentConfig, load_config, save_config)
 from .envloop import (CsaController, EpisodeConfig, EvolutionEnv,
                       FixedDeController, FixedSigmaController, IdeController,
-                      JdeController, PolicyDeController, PolicySigmaController,
-                      run_test_protocol)
+                      JdeController, PolicyController, run_test_protocol)
 from .policy import action_spec, load_checkpoint, save_checkpoint
 from .ppo import TrainingInstability, train
 from .stats import build_comparison, export_comparison_csv, export_comparison_json
@@ -67,10 +65,6 @@ def run_training(cfg: ExperimentConfig, out_dir: str) -> str:
     with open(attempts_path, "w") as attempts:
         for attempt in range(1, max_attempts + 1):
             seed = cfg.seed + (attempt - 1)
-            ppo_cfg = cfg.ppo
-            if attempt > 1 and ppo_cfg.force_nan_at_iteration is not None:
-                # the NaN-injection test hook only fires on the first attempt
-                ppo_cfg = dataclasses.replace(ppo_cfg, force_nan_at_iteration=None)
             env_seed, train_seed = np.random.SeedSequence(seed).spawn(2)
             episode_cfg = EpisodeConfig(
                 algorithm=cfg.algorithm,
@@ -89,7 +83,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str) -> str:
                                     policy, cfg.action, cfg.observation)
 
             try:
-                policy, _value, log_rows = train(env, ppo_cfg, cfg.training.episodes,
+                policy, _value, log_rows = train(env, cfg.ppo, cfg.training.episodes,
                                                  np.random.default_rng(train_seed),
                                                  on_iteration=checkpointer)
             except TrainingInstability as exc:
@@ -123,7 +117,10 @@ def cmd_train(args) -> int:
 
 def _load_policy(path: str):
     """The algorithm a checkpoint was trained for, and the loaded checkpoint."""
-    checkpoint = load_checkpoint(path)
+    try:
+        checkpoint = load_checkpoint(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
     return ("cmaes" if checkpoint[1] == "cma_sigma" else "de"), checkpoint
 
 
@@ -137,10 +134,8 @@ def _controller_factory(algorithm: str, adaptation: str, checkpoint: tuple | Non
         if checkpoint is None:
             raise ConfigError("--adaptation policy requires --checkpoint")
         policy, kind, obs_spec = checkpoint
-        controller = PolicySigmaController if kind == "cma_sigma" else PolicyDeController
         spec = action_spec(kind)
-        width = get_function(*fn_key).bounds_width
-        return lambda: controller(policy, spec, obs_spec, width)
+        return lambda: PolicyController(policy, spec, obs_spec)
     if algorithm == "de":
         if adaptation == "ide":
             return IdeController
@@ -168,7 +163,10 @@ def cmd_evaluate(args) -> int:
     algorithm, checkpoint = args.algorithm, None
     if args.checkpoint:
         algorithm, checkpoint = _load_policy(args.checkpoint)
-    fn = get_function(args.function, args.dimension)
+    try:
+        fn = get_function(args.function, args.dimension)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc
     fn_key = (fn.name, fn.dimension)
     factory = _controller_factory(algorithm, adaptation, checkpoint,
                                   args.fixed_f, args.fixed_cr, args.fixed_sigma,
@@ -288,12 +286,6 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingInstability as exc:

@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 from .benchmarks import get_function, registry_list
 from .observe import ObservationSpec
+from .policy import action_spec
 from .ppo import PpoConfig
 
 
@@ -51,12 +52,19 @@ class ExperimentConfig:
             return registry_list()
         if self.training.function is None or self.training.dimension is None:
             raise ConfigError("single-function training requires function and dimension")
-        fn = get_function(self.training.function, self.training.dimension)
+        try:
+            fn = get_function(self.training.function, self.training.dimension)
+        except KeyError as exc:
+            raise ConfigError(f"unknown training function: {exc.args[0]}") from exc
         return [(fn.name, fn.dimension)]
 
     def validate(self) -> None:
         if self.algorithm not in ("de", "cmaes"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        try:
+            action_spec(self.action)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from exc
         if self.algorithm == "cmaes" and self.action != "cma_sigma":
             raise ConfigError("cmaes requires the cma_sigma action space")
         if self.algorithm == "de" and self.action == "cma_sigma":

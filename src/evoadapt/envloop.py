@@ -4,6 +4,9 @@ With the defaults (50 generations, population 10) an episode consumes
 exactly 500 evaluations: generation 0 is the evaluated initial population
 (DE) or the first sampling at the initial step size (CMA-ES), followed by
 49 controller-driven generations.
+
+`Episode` steps every run, for the test protocol (`run_episode` with a
+`Controller`) and for PPO (`EvolutionEnv`) alike.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,204 +50,201 @@ def multi_function_sampler(function_set: list, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# Controllers (evaluation-time adapters over the engines)
+# Episode stepper
 
-class FixedDeController:
+class DeOutcome(NamedTuple):
+    F: np.ndarray
+    CR: np.ndarray
+    replaced: np.ndarray    # parents their trial replaced
+    improved: bool          # the best fitness went down
+
+
+class Episode:
+    """One run of `algorithm` on `fn`, with its RNG, budget and trace.
+
+    Construction evaluates generation 0: the initial DE population, or the
+    first CMA-ES sampling at `sigma0` (kept as `result`). `start(action)`
+    records it; `apply(params, action)` runs one controlled generation with
+    F/CR (DE) or sigma (CMA-ES), records its trace row and reward, and
+    returns a `DeOutcome` or the CMA-ES `GenerationResult`.
+    """
+
+    def __init__(self, fn: BenchmarkFunction, algorithm: str, rng: np.random.Generator,
+                 generations: int = DEFAULT_GENERATIONS,
+                 population: int = DEFAULT_POPULATION, sigma0: float = DEFAULT_SIGMA0):
+        self.fn, self.algorithm, self.rng = fn, algorithm, rng
+        self.generations, self.population, self.sigma0 = generations, population, sigma0
+        self.budget = EvalBudget(generations * population)
+        self.trace = RunTrace()
+        if algorithm == "de":
+            self.pop = de.init_population(fn, population, rng, self.budget)
+        elif algorithm == "cmaes":
+            state = cmaes.init_state(fn, sigma0, rng)
+            self.result = cmaes.cma_generation(state, sigma0, fn, population, rng, self.budget)
+        else:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+
+    @property
+    def done(self) -> bool:
+        return len(self.trace) >= self.generations
+
+    def start(self, action) -> None:
+        last = self.pop if self.algorithm == "de" else self.result
+        self.trace.append_generation(last.genotypes, last.fitnesses, action)
+        self.trace.rewards.append(0.0)
+
+    def apply(self, params, action):
+        if self.algorithm == "de":
+            F, CR = params
+            prev_best = self.pop.best_fitness
+            self.pop, replaced = de.de_generation(self.pop, F, CR, self.fn, self.rng, self.budget)
+            last = self.pop
+            outcome = DeOutcome(F, CR, replaced, self.pop.best_fitness < prev_best)
+        else:
+            last = outcome = self.result = cmaes.cma_generation(
+                self.result.state, params, self.fn, self.population, self.rng, self.budget)
+        self.trace.append_generation(last.genotypes, last.fitnesses, action)
+        self.trace.rewards.append(reward(self.trace))
+        return outcome
+
+
+# ---------------------------------------------------------------------------
+# Controllers
+
+class Controller:
+    """`start(episode)` returns the action recorded for generation 0,
+    `propose(episode)` the next generation's engine parameters and the
+    action to record, and `feedback(outcome)` gets what `Episode.apply`
+    returned (ignored unless overridden)."""
+
+    def feedback(self, outcome):
+        pass
+
+
+class FixedDeController(Controller):
     """Constant F/CR for every individual and generation."""
 
     def __init__(self, F: float = 0.5, CR: float = 0.9):
         self.F, self.CR = float(F), float(CR)
 
-    def initial_action(self):
+    def start(self, episode):
         return np.array([self.F, self.CR])
 
-    def de_params(self, trace, pop, rng):
-        np_ = pop.size
-        return np.full(np_, self.F), np.full(np_, self.CR), np.array([self.F, self.CR])
-
-    def feedback(self, F, CR, replaced, improved):
-        pass
+    def propose(self, episode):
+        return (self.F, self.CR), np.array([self.F, self.CR])
 
 
-class IdeController:
-    def __init__(self):
-        self.state = None
-
-    def initial_action(self):
+class IdeController(Controller):
+    def start(self, episode):
+        self.state = baselines.make_ide_state(episode.population, episode.rng)
         return np.array([float(np.mean(self.state.F)), float(np.mean(self.state.CR))])
 
-    def begin(self, pop_size, rng):
-        self.state = baselines.make_ide_state(pop_size, rng)
+    def propose(self, episode):
+        F, CR = baselines.ide_update(self.state, episode.pop.best_index, episode.rng)
+        return (F, CR), np.array([float(np.mean(F)), float(np.mean(CR))])
 
-    def de_params(self, trace, pop, rng):
-        if self.state is None:
-            self.begin(pop.size, rng)
-        F, CR = baselines.ide_update(self.state, pop.best_index, rng)
-        return F, CR, np.array([float(np.mean(F)), float(np.mean(CR))])
-
-    def feedback(self, F, CR, replaced, improved):
-        baselines.ide_record_success(self.state, F, CR, replaced)
+    def feedback(self, outcome):
+        baselines.ide_record_success(self.state, outcome.F, outcome.CR, outcome.replaced)
 
 
-class JdeController:
-    def __init__(self):
+class JdeController(Controller):
+    def start(self, episode):
         self.state = baselines.JdeState()
-
-    def initial_action(self):
         return np.array([self.state.best_F, self.state.best_CR])
 
-    def de_params(self, trace, pop, rng):
-        F, CR = baselines.jde_update(self.state, rng)
-        np_ = pop.size
-        return np.full(np_, F), np.full(np_, CR), np.array([F, CR])
+    def propose(self, episode):
+        F, CR = baselines.jde_update(self.state, episode.rng)
+        return (F, CR), np.array([F, CR])
 
-    def feedback(self, F, CR, replaced, improved):
-        baselines.jde_record(self.state, float(F[0]), float(CR[0]), improved)
-
-
-class PolicyDeController:
-    """Learned policy driving DE; test-time action is the deterministic mean."""
-
-    def __init__(self, policy: PolicyNet, spec: ActionSpec, obs_spec: ObservationSpec,
-                 bounds_width: np.ndarray, stochastic: bool = False):
-        self.policy = policy
-        self.spec = spec
-        self.obs_spec = obs_spec
-        self.bounds_width = bounds_width
-        self.stochastic = stochastic
-        self.prev_action_norm = spec.normalize(spec.neutral())
-
-    def initial_action(self):
-        return self.spec.neutral()
-
-    def de_params(self, trace, pop, rng):
-        obs = build_observation(trace, self.obs_spec, self.prev_action_norm, self.bounds_width)
-        mean, log_std = self.policy.forward(obs)
-        action, _raw, _logp = sample_action(mean, log_std, self.spec, rng,
-                                            stochastic=self.stochastic)
-        self.prev_action_norm = self.spec.normalize(action)
-        F, CR = decode_de_params(action, self.spec, pop.size, rng)
-        return F, CR, action
-
-    def feedback(self, F, CR, replaced, improved):
-        pass
+    def feedback(self, outcome):
+        baselines.jde_record(self.state, outcome.F, outcome.CR, outcome.improved)
 
 
-class FixedSigmaController:
+class FixedSigmaController(Controller):
     def __init__(self, sigma: float = DEFAULT_SIGMA0):
         self.sigma = float(sigma)
 
-    def initial_action(self):
-        return np.array([self.sigma])
+    def start(self, episode):
+        return np.array([episode.sigma0])  # generation 0 ran at sigma0
 
-    def sigma_value(self, trace, rng):
-        return self.sigma
-
-    def feedback(self, result):
-        pass
+    def propose(self, episode):
+        return self.sigma, np.array([self.sigma])
 
 
-class CsaController:
+class CsaController(FixedSigmaController):
     def __init__(self, dim: int, sigma0: float = DEFAULT_SIGMA0,
                  c: float | None = None, d_sigma: float = 1.0):
+        super().__init__(sigma0)
         self.state = baselines.make_csa_state(dim, c=c, d_sigma=d_sigma)
-        self.sigma = float(sigma0)
 
-    def initial_action(self):
-        return np.array([self.sigma])
+    def start(self, episode):
+        self.feedback(episode.result)
+        return super().start(episode)
 
-    def sigma_value(self, trace, rng):
-        return self.sigma
-
-    def feedback(self, result: cmaes.GenerationResult):
-        best = result.best_index
-        xi_star = (result.samples[best] - result.mean_before) / result.sigma_used
-        self.state, self.sigma = baselines.csa_update(self.state, xi_star, result.sigma_used)
+    def feedback(self, outcome: cmaes.GenerationResult):
+        best = outcome.best_index
+        xi_star = (outcome.samples[best] - outcome.mean_before) / outcome.sigma_used
+        self.state, self.sigma = baselines.csa_update(self.state, xi_star, outcome.sigma_used)
 
 
-class PolicySigmaController:
-    def __init__(self, policy: PolicyNet, spec: ActionSpec, obs_spec: ObservationSpec,
-                 bounds_width: np.ndarray, stochastic: bool = False):
-        self.policy = policy
-        self.spec = spec
-        self.obs_spec = obs_spec
-        self.bounds_width = bounds_width
+class PolicyController(Controller):
+    """A policy sets F/CR (`decode_de_params`) or sigma (`decode_sigma`).
+
+    The test-time action is the deterministic mean unless `stochastic`.
+    With `policy=None` it only observes and decodes actions chosen
+    elsewhere, which is how `EvolutionEnv` applies PPO's actions.
+    """
+
+    def __init__(self, policy: PolicyNet | None, spec: ActionSpec, obs_spec: ObservationSpec,
+                 stochastic: bool = False):
+        self.policy, self.spec, self.obs_spec = policy, spec, obs_spec
         self.stochastic = stochastic
-        self.prev_action_norm = spec.normalize(spec.neutral())
 
-    def initial_action(self):
-        return self.spec.neutral()
+    def start(self, episode):
+        self.prev_action_norm = self.spec.normalize(self.spec.neutral())
+        return np.array([episode.sigma0]) if episode.algorithm == "cmaes" else self.spec.neutral()
 
-    def sigma_value(self, trace, rng):
-        obs = build_observation(trace, self.obs_spec, self.prev_action_norm, self.bounds_width)
-        mean, log_std = self.policy.forward(obs)
-        action, _raw, _logp = sample_action(mean, log_std, self.spec, rng,
+    def observe(self, episode) -> np.ndarray:
+        return build_observation(episode.trace, self.obs_spec, self.prev_action_norm,
+                                 episode.fn.bounds_width)
+
+    def propose(self, episode):
+        mean, log_std = self.policy.forward(self.observe(episode))
+        action, _raw, _logp = sample_action(mean, log_std, self.spec, episode.rng,
                                             stochastic=self.stochastic)
-        self.prev_action_norm = self.spec.normalize(action)
-        return decode_sigma(action)
+        return self.decode(episode, action), action
 
-    def feedback(self, result):
-        pass
+    def decode(self, episode, action: np.ndarray):
+        """Engine parameters of a clipped action, which also becomes the
+        previous action of the next observation."""
+        self.prev_action_norm = self.spec.normalize(action)
+        if episode.algorithm == "cmaes":
+            return decode_sigma(action)
+        return decode_de_params(action, self.spec, episode.population, episode.rng)
 
 
 # ---------------------------------------------------------------------------
 # Episode runners
 
+def run_episode(episode: Episode, controller) -> RunTrace:
+    """Step `episode` from generation 0 to its end under `controller`."""
+    episode.start(controller.start(episode))
+    while not episode.done:
+        controller.feedback(episode.apply(*controller.propose(episode)))
+    return episode.trace
+
+
 def run_de_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator,
                    generations: int = DEFAULT_GENERATIONS,
                    population: int = DEFAULT_POPULATION) -> RunTrace:
-    budget = EvalBudget(generations * population)
-    pop = de.init_population(fn, population, rng, budget)
-    if hasattr(controller, "begin"):
-        controller.begin(population, rng)
-    trace = RunTrace()
-    trace.append_generation(pop.genotypes, pop.fitnesses, controller.initial_action())
-    trace.rewards.append(0.0)
-    for _ in range(1, generations):
-        F, CR, record = controller.de_params(trace, pop, rng)
-        prev_best = pop.best_fitness
-        pop, replaced = de.de_generation(pop, F, CR, fn, rng, budget)
-        controller.feedback(F, CR, replaced, pop.best_fitness < prev_best)
-        trace.append_generation(pop.genotypes, pop.fitnesses, record)
-        trace.rewards.append(reward(trace))
-    return trace
+    return run_episode(Episode(fn, "de", rng, generations, population), controller)
 
 
 def run_cma_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator,
                     generations: int = DEFAULT_GENERATIONS,
                     population: int = DEFAULT_POPULATION,
                     sigma0: float = DEFAULT_SIGMA0) -> RunTrace:
-    budget = EvalBudget(generations * population)
-    state = cmaes.init_state(fn, sigma0, rng)
-    trace = RunTrace()
-    # generation 0 runs at the initial step size before the controller kicks in
-    result = cmaes.cma_generation(state, sigma0, fn, population, rng, budget)
-    state = result.state
-    if hasattr(controller, "feedback"):
-        controller.feedback(result)
-    trace.append_generation(result.genotypes, result.fitnesses, np.array([sigma0]))
-    trace.rewards.append(0.0)
-    for _ in range(1, generations):
-        sigma = controller.sigma_value(trace, rng)
-        result = cmaes.cma_generation(state, sigma, fn, population, rng, budget)
-        state = result.state
-        controller.feedback(result)
-        trace.append_generation(result.genotypes, result.fitnesses, np.array([sigma]))
-        trace.rewards.append(reward(trace))
-    return trace
-
-
-def run_episode(config: EpisodeConfig, controller, rng: np.random.Generator,
-                function: tuple | None = None) -> RunTrace:
-    if function is None:
-        function = multi_function_sampler(config.functions, rng)
-    fn = get_function(*function)
-    if config.algorithm == "de":
-        return run_de_episode(fn, controller, rng, config.generations, config.population)
-    if config.algorithm == "cmaes":
-        return run_cma_episode(fn, controller, rng, config.generations, config.population,
-                               config.sigma0)
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    return run_episode(Episode(fn, "cmaes", rng, generations, population, sigma0), controller)
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +253,23 @@ def run_episode(config: EpisodeConfig, controller, rng: np.random.Generator,
 class EvolutionEnv:
     """Step interface over evolutionary runs for the PPO trainer.
 
-    One reset/step cycle covers one episode: reset initializes the run and
-    returns the zero-padded observation, each step applies one controlled
-    generation. Policy-emitted raw actions are clipped into the action space
-    before decoding.
+    One reset/step cycle covers one episode: reset samples the function,
+    runs generation 0 and returns the observation, each step applies one
+    controlled generation. Policy-emitted raw actions are clipped into the
+    action space before decoding.
     """
 
     def __init__(self, config: EpisodeConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
         self.spec = config.action_spec
-        self.obs_spec = config.obs_spec
         self.episode_log: list[tuple] = []
-        self._fn = None
-        self._budget = None
-        self._trace = None
-        self._pop = None
-        self._state = None
-        self._prev_action_norm = None
-        self._gen = 0
+        self.episode = None
+        self.decoder = PolicyController(None, config.action_spec, config.obs_spec)
 
     @property
     def observation_dim(self) -> int:
-        return self.obs_spec.length(self.spec.dim)
+        return self.config.obs_spec.length(self.spec.dim)
 
     @property
     def action_dim(self) -> int:
@@ -286,50 +281,18 @@ class EvolutionEnv:
 
     def reset(self) -> np.ndarray:
         cfg = self.config
-        name, dim = multi_function_sampler(cfg.functions, self.rng)
-        self._fn = get_function(name, dim)
-        self.episode_log.append((name, dim))
-        self._budget = EvalBudget(cfg.generations * cfg.population)
-        self._trace = RunTrace()
-        if cfg.algorithm == "de":
-            self._pop = de.init_population(self._fn, cfg.population, self.rng, self._budget)
-            self._trace.append_generation(self._pop.genotypes, self._pop.fitnesses,
-                                          self.spec.neutral())
-        else:
-            self._state = cmaes.init_state(self._fn, cfg.sigma0, self.rng)
-            result = cmaes.cma_generation(self._state, cfg.sigma0, self._fn,
-                                          cfg.population, self.rng, self._budget)
-            self._state = result.state
-            self._trace.append_generation(result.genotypes, result.fitnesses,
-                                          np.array([cfg.sigma0]))
-        self._trace.rewards.append(0.0)
-        self._prev_action_norm = self.spec.normalize(self.spec.neutral())
-        self._gen = 0
-        return self._observe()
-
-    def _observe(self) -> np.ndarray:
-        return build_observation(self._trace, self.obs_spec, self._prev_action_norm,
-                                 self._fn.bounds_width)
+        function = multi_function_sampler(cfg.functions, self.rng)
+        self.episode_log.append(function)
+        self.episode = Episode(get_function(*function), cfg.algorithm, self.rng,
+                               cfg.generations, cfg.population, cfg.sigma0)
+        self.episode.start(self.decoder.start(self.episode))
+        return self.decoder.observe(self.episode)
 
     def step(self, raw_action: np.ndarray):
-        cfg = self.config
         action = self.spec.clip(raw_action)
-        if cfg.algorithm == "de":
-            F, CR = decode_de_params(action, self.spec, cfg.population, self.rng)
-            self._pop, _ = de.de_generation(self._pop, F, CR, self._fn, self.rng, self._budget)
-            self._trace.append_generation(self._pop.genotypes, self._pop.fitnesses, action)
-        else:
-            sigma = decode_sigma(action)
-            result = cmaes.cma_generation(self._state, sigma, self._fn, cfg.population,
-                                          self.rng, self._budget)
-            self._state = result.state
-            self._trace.append_generation(result.genotypes, result.fitnesses, action)
-        r = reward(self._trace)
-        self._trace.rewards.append(r)
-        self._prev_action_norm = self.spec.normalize(action)
-        self._gen += 1
-        done = self._gen >= self.steps_per_episode
-        return self._observe(), r, done
+        self.episode.apply(self.decoder.decode(self.episode, action), action)
+        return (self.decoder.observe(self.episode), self.episode.trace.rewards[-1],
+                self.episode.done)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +317,8 @@ def run_test_protocol(controller_factory, function: tuple, seed_base: int,
     def one(run_index: int):
         rng = np.random.default_rng(seed_base + run_index)
         controller = controller_factory()
-        if algorithm == "de":
-            trace = run_de_episode(fn, controller, rng, generations, population)
-        else:
-            trace = run_cma_episode(fn, controller, rng, generations, population, sigma0)
-        return trace
+        return run_episode(Episode(fn, algorithm, rng, generations, population, sigma0),
+                           controller)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -9,13 +9,11 @@ retry with a fresh seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import Mlp, PolicyNet
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .policy import LOG_2PI, Mlp, PolicyNet, gaussian_log_prob
 
 
 class TrainingInstability(RuntimeError):
@@ -24,7 +22,6 @@ class TrainingInstability(RuntimeError):
 
 @dataclass
 class PpoConfig:
-    actors: int = 1
     epochs: int = 200
     horizon: int = 4000
     minibatch: int = 128
@@ -40,13 +37,16 @@ class PpoConfig:
     activation: str = "relu"
     log_std_init: float = 0.0
     checkpoint_every: int = 10
-    force_nan_at_iteration: int | None = None  # test hook
 
     def __post_init__(self):
-        if self.minibatch > self.actors * self.horizon:
-            raise ValueError("minibatch size must be <= actors * horizon")
+        if self.minibatch > self.horizon:
+            raise ValueError("minibatch size must be <= horizon")
         if self.learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
+        if self.optimizer not in ("sgd", "adam"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.activation not in ("relu", "tanh"):
+            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -225,8 +225,7 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
         for t in range(T):
             mean, log_std = policy.forward(obs)
             raw = mean + np.exp(log_std) * rng.standard_normal(a_dim)
-            zq = (raw - mean) / np.exp(log_std)
-            logp = float(np.sum(-0.5 * zq ** 2 - log_std - 0.5 * LOG_2PI))
+            logp = float(gaussian_log_prob(raw, mean, log_std))
             val = float(value.forward(obs)[0])
 
             next_obs, r, done = env.step(raw)
@@ -267,11 +266,6 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
                 opt_value.step(vg)
             if policy.has_nan() or value.has_nan():
                 raise TrainingInstability(f"non-finite weights at iteration {iteration}")
-
-        if config.force_nan_at_iteration == iteration:
-            policy.mlp.weights[0][0, 0] = np.nan  # test hook
-        if policy.has_nan() or value.has_nan():
-            raise TrainingInstability(f"non-finite weights at iteration {iteration}")
 
         row = {
             "iteration": iteration,

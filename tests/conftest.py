@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evoadapt import ppo
 from evoadapt.observe import RunTrace
 
 
@@ -19,3 +20,21 @@ def random_trace(rng: np.random.Generator, length: int, dim: int = 3,
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def nan_gradient_once(monkeypatch):
+    """The first PPO update of the test meets a NaN in one policy-gradient
+    entry; later updates (a retry's, say) are clean. The trainer's own
+    non-finite checks have to catch it."""
+    real = ppo.clip_gradients
+    armed = [True]
+
+    def poisoned(grads, max_norm):
+        grads = real(grads, max_norm)
+        if armed[0]:
+            armed[0] = False
+            grads[0].flat[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(ppo, "clip_gradients", poisoned)

@@ -15,7 +15,7 @@ from evoadapt.benchmarks import get_function
 from evoadapt.cli import main
 from evoadapt.envloop import (CsaController, EpisodeConfig, EvolutionEnv,
                               FixedDeController, FixedSigmaController,
-                              PolicyDeController, run_de_episode,
+                              PolicyController, run_de_episode,
                               run_test_protocol)
 from evoadapt.observe import (ObservationSpec, inter_delta_f, intra_delta_f,
                               intra_delta_x)
@@ -186,7 +186,7 @@ def test_criterion_7_training_smoke():
         policy, _value, _log = train(env, cfg, episodes_budget=500,
                                      rng=np.random.default_rng(train_rng))
         trained = run_test_protocol(
-            lambda: PolicyDeController(policy, spec, obs_spec, fn.bounds_width),
+            lambda: PolicyController(policy, spec, obs_spec),
             ("Sphere", 10), 777, runs=50)
         fixed = run_test_protocol(lambda: FixedDeController(0.5, 0.9),
                                   ("Sphere", 10), 777, runs=50)

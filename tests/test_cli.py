@@ -67,10 +67,9 @@ class TestTrain:
             seen.add((name, int(dim)))
         assert len(seen) > 1  # 8 draws from 46 functions repeat one only rarely
 
-    def test_instability_triggers_retry_with_next_seed(self, tmp_path):
+    def test_instability_triggers_retry_with_next_seed(self, tmp_path, nan_gradient_once):
         ppo = {"horizon": 36, "minibatch": 36, "epochs": 2, "hidden": [4],
-               "optimizer": "adam", "learning_rate": 1e-3,
-               "force_nan_at_iteration": 0}
+               "optimizer": "adam", "learning_rate": 1e-3}
         cfg_path, _ = base_config(tmp_path, ppo=ppo)
         assert main(["train", "--config", str(cfg_path)]) == 0
         log = (tmp_path / "run" / "attempts.log").read_text()
@@ -78,9 +77,8 @@ class TestTrain:
         assert "attempt 2 seed 2 ok" in log
         assert (tmp_path / "run" / "checkpoint.json").exists()
 
-    def test_exhausted_retries_exit_unstable(self, tmp_path, capsys):
-        ppo = {"horizon": 36, "minibatch": 36, "epochs": 2, "hidden": [4],
-               "force_nan_at_iteration": 0}
+    def test_exhausted_retries_exit_unstable(self, tmp_path, capsys, nan_gradient_once):
+        ppo = {"horizon": 36, "minibatch": 36, "epochs": 2, "hidden": [4]}
         cfg_path, _ = base_config(tmp_path, ppo=ppo,
                                   training={"mode": "single", "function": "Sphere",
                                             "dimension": 10, "episodes": 8, "retries": 0})
@@ -93,6 +91,25 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 2
         path.write_text("{not json")
         assert main(["train", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("train", {"action": "de_bogus"}),
+    ("train", {"training": {"mode": "single", "function": "NoSuch", "dimension": 10}}),
+    ("train", {"ppo": {"optimizer": "rmsprop"}}),
+    ("evaluate", {}),
+], ids=["unknown-action", "unknown-training-function", "unknown-optimizer",
+        "missing-checkpoint"])
+def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides):
+    cfg_path, _ = base_config(tmp_path, **overrides)
+    if command == "train":
+        argv = ["train", "--config", str(cfg_path)]
+    else:
+        argv = ["evaluate", "--checkpoint", str(tmp_path / "absent.json"),
+                "--function", "Sphere", "--dimension", "10", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists() and not (tmp_path / "x").exists()
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +209,7 @@ class TestCompare:
     def test_missing_checkpoint_rejected(self, tmp_path):
         assert main(["compare", "--out", str(tmp_path / "x")]) == 2
 
-    def test_failing_cell_reports_its_error(self, trained_checkpoint, tmp_path,
-                                            monkeypatch, capsys):
+    def test_failing_cell_reports_its_error(self, trained_checkpoint, tmp_path, monkeypatch):
         real = cli.run_test_protocol
 
         def failing_on_rastrigin(factory, fn_key, *args, **kwargs):
@@ -203,11 +219,10 @@ class TestCompare:
 
         monkeypatch.setattr(cli, "run_test_protocol", failing_on_rastrigin)
         out = tmp_path / "cmp"
-        code = main(["compare", "--checkpoint", trained_checkpoint,
-                     "--function", "Sphere:10", "--function", "Rastrigin:10",
-                     "--runs", "2", "--out", str(out)])
-        assert code == 2
-        assert "objective returned NaN on Rastrigin_10" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="objective returned NaN on Rastrigin_10"):
+            main(["compare", "--checkpoint", trained_checkpoint,
+                  "--function", "Sphere:10", "--function", "Rastrigin:10",
+                  "--runs", "2", "--out", str(out)])
         assert not (out / "comparison_best.csv").exists()
 
     def test_each_checkpoint_loaded_once(self, trained_checkpoint, tmp_path, monkeypatch):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from evoadapt.benchmarks import get_function, registry_list
-from evoadapt.envloop import (CsaController, EpisodeConfig, EvolutionEnv,
+from evoadapt.envloop import (CsaController, Episode, EpisodeConfig, EvolutionEnv,
                               FixedDeController, FixedSigmaController,
-                              IdeController, JdeController,
+                              IdeController, JdeController, PolicyController,
                               multi_function_sampler, run_cma_episode,
                               run_de_episode, run_episode, run_test_protocol,
                               export_trace_csv)
 from evoadapt.observe import ObservationSpec, reward
-from evoadapt.policy import action_spec
+from evoadapt.policy import PolicyNet, action_spec
 
 
 def counted(fn):
@@ -88,14 +88,11 @@ class TestEpisodeTraces:
             assert np.array_equal(x, y)
 
     def test_run_episode_dispatch_and_unknown_algorithm(self):
-        spec = ObservationSpec(history_length=5)
-        cfg = EpisodeConfig(algorithm="de", functions=[("Sphere", 10)],
-                            obs_spec=spec, action_spec=action_spec("de_direct"))
-        trace = run_episode(cfg, FixedDeController(), np.random.default_rng(0))
+        fn = get_function("Sphere", 10)
+        trace = run_episode(Episode(fn, "de", np.random.default_rng(0)), FixedDeController())
         assert len(trace) == 50
-        bad = dataclasses.replace(cfg, algorithm="pso")
         with pytest.raises(ValueError):
-            run_episode(bad, FixedDeController(), np.random.default_rng(0))
+            run_episode(Episode(fn, "pso", np.random.default_rng(0)), FixedDeController())
 
 
 class TestFunctionSampler:
@@ -154,6 +151,33 @@ class TestEvolutionEnv:
             env.reset()
         assert len(env.episode_log) == 6
         assert set(env.episode_log) <= {("Sphere", 10), ("Rastrigin", 10)}
+
+    @pytest.mark.parametrize("algorithm,kind", [("de", "de_normal"), ("cmaes", "cma_sigma")])
+    def test_training_steps_match_evaluation_run(self, algorithm, kind):
+        """PPO's environment and the test protocol step the same run: fed a
+        policy's mean actions, the env reproduces `run_episode` exactly."""
+        spec, obs_spec = action_spec(kind), ObservationSpec(history_length=8)
+        policy = PolicyNet(obs_spec.length(spec.dim), spec.dim, hidden=(6,),
+                           rng=np.random.default_rng(1))
+        # a large last layer so the mean actions move F/CR or sigma around
+        policy.mlp.weights[-1] *= 100.0
+        cfg = EpisodeConfig(algorithm=algorithm, functions=[("Rastrigin", 10)],
+                            obs_spec=obs_spec, action_spec=spec)
+        env = EvolutionEnv(cfg, np.random.default_rng(21))
+        obs, done, rewards = env.reset(), False, []
+        while not done:
+            obs, r, done = env.step(policy.forward(obs)[0])
+            rewards.append(r)
+        trained = env.episode.trace
+
+        episode = Episode(get_function("Rastrigin", 10), algorithm, np.random.default_rng(21))
+        trace = run_episode(episode, PolicyController(policy, spec, obs_spec))
+        assert trace.rewards[1:] == rewards
+        assert trace.best_fitness[1:] == trained.best_fitness[1:]
+        assert len(trace.actions) == len(trained.actions) == 50
+        for a, b in zip(trace.actions[1:], trained.actions[1:]):
+            assert np.array_equal(a, b)
+        assert len({tuple(a) for a in trace.actions[1:]}) > 1  # the policy does steer
 
     def test_env_deterministic(self):
         def run():

@@ -204,8 +204,8 @@ class TestTrain:
 
         assert run() == run()
 
-    def test_nan_injection_raises_instability(self):
-        cfg = bandit_config(force_nan_at_iteration=0)
+    def test_nan_injection_raises_instability(self, nan_gradient_once):
+        cfg = bandit_config()
         with pytest.raises(TrainingInstability):
             train(BanditEnv(), cfg, episodes_budget=5 * 256, rng=np.random.default_rng(0))
 
