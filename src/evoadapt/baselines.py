@@ -1,4 +1,8 @@
-"""Handcrafted adaptation baselines: CSA (step size), iDE and jDE (F, CR)."""
+"""Handcrafted adaptation baselines: CSA (step size), iDE and jDE (F, CR).
+
+Each works on one run, or on R runs in lockstep: state arrays then gain a
+leading run axis, and `rng` holds one Generator per run.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .benchmarks import per_run
 
 F_LOW, F_HIGH = 0.0, 2.0
 CR_LOW, CR_HIGH = 0.0, 1.0
@@ -21,7 +27,7 @@ def expected_chi_norm(d: int) -> float:
 
 @dataclass
 class CsaState:
-    path: np.ndarray
+    path: np.ndarray                    # (d,), or (R, d) once it met R runs
     c: float
     d_sigma: float
     expected_norm: float
@@ -38,14 +44,20 @@ def make_csa_state(dim: int, c: float | None = None, d_sigma: float = 1.0) -> Cs
                     expected_norm=expected_chi_norm(dim))
 
 
-def csa_update(state: CsaState, xi_star: np.ndarray, sigma: float) -> tuple[CsaState, float]:
-    """Cumulate the best child's direction and rescale sigma."""
+def csa_update(state: CsaState, xi_star: np.ndarray, sigma) -> tuple[CsaState, np.ndarray]:
+    """Cumulate the best child's direction and rescale sigma.
+
+    The norm and exp run once per run: `np.linalg.norm` over a stack sums
+    in another order than over one vector, and `np.exp` may round unlike
+    `math.exp`, so batching them would change a run's bytes.
+    """
     c = state.c
     path = (1.0 - c) * state.path + math.sqrt(c * (2.0 - c)) * np.asarray(xi_star, dtype=float)
-    ratio = np.linalg.norm(path) / state.expected_norm
-    new_sigma = sigma * math.exp((c / state.d_sigma) * (ratio - 1.0))
+    factors = [math.exp((c / state.d_sigma) * (np.linalg.norm(p) / state.expected_norm - 1.0))
+               for p in path.reshape(-1, path.shape[-1])]
+    new_sigma = np.asarray(sigma, dtype=float) * np.reshape(factors, path.shape[:-1])
     return CsaState(path=path, c=c, d_sigma=state.d_sigma,
-                    expected_norm=state.expected_norm), float(new_sigma)
+                    expected_norm=state.expected_norm), new_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -53,16 +65,16 @@ def csa_update(state: CsaState, xi_star: np.ndarray, sigma: float) -> tuple[CsaS
 
 @dataclass
 class IdeState:
-    F: np.ndarray                       # per-individual scale factors
+    F: np.ndarray                       # per-individual scale factors, (NP,) or (R, NP)
     CR: np.ndarray                      # per-individual crossover rates
-    f_archive: list[float] = field(default_factory=list)
-    cr_archive: list[float] = field(default_factory=list)
+    f_archive: list = field(default_factory=list)   # floats; one such list per run for R runs
+    cr_archive: list = field(default_factory=list)
 
 
-def make_ide_state(np_: int, rng: np.random.Generator) -> IdeState:
-    F = rng.uniform(0.1, 1.0, size=np_)
-    CR = rng.uniform(0.0, 1.0, size=np_)
-    return IdeState(F=F, CR=CR, f_archive=list(F), cr_archive=list(CR))
+def make_ide_state(np_: int, rng) -> IdeState:
+    F = per_run(rng, lambda r: r.uniform(0.1, 1.0, size=np_))
+    CR = per_run(rng, lambda r: r.uniform(0.0, 1.0, size=np_))
+    return IdeState(F=F, CR=CR, f_archive=F.tolist(), cr_archive=CR.tolist())
 
 
 def archive_differences(archive: list[float], n: int, rng: np.random.Generator) -> np.ndarray:
@@ -78,13 +90,20 @@ def archive_differences(archive: list[float], n: int, rng: np.random.Generator) 
     return values[i] - values[j]
 
 
-def ide_update(state: IdeState, best_index: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def ide_update(state: IdeState, best_index, rng) -> tuple[np.ndarray, np.ndarray]:
     """Per-individual (F, CR) perturbed around the best individual's values."""
     if not state.f_archive or not state.cr_archive:
         raise ValueError("iDE archives must be non-empty")
-    np_ = len(state.F)
-    F = state.F[best_index] + rng.normal(0.0, 0.5, np_) * archive_differences(state.f_archive, np_, rng)
-    CR = state.CR[best_index] + rng.normal(0.0, 0.5, np_) * archive_differences(state.cr_archive, np_, rng)
+    np_ = state.F.shape[-1]
+
+    def noise(r, f_archive, cr_archive):
+        return (r.normal(0.0, 0.5, np_) * archive_differences(f_archive, np_, r),
+                r.normal(0.0, 0.5, np_) * archive_differences(cr_archive, np_, r))
+
+    noises = per_run(rng, noise, state.f_archive, state.cr_archive)
+    best = np.asarray(best_index)[..., None]
+    F = np.take_along_axis(state.F, best, axis=-1) + noises[..., 0, :]
+    CR = np.take_along_axis(state.CR, best, axis=-1) + noises[..., 1, :]
     return np.clip(F, F_LOW, F_HIGH), np.clip(CR, CR_LOW, CR_HIGH)
 
 
@@ -93,8 +112,13 @@ def ide_record_success(state: IdeState, F: np.ndarray, CR: np.ndarray, replaced:
     won = np.asarray(replaced, dtype=bool)
     state.F[won] = F[won]
     state.CR[won] = CR[won]
-    state.f_archive.extend(F[won].tolist())
-    state.cr_archive.extend(CR[won].tolist())
+    archives = (zip(state.f_archive, state.cr_archive) if won.ndim > 1
+                else [(state.f_archive, state.cr_archive)])
+    np_ = won.shape[-1]
+    for (f_archive, cr_archive), f, cr, w in zip(archives, F.reshape(-1, np_),
+                                                 CR.reshape(-1, np_), won.reshape(-1, np_)):
+        f_archive.extend(f[w].tolist())
+        cr_archive.extend(cr[w].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +126,22 @@ def ide_record_success(state: IdeState, F: np.ndarray, CR: np.ndarray, replaced:
 
 @dataclass
 class JdeState:
-    best_F: float = 0.5
+    best_F: float = 0.5                 # a float, or one value per run
     best_CR: float = 0.9
     p: float = 0.1
 
 
-def jde_update(state: JdeState, rng: np.random.Generator) -> tuple[float, float]:
+def jde_update(state: JdeState, rng) -> tuple[np.ndarray, np.ndarray]:
     """With probability p resample F ~ U(0.1, 1) (CR ~ U(0, 1)), else keep the best."""
-    F = rng.uniform(0.1, 1.0) if rng.random() < state.p else state.best_F
-    CR = rng.uniform(0.0, 1.0) if rng.random() < state.p else state.best_CR
-    return float(F), float(CR)
+    def draw(r, best_F, best_CR):
+        F = r.uniform(0.1, 1.0) if r.random() < state.p else best_F
+        CR = r.uniform(0.0, 1.0) if r.random() < state.p else best_CR
+        return F, CR
+
+    drawn = per_run(rng, draw, state.best_F, state.best_CR)
+    return drawn[..., 0], drawn[..., 1]
 
 
-def jde_record(state: JdeState, F: float, CR: float, improved: bool) -> None:
-    if improved:
-        state.best_F = float(F)
-        state.best_CR = float(CR)
+def jde_record(state: JdeState, F, CR, improved) -> None:
+    state.best_F = np.where(improved, F, state.best_F)
+    state.best_CR = np.where(improved, CR, state.best_CR)

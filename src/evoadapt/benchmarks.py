@@ -82,6 +82,25 @@ def evaluate_population(fn: BenchmarkFunction, X: np.ndarray, budget: EvalBudget
     return np.array([float(fn.fn(x)) for x in X])
 
 
+def evaluate_runs(fn: BenchmarkFunction, X: np.ndarray,
+                  budget: EvalBudget | None = None) -> np.ndarray:
+    """Fitnesses `(..., n)` of a `(..., n, d)` stack (one population per run),
+    from one `evaluate_population` call over all its rows."""
+    return evaluate_population(fn, X.reshape(-1, fn.dimension), budget).reshape(X.shape[:-1])
+
+
+def per_run(rng, draw: Callable, *args) -> np.ndarray:
+    """`draw(generator, *args)` for one run, or stacked over runs in lockstep.
+
+    `rng` is one Generator, or one Generator per run; then each of `args`
+    holds one entry per run. Only the random draws loop over runs, so each
+    run's generator is used exactly as a run stepped alone would use it.
+    """
+    if isinstance(rng, np.random.Generator):
+        return np.asarray(draw(rng, *args))
+    return np.array([draw(r, *row) for r, *row in zip(rng, *args)])
+
+
 def _batched(body: Callable[[np.ndarray], np.ndarray]) -> Callable:
     """Registry objective from an array program over `(n, d)` rows.
 
@@ -355,8 +374,10 @@ def _gallagher(n_peaks: int, seed: int):
             scales[i] = rng.permutation(diag)
 
         def f(X):
-            diff = X[:, None, :] - centers
-            quad = np.sum(diff ** 2 * scales, axis=-1)
+            diff = X[:, None, :] - centers  # (n, peaks, d), squared and scaled in place
+            np.square(diff, out=diff)
+            diff *= scales
+            quad = diff.sum(axis=-1)
             val = np.max(w * np.exp(-quad / (2.0 * d)), axis=-1)
             return _t_osz(10.0 - val) ** 2 + _f_pen(X)
 

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
 from . import envloop
+from .artifacts import write_csv
 from .benchmarks import BudgetExhausted, get_function, registry_list
 from .config import (ConfigError, ExperimentConfig, load_config, save_config)
 from .envloop import (CsaController, EpisodeConfig, EvolutionEnv,
@@ -35,22 +35,16 @@ def cmd_list_functions(_args) -> int:
 # train
 
 def _write_training_log(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "episodes_done", "mean_return",
-                         "policy_loss", "value_loss", "entropy"])
-        for row in rows:
-            writer.writerow([row["iteration"], row["episodes_done"],
-                             repr(row["mean_return"]), repr(row["policy_loss"]),
-                             repr(row["value_loss"]), repr(row["entropy"])])
+    write_csv(path, [["iteration", "episodes_done", "mean_return",
+                      "policy_loss", "value_loss", "entropy"]]
+              + [[row["iteration"], row["episodes_done"],
+                  repr(row["mean_return"]), repr(row["policy_loss"]),
+                  repr(row["value_loss"]), repr(row["entropy"])] for row in rows])
 
 
 def _write_episode_log(entries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "function", "dimension"])
-        for i, (name, dim) in enumerate(entries):
-            writer.writerow([i, name, dim])
+    write_csv(path, [["episode", "function", "dimension"]]
+              + [[i, name, dim] for i, (name, dim) in enumerate(entries)])
 
 
 def run_training(cfg: ExperimentConfig, out_dir: str) -> str:
@@ -154,7 +148,18 @@ def _controller_factory(algorithm: str, adaptation: str, checkpoint: tuple | Non
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
+def _check_protocol_args(args) -> None:
+    """Reject flag values the protocol cannot run with, before any work."""
+    for flag, value in (("--runs", args.runs), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    for flag, value in (("--sigma0", args.sigma0), ("--fixed-sigma", args.fixed_sigma)):
+        if not value > 0.0:
+            raise ConfigError(f"{flag} must be positive, got {value}")
+
+
 def cmd_evaluate(args) -> int:
+    _check_protocol_args(args)
     adaptation = args.adaptation
     if args.checkpoint and adaptation not in (None, "policy"):
         raise ConfigError("give either --checkpoint or a baseline --adaptation")
@@ -172,14 +177,12 @@ def cmd_evaluate(args) -> int:
                                   args.fixed_f, args.fixed_cr, args.fixed_sigma,
                                   args.sigma0, fn_key)
     result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
-                               algorithm=algorithm, sigma0=args.sigma0, jobs=args.jobs)
+                               algorithm=algorithm, sigma0=args.sigma0)
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "auc", "best_of_run"])
-        for i in range(len(result.traces)):
-            writer.writerow([i, repr(float(result.aucs[i])), repr(float(result.bests[i]))])
+    write_csv(os.path.join(out_dir, "metrics.csv"),
+              [["run", "auc", "best_of_run"]]
+              + [[i, repr(float(result.aucs[i])), repr(float(result.bests[i]))]
+                 for i in range(len(result.traces))])
     trace_dir = os.path.join(out_dir, f"{fn.name}_{fn.dimension}")
     for seed, trace in zip(result.seeds, result.traces):
         envloop.export_trace_csv(trace, os.path.join(trace_dir, f"run_{seed}.csv"))
@@ -196,6 +199,7 @@ def _parse_function_arg(value: str) -> tuple:
 
 
 def cmd_compare(args) -> int:
+    _check_protocol_args(args)
     if not args.checkpoint:
         raise ConfigError("compare requires at least one --checkpoint variant")
     algorithm = None
@@ -218,7 +222,7 @@ def cmd_compare(args) -> int:
         factory = _controller_factory(algorithm, adaptation, checkpoint, args.fixed_f,
                                       args.fixed_cr, args.fixed_sigma, args.sigma0, fn_key)
         result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
-                                   algorithm=algorithm, sigma0=args.sigma0, jobs=args.jobs)
+                                   algorithm=algorithm, sigma0=args.sigma0)
         return result.aucs if args.metric == "auc" else result.bests
 
     opponent_metrics = {fn_key: metrics_for(opponent, None, fn_key) for fn_key in functions}
@@ -253,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None)
         p.add_argument("--algorithm", choices=["de", "cmaes"], default="de")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: a protocol's runs step in lockstep "
+                            "in one process")
         p.add_argument("--runs", type=int, default=50)
         p.add_argument("--fixed-f", type=float, default=0.5)
         p.add_argument("--fixed-cr", type=float, default=0.9)

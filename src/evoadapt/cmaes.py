@@ -7,24 +7,38 @@ policy, CSA baseline or a fixed value).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, BudgetExhausted, EvalBudget, evaluate_population
+from .benchmarks import BenchmarkFunction, BudgetExhausted, EvalBudget, evaluate_runs, per_run
 
 logger = logging.getLogger(__name__)
 
 EIGEN_FLOOR = 1e-20
 
 
+class StateNotFinite(ArithmeticError):
+    """A run's covariance holds NaN or inf, so it has no eigendecomposition.
+
+    `runs` indexes the offending runs of a lockstep batch (0 for a lone
+    run); the message names the function and the generation.
+    """
+
+    def __init__(self, message: str, runs):
+        super().__init__(message)
+        self.runs = list(runs)
+
+
 @dataclass
 class CmaState:
-    mean: np.ndarray
-    cov: np.ndarray
-    sigma: float
+    """One run's state, or R runs' with a leading run axis on every array."""
+    mean: np.ndarray        # (d,) or (R, d)
+    cov: np.ndarray         # (d, d) or (R, d, d)
+    sigma: float | np.ndarray
     path_c: np.ndarray
     generation_index: int = 0
 
@@ -32,23 +46,25 @@ class CmaState:
 @dataclass
 class GenerationResult:
     state: CmaState
-    samples: np.ndarray     # unclipped offspring, (lam, d)
+    samples: np.ndarray     # unclipped offspring, (lam, d) or (R, lam, d)
     genotypes: np.ndarray   # clipped points that were evaluated
     fitnesses: np.ndarray
     mean_before: np.ndarray
-    sigma_used: float
+    sigma_used: np.ndarray  # () or (R,)
 
     @property
-    def best_index(self) -> int:
-        return int(np.argmin(self.fitnesses))
+    def best_index(self):
+        return np.argmin(self.fitnesses, axis=-1)
 
 
-def init_state(fn: BenchmarkFunction, sigma0: float, rng: np.random.Generator) -> CmaState:
-    mean = rng.uniform(fn.lower, fn.upper)
+def init_state(fn: BenchmarkFunction, sigma0: float, rng) -> CmaState:
+    mean = per_run(rng, lambda r: r.uniform(fn.lower, fn.upper))
     d = fn.dimension
-    return CmaState(mean=mean, cov=np.eye(d), sigma=float(sigma0), path_c=np.zeros(d))
+    return CmaState(mean=mean, cov=np.broadcast_to(np.eye(d), mean.shape + (d,)).copy(),
+                    sigma=float(sigma0), path_c=np.zeros_like(mean))
 
 
+@functools.lru_cache(maxsize=None)
 def _recombination(lam: int, d: int):
     mu = lam // 2
     raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
@@ -61,61 +77,66 @@ def _recombination(lam: int, d: int):
 
 
 def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cov = (cov + cov.T) / 2.0
-    vals, vecs = np.linalg.eigh(cov)
-    if vals[0] <= 0.0:
-        logger.warning("covariance not positive definite (min eigenvalue %.3e), flooring", vals[0])
-        vals = np.maximum(vals, EIGEN_FLOOR)
+    """Stacked eigendecomposition; a run whose smallest eigenvalue is not
+    positive has its eigenvalues floored."""
+    vals, vecs = np.linalg.eigh((cov + cov.swapaxes(-1, -2)) / 2.0)
+    broken = vals[..., :1] <= 0.0
+    if broken.any():
+        logger.warning("covariance not positive definite (min eigenvalue %.3e), flooring",
+                       np.min(vals))
+        vals = np.where(broken, np.maximum(vals, EIGEN_FLOOR), vals)
     return vals, vecs
 
 
-def sample_offspring(mean: np.ndarray, cov: np.ndarray, sigma: float, lam: int,
-                     rng: np.random.Generator) -> np.ndarray:
+def sample_offspring(mean: np.ndarray, cov: np.ndarray, sigma, lam: int, rng) -> np.ndarray:
     vals, vecs = _decompose(cov)
-    z = rng.standard_normal((lam, len(mean)))
-    return mean + sigma * (z * np.sqrt(vals)) @ vecs.T
+    z = per_run(rng, lambda r: r.standard_normal((lam, mean.shape[-1])))
+    sigma = np.asarray(sigma, dtype=float)[..., None, None]
+    return mean[..., None, :] + sigma * (z * np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
-def cma_generation(state: CmaState, sigma: float, fn: BenchmarkFunction, lam: int,
-                   rng: np.random.Generator, budget: EvalBudget | None = None) -> GenerationResult:
-    """One generation at the given step size; consumes `lam` evaluations."""
-    if sigma <= 0.0:
+def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, lam: int, rng,
+                   budget: EvalBudget | None = None) -> GenerationResult:
+    """One generation at the given step size, of one run or of R runs in
+    lockstep (`sigma` is then a scalar or one value per run, `rng` one
+    Generator per run); consumes `lam` evaluations per run, in one
+    objective call."""
+    sigma = np.asarray(sigma, dtype=float)
+    if (sigma <= 0.0).any():
         raise ValueError(f"sigma must be positive, got {sigma}")
     if lam < 2:
         raise ValueError(f"lambda must be >= 2, got {lam}")
-    if budget is not None and budget.remaining < lam:
-        raise BudgetExhausted(f"generation needs {lam} evaluations, {budget.remaining} left")
+    runs = state.mean.shape[:-1]
+    needed = lam * math.prod(runs)
+    if budget is not None and budget.remaining < needed:
+        raise BudgetExhausted(f"generation needs {needed} evaluations, {budget.remaining} left")
+    broken = ~np.isfinite(state.cov).all(axis=(-2, -1))
+    if broken.any():
+        raise StateNotFinite(f"CMA-ES covariance on {fn.name}-{fn.dimension} is not finite "
+                             f"at generation {state.generation_index}",
+                             np.flatnonzero(broken))
 
     d = fn.dimension
     mu, weights, mu_eff, c_c, c_1, c_mu = _recombination(lam, d)
 
     samples = sample_offspring(state.mean, state.cov, sigma, lam, rng)
     genotypes = np.clip(samples, fn.lower, fn.upper)
-    fitnesses = evaluate_population(fn, genotypes, budget)
+    fitnesses = evaluate_runs(fn, genotypes, budget)
 
-    order = np.argsort(fitnesses)
-    elite = samples[order[:mu]]  # updates use the unclipped samples
+    order = np.argsort(fitnesses, axis=-1)
+    elite = np.take_along_axis(samples, order[..., :mu, None], axis=-2)  # unclipped samples
     mean_new = weights @ elite
-    y_w = (mean_new - state.mean) / sigma
+    step = sigma[..., None]
+    y_w = (mean_new - state.mean) / step
     path_c = (1.0 - c_c) * state.path_c + math.sqrt(c_c * (2.0 - c_c) * mu_eff) * y_w
 
-    ys = (elite - state.mean) / sigma
-    rank_mu = (weights[:, None] * ys).T @ ys
-    cov = (1.0 - c_1 - c_mu) * state.cov + c_1 * np.outer(path_c, path_c) + c_mu * rank_mu
-    cov = (cov + cov.T) / 2.0
+    ys = (elite - state.mean[..., None, :]) / step[..., None]
+    rank_mu = (weights[:, None] * ys).swapaxes(-1, -2) @ ys
+    outer = path_c[..., :, None] * path_c[..., None, :]
+    cov = (1.0 - c_1 - c_mu) * state.cov + c_1 * outer + c_mu * rank_mu
+    cov = (cov + cov.swapaxes(-1, -2)) / 2.0
 
-    new_state = CmaState(
-        mean=mean_new,
-        cov=cov,
-        sigma=float(sigma),
-        path_c=path_c,
-        generation_index=state.generation_index + 1,
-    )
-    return GenerationResult(
-        state=new_state,
-        samples=samples,
-        genotypes=genotypes,
-        fitnesses=fitnesses,
-        mean_before=state.mean.copy(),
-        sigma_used=float(sigma),
-    )
+    new_state = CmaState(mean=mean_new, cov=cov, sigma=sigma, path_c=path_c,
+                         generation_index=state.generation_index + 1)
+    return GenerationResult(state=new_state, samples=samples, genotypes=genotypes,
+                            fitnesses=fitnesses, mean_before=state.mean.copy(), sigma_used=sigma)

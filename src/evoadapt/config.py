@@ -9,7 +9,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from .artifacts import replace_atomically
 from .benchmarks import get_function, registry_list
+from .de import MIN_POPULATION
 from .observe import ObservationSpec
 from .policy import action_spec
 from .ppo import PpoConfig
@@ -71,6 +73,11 @@ class ExperimentConfig:
             raise ConfigError("de requires a DE action space")
         if self.training.episodes <= 0 or self.test.runs <= 0:
             raise ConfigError("budgets must be positive")
+        if self.test.population < MIN_POPULATION:
+            raise ConfigError(f"test.population must be >= {MIN_POPULATION}, "
+                              f"got {self.test.population}")
+        if self.sigma0 <= 0.0:
+            raise ConfigError(f"sigma0 must be positive, got {self.sigma0}")
         self.function_set()  # resolves against the registry
 
 
@@ -126,5 +133,5 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
+    with replace_atomically(path) as fh:
         json.dump(config_to_dict(cfg), fh, indent=2)

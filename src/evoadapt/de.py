@@ -14,38 +14,38 @@ import numpy as np
 # `evaluate` stays importable from here: perfbench/selftest.py looks it up as
 # `evoadapt.de.evaluate` to check that its tracer unpatches module attributes.
 from .benchmarks import (BenchmarkFunction, BudgetExhausted, EvalBudget,  # noqa: F401
-                         evaluate, evaluate_population)
+                         evaluate, evaluate_runs, per_run)
 
 MIN_POPULATION = 4  # best + two distinct difference individuals + parent
 
 
 @dataclass
 class Population:
-    genotypes: np.ndarray  # (NP, d)
-    fitnesses: np.ndarray  # (NP,)
+    genotypes: np.ndarray  # (NP, d), or (R, NP, d) for R runs in lockstep
+    fitnesses: np.ndarray  # (NP,) or (R, NP)
     generation_index: int = 0
 
     @property
     def size(self) -> int:
-        return self.genotypes.shape[0]
+        return self.genotypes.shape[-2]
 
     @property
-    def best_index(self) -> int:
-        return int(np.argmin(self.fitnesses))
+    def best_index(self):
+        return self.fitnesses.argmin(axis=-1)
 
     @property
-    def best_fitness(self) -> float:
-        return float(self.fitnesses[self.best_index])
+    def best_fitness(self):
+        return self.fitnesses.min(axis=-1)
 
 
-def init_population(fn: BenchmarkFunction, np_: int, rng: np.random.Generator,
+def init_population(fn: BenchmarkFunction, np_: int, rng,
                     budget: EvalBudget | None = None) -> Population:
-    """Uniform random population within bounds; consumes NP evaluations."""
+    """Uniform random population within bounds; consumes NP evaluations per
+    run. `rng` is one Generator, or a list of them for runs in lockstep."""
     if np_ < MIN_POPULATION:
         raise ValueError(f"population size must be >= {MIN_POPULATION}, got {np_}")
-    genotypes = rng.uniform(fn.lower, fn.upper, size=(np_, fn.dimension))
-    fitnesses = evaluate_population(fn, genotypes, budget)
-    return Population(genotypes, fitnesses, 0)
+    genotypes = per_run(rng, lambda r: r.uniform(fn.lower, fn.upper, size=(np_, fn.dimension)))
+    return Population(genotypes, evaluate_runs(fn, genotypes, budget), 0)
 
 
 def mutate_best1(best: np.ndarray, a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
@@ -53,43 +53,49 @@ def mutate_best1(best: np.ndarray, a: np.ndarray, b: np.ndarray, f) -> np.ndarra
     return best + f * (a - b)
 
 
-def pick_pairs(np_: int, best: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def pick_pairs(np_: int, best, rng) -> tuple[np.ndarray, np.ndarray]:
     """Difference indices (a[i], b[i]) for every individual i: distinct from
     each other, from i and from `best`. Each row ranks random keys with i
-    and `best` masked out and keeps the two smallest."""
-    keys = rng.random((np_, np_))
+    and `best` masked out and keeps the two smallest; with runs in lockstep
+    `best` holds one index per run and the keys are `(R, NP, NP)`."""
+    keys = per_run(rng, lambda r: r.random((np_, np_)))
     rows = np.arange(np_)
-    keys[rows, rows] = np.inf
-    keys[:, best] = np.inf
-    pair = np.argpartition(keys, 1, axis=1)
-    return pair[:, 0], pair[:, 1]
+    masked = (rows[:, None] == rows) | (rows == np.asarray(best)[..., None, None])
+    pair = np.argpartition(np.where(masked, np.inf, keys), 1, axis=-1)
+    return pair[..., 0], pair[..., 1]
 
 
-def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, rng: np.random.Generator,
+def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, rng,
                   budget: EvalBudget | None = None) -> tuple[Population, np.ndarray]:
-    """One best/1/bin generation.
+    """One best/1/bin generation of one run, or of R runs in lockstep
+    (`(R, NP, d)` genotypes, one Generator per run in `rng`).
 
-    Returns the next population and the boolean mask of parents that were
-    replaced by their trial (child fitness <= parent fitness). Consumes
-    exactly NP evaluations; if the budget cannot cover them, the generation
-    is aborted before consuming anything.
+    `F` and `CR` broadcast against the fitnesses: a scalar, one value per
+    individual, or `(R, 1)` for one value per run. Returns the next
+    population and the mask of parents that were replaced by their trial
+    (child fitness <= parent fitness). Consumes exactly NP evaluations per
+    run, all runs' children in one objective call; if the budget cannot
+    cover them, the generation is aborted before consuming anything.
     """
-    np_, d = pop.genotypes.shape
-    F = np.broadcast_to(np.asarray(F, dtype=float), (np_,))
-    CR = np.broadcast_to(np.asarray(CR, dtype=float), (np_,))
-    if budget is not None and budget.remaining < np_:
-        raise BudgetExhausted(f"generation needs {np_} evaluations, {budget.remaining} left")
+    shape = pop.fitnesses.shape
+    X = pop.genotypes.reshape((-1,) + pop.genotypes.shape[-2:])  # a lone run as R = 1
+    R, np_, d = X.shape
+    fit = pop.fitnesses.reshape(R, np_)
+    F = np.asarray(F, dtype=float)[..., None]    # broadcasts against (R, NP, d)
+    CR = np.asarray(CR, dtype=float)[..., None]
+    if budget is not None and budget.remaining < fit.size:
+        raise BudgetExhausted(f"generation needs {fit.size} evaluations, {budget.remaining} left")
 
-    X = pop.genotypes
-    best = pop.best_index
+    run = np.arange(R)[:, None]
+    best = fit.argmin(axis=1)
     a, b = pick_pairs(np_, best, rng)
-    mutants = mutate_best1(X[best], X[a], X[b], F[:, None])
-    cross = rng.random((np_, d)) < CR[:, None]
-    cross[np.arange(np_), rng.integers(d, size=np_)] = True  # j_rand: at least one mutant gene
+    mutants = mutate_best1(X[run, best[:, None]], X[run, a], X[run, b], F)
+    cross = per_run(rng, lambda r: r.random((np_, d))) < CR
+    cross |= np.arange(d) == per_run(rng, lambda r: r.integers(d, size=np_))[..., None]  # j_rand
     children = np.clip(np.where(cross, mutants, X), fn.lower, fn.upper)
 
-    child_fit = evaluate_population(fn, children, budget)
-    replaced = child_fit <= pop.fitnesses
-    genotypes = np.where(replaced[:, None], children, X)
-    fitnesses = np.where(replaced, child_fit, pop.fitnesses)
-    return Population(genotypes, fitnesses, pop.generation_index + 1), replaced
+    child_fit = evaluate_runs(fn, children, budget)
+    replaced = child_fit <= fit
+    genotypes = np.where(replaced[..., None], children, X).reshape(pop.genotypes.shape)
+    fitnesses = np.where(replaced, child_fit, fit).reshape(shape)
+    return Population(genotypes, fitnesses, pop.generation_index + 1), replaced.reshape(shape)

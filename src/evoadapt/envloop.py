@@ -11,19 +11,18 @@ exactly 500 evaluations: generation 0 is the evaluated initial population
 
 from __future__ import annotations
 
-import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import baselines, cmaes, de
-from .benchmarks import BenchmarkFunction, EvalBudget, get_function
+from .benchmarks import BenchmarkFunction, EvalBudget, get_function, per_run
 from .observe import ObservationSpec, RunTrace, build_observation, reward
 from .policy import (ActionSpec, PolicyNet, decode_de_params, decode_sigma,
                      sample_action)
+from .artifacts import write_csv
 from .stats import auc, best_of_run
 
 DEFAULT_GENERATIONS = 50
@@ -60,21 +59,21 @@ class DeOutcome(NamedTuple):
 
 
 class Episode:
-    """One run of `algorithm` on `fn`, with its RNG, budget and trace.
+    """One run of `algorithm` on `fn` (`rng` a Generator), or R runs in
+    lockstep (one Generator per run: arrays gain a leading run axis, `runs`
+    is `(R,)`, one objective call per generation). Construction evaluates
+    generation 0: the DE population, or the first CMA-ES sampling at
+    `sigma0` (kept as `result`). `start(action)` records it; `apply(params,
+    action)` runs one generation with F/CR or sigma, records its trace rows
+    and rewards, and returns a `DeOutcome` or the CMA-ES `GenerationResult`."""
 
-    Construction evaluates generation 0: the initial DE population, or the
-    first CMA-ES sampling at `sigma0` (kept as `result`). `start(action)`
-    records it; `apply(params, action)` runs one controlled generation with
-    F/CR (DE) or sigma (CMA-ES), records its trace row and reward, and
-    returns a `DeOutcome` or the CMA-ES `GenerationResult`.
-    """
-
-    def __init__(self, fn: BenchmarkFunction, algorithm: str, rng: np.random.Generator,
+    def __init__(self, fn: BenchmarkFunction, algorithm: str, rng,
                  generations: int = DEFAULT_GENERATIONS,
                  population: int = DEFAULT_POPULATION, sigma0: float = DEFAULT_SIGMA0):
         self.fn, self.algorithm, self.rng = fn, algorithm, rng
         self.generations, self.population, self.sigma0 = generations, population, sigma0
-        self.budget = EvalBudget(generations * population)
+        self.runs = () if isinstance(rng, np.random.Generator) else (len(rng),)
+        self.budget = EvalBudget(generations * population * math.prod(self.runs))
         self.trace = RunTrace()
         if algorithm == "de":
             self.pop = de.init_population(fn, population, rng, self.budget)
@@ -88,10 +87,15 @@ class Episode:
     def done(self) -> bool:
         return len(self.trace) >= self.generations
 
+    def each(self, action) -> np.ndarray:
+        """The same action for every run."""
+        action = np.asarray(action, dtype=float)
+        return np.broadcast_to(action, self.runs + action.shape)
+
     def start(self, action) -> None:
         last = self.pop if self.algorithm == "de" else self.result
         self.trace.append_generation(last.genotypes, last.fitnesses, action)
-        self.trace.rewards.append(0.0)
+        self.trace.rewards.append(np.zeros(self.runs) if self.runs else 0.0)
 
     def apply(self, params, action):
         if self.algorithm == "de":
@@ -112,10 +116,10 @@ class Episode:
 # Controllers
 
 class Controller:
-    """`start(episode)` returns the action recorded for generation 0,
-    `propose(episode)` the next generation's engine parameters and the
-    action to record, and `feedback(outcome)` gets what `Episode.apply`
-    returned (ignored unless overridden)."""
+    """Steers all runs of an episode. `start(episode)` returns the action
+    recorded for generation 0, `propose(episode)` the next engine parameters
+    and the action to record, and `feedback(outcome)` gets what
+    `Episode.apply` returned (ignored unless overridden)."""
 
     def feedback(self, outcome):
         pass
@@ -128,20 +132,20 @@ class FixedDeController(Controller):
         self.F, self.CR = float(F), float(CR)
 
     def start(self, episode):
-        return np.array([self.F, self.CR])
+        return episode.each([self.F, self.CR])
 
     def propose(self, episode):
-        return (self.F, self.CR), np.array([self.F, self.CR])
+        return (self.F, self.CR), episode.each([self.F, self.CR])
 
 
 class IdeController(Controller):
     def start(self, episode):
         self.state = baselines.make_ide_state(episode.population, episode.rng)
-        return np.array([float(np.mean(self.state.F)), float(np.mean(self.state.CR))])
+        return np.stack([self.state.F.mean(axis=-1), self.state.CR.mean(axis=-1)], axis=-1)
 
     def propose(self, episode):
         F, CR = baselines.ide_update(self.state, episode.pop.best_index, episode.rng)
-        return (F, CR), np.array([float(np.mean(F)), float(np.mean(CR))])
+        return (F, CR), np.stack([F.mean(axis=-1), CR.mean(axis=-1)], axis=-1)
 
     def feedback(self, outcome):
         baselines.ide_record_success(self.state, outcome.F, outcome.CR, outcome.replaced)
@@ -149,15 +153,15 @@ class IdeController(Controller):
 
 class JdeController(Controller):
     def start(self, episode):
-        self.state = baselines.JdeState()
-        return np.array([self.state.best_F, self.state.best_CR])
+        self.state = baselines.JdeState(np.full(episode.runs, 0.5), np.full(episode.runs, 0.9))
+        return np.stack([self.state.best_F, self.state.best_CR], axis=-1)
 
     def propose(self, episode):
         F, CR = baselines.jde_update(self.state, episode.rng)
-        return (F, CR), np.array([F, CR])
+        return (F[..., None], CR[..., None]), np.stack([F, CR], axis=-1)
 
     def feedback(self, outcome):
-        baselines.jde_record(self.state, outcome.F, outcome.CR, outcome.improved)
+        baselines.jde_record(self.state, outcome.F[..., 0], outcome.CR[..., 0], outcome.improved)
 
 
 class FixedSigmaController(Controller):
@@ -165,10 +169,11 @@ class FixedSigmaController(Controller):
         self.sigma = float(sigma)
 
     def start(self, episode):
-        return np.array([episode.sigma0])  # generation 0 ran at sigma0
+        return episode.each([episode.sigma0])  # generation 0 ran at sigma0
 
     def propose(self, episode):
-        return self.sigma, np.array([self.sigma])
+        sigma = np.broadcast_to(self.sigma, episode.runs)
+        return sigma, sigma[..., None]
 
 
 class CsaController(FixedSigmaController):
@@ -182,8 +187,9 @@ class CsaController(FixedSigmaController):
         return super().start(episode)
 
     def feedback(self, outcome: cmaes.GenerationResult):
-        best = outcome.best_index
-        xi_star = (outcome.samples[best] - outcome.mean_before) / outcome.sigma_used
+        best = np.asarray(outcome.best_index)[..., None, None]
+        xi_star = ((np.take_along_axis(outcome.samples, best, axis=-2)[..., 0, :]
+                    - outcome.mean_before) / outcome.sigma_used[..., None])
         self.state, self.sigma = baselines.csa_update(self.state, xi_star, outcome.sigma_used)
 
 
@@ -192,8 +198,9 @@ class PolicyController(Controller):
 
     The test-time action is the deterministic mean unless `stochastic`.
     With `policy=None` it only observes and decodes actions chosen
-    elsewhere, which is how `EvolutionEnv` applies PPO's actions.
-    """
+    elsewhere, which is how `EvolutionEnv` applies PPO's actions. The
+    forward pass runs once per run: a batched `(R, obs) @ W.T` rounds some
+    rows unlike the one-row product, so actions would depend on R."""
 
     def __init__(self, policy: PolicyNet | None, spec: ActionSpec, obs_spec: ObservationSpec,
                  stochastic: bool = False):
@@ -201,26 +208,31 @@ class PolicyController(Controller):
         self.stochastic = stochastic
 
     def start(self, episode):
-        self.prev_action_norm = self.spec.normalize(self.spec.neutral())
-        return np.array([episode.sigma0]) if episode.algorithm == "cmaes" else self.spec.neutral()
+        neutral = self.spec.neutral()
+        self.prev_action_norm = episode.each(self.spec.normalize(neutral))
+        return episode.each([episode.sigma0] if episode.algorithm == "cmaes" else neutral)
 
     def observe(self, episode) -> np.ndarray:
         return build_observation(episode.trace, self.obs_spec, self.prev_action_norm,
                                  episode.fn.bounds_width)
 
+    def act(self, rng, obs):
+        mean, log_std = self.policy.forward(np.array(obs))
+        return sample_action(mean, log_std, self.spec, rng, stochastic=self.stochastic)[0]
+
     def propose(self, episode):
-        mean, log_std = self.policy.forward(self.observe(episode))
-        action, _raw, _logp = sample_action(mean, log_std, self.spec, episode.rng,
-                                            stochastic=self.stochastic)
+        action = per_run(episode.rng, self.act, self.observe(episode))
         return self.decode(episode, action), action
 
     def decode(self, episode, action: np.ndarray):
-        """Engine parameters of a clipped action, which also becomes the
-        previous action of the next observation."""
+        """Engine parameters of clipped actions, which also become the
+        previous actions of the next observation."""
         self.prev_action_norm = self.spec.normalize(action)
         if episode.algorithm == "cmaes":
             return decode_sigma(action)
-        return decode_de_params(action, self.spec, episode.population, episode.rng)
+        params = per_run(episode.rng, lambda r, a: decode_de_params(
+            a, self.spec, episode.population, r), action)
+        return params[..., 0, :], params[..., 1, :]
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +246,12 @@ def run_episode(episode: Episode, controller) -> RunTrace:
     return episode.trace
 
 
-def run_de_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator,
-                   generations: int = DEFAULT_GENERATIONS,
+def run_de_episode(fn: BenchmarkFunction, controller, rng, generations: int = DEFAULT_GENERATIONS,
                    population: int = DEFAULT_POPULATION) -> RunTrace:
     return run_episode(Episode(fn, "de", rng, generations, population), controller)
 
 
-def run_cma_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator,
-                    generations: int = DEFAULT_GENERATIONS,
+def run_cma_episode(fn: BenchmarkFunction, controller, rng, generations: int = DEFAULT_GENERATIONS,
                     population: int = DEFAULT_POPULATION,
                     sigma0: float = DEFAULT_SIGMA0) -> RunTrace:
     return run_episode(Episode(fn, "cmaes", rng, generations, population, sigma0), controller)
@@ -260,9 +270,7 @@ class EvolutionEnv:
     """
 
     def __init__(self, config: EpisodeConfig, rng: np.random.Generator):
-        self.config = config
-        self.rng = rng
-        self.spec = config.action_spec
+        self.config, self.rng, self.spec = config, rng, config.action_spec
         self.episode_log: list[tuple] = []
         self.episode = None
         self.decoder = PolicyController(None, config.action_spec, config.obs_spec)
@@ -309,35 +317,29 @@ class ProtocolResult:
 def run_test_protocol(controller_factory, function: tuple, seed_base: int,
                       runs: int = 50, generations: int = DEFAULT_GENERATIONS,
                       population: int = DEFAULT_POPULATION, algorithm: str = "de",
-                      sigma0: float = DEFAULT_SIGMA0, jobs: int = 1) -> ProtocolResult:
-    """Independent seeded runs (seeds seed_base..seed_base+runs-1) with
-    per-run AUC and best-of-run; results are ordered by run index."""
+                      sigma0: float = DEFAULT_SIGMA0) -> ProtocolResult:
+    """Seeded runs seed_base..seed_base+runs-1 stepped in lockstep under one
+    controller; run i draws only from `default_rng(seed_base + i)`, so it
+    gives the bytes it gives alone. Results are ordered by run index."""
+    if runs < 1:
+        raise ValueError(f"a protocol needs at least one run, got {runs}")
     fn = get_function(*function)
-
-    def one(run_index: int):
-        rng = np.random.default_rng(seed_base + run_index)
-        controller = controller_factory()
-        return run_episode(Episode(fn, algorithm, rng, generations, population, sigma0),
-                           controller)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(one, range(runs)))
-    else:
-        traces = [one(i) for i in range(runs)]
+    seeds = [seed_base + i for i in range(runs)]
+    episode = Episode(fn, algorithm, [np.random.default_rng(s) for s in seeds],
+                      generations, population, sigma0)
+    try:
+        traces = run_episode(episode, controller_factory()).split_runs()
+    except cmaes.StateNotFinite as exc:
+        raise cmaes.StateNotFinite(f"{exc} (run seeds {[seeds[i] for i in exc.runs]})",
+                                   exc.runs) from None
     aucs = np.array([auc(np.minimum.accumulate(t.best_fitness)) for t in traces])
     bests = np.array([best_of_run(t) for t in traces])
-    return ProtocolResult(traces=traces, aucs=aucs, bests=bests,
-                          seeds=[seed_base + i for i in range(runs)])
+    return ProtocolResult(traces=traces, aucs=aucs, bests=bests, seeds=seeds)
 
 
 def export_trace_csv(trace: RunTrace, path) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    n_actions = len(trace.actions[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best_fitness", "reward"]
-                        + [f"action_{i}" for i in range(n_actions)])
-        for g in range(len(trace)):
-            writer.writerow([g, repr(trace.best_fitness[g]), repr(trace.rewards[g])]
-                            + [repr(float(a)) for a in trace.actions[g]])
+    rows = [["generation", "best_fitness", "reward"]
+            + [f"action_{i}" for i in range(len(trace.actions[0]))]]
+    rows += [[g, repr(float(trace.best_fitness[g])), repr(float(trace.rewards[g]))]
+             + [repr(float(a)) for a in trace.actions[g]] for g in range(len(trace))]
+    write_csv(path, rows)

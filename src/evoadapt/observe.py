@@ -3,21 +3,27 @@
 All metrics are normalized so that the policy input stays in a fixed range
 regardless of the objective's scale: fitness deltas are self-normalized with
 a 1e-5 guard against division by zero, genotype deltas are normalized by the
-search-space bounds.
+search-space bounds. A trace of R lockstep runs holds a leading run axis
+in every entry; its metrics gain a trailing one (observations one row each).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 EPS = 1e-5
 
 
+def _entry(value):
+    """A lone run's scalar as a Python float; a per-run array as it is."""
+    return value.item() if value.ndim == 0 else value
+
+
 @dataclass
 class RunTrace:
-    """Per-generation record of one evolutionary run."""
+    """Per-generation record of one evolutionary run (or of R lockstep runs)."""
 
     best_fitness: list = field(default_factory=list)
     best_genotype: list = field(default_factory=list)
@@ -33,14 +39,22 @@ class RunTrace:
 
     def append_generation(self, genotypes: np.ndarray, fitnesses: np.ndarray,
                           action: np.ndarray) -> None:
-        best = int(np.argmin(fitnesses))
-        self.best_fitness.append(float(fitnesses[best]))
-        self.best_genotype.append(np.array(genotypes[best], dtype=float))
-        self.fitness_max.append(float(np.max(fitnesses)))
-        self.fitness_min.append(float(np.min(fitnesses)))
-        self.genotype_max.append(np.max(genotypes, axis=0).astype(float))
-        self.genotype_min.append(np.min(genotypes, axis=0).astype(float))
+        runs = fitnesses.shape[:-1]
+        f = fitnesses.reshape(-1, fitnesses.shape[-1])  # a lone run as one row
+        rows = np.arange(len(f)), f.argmin(axis=1)
+        self.best_fitness.append(_entry(f[rows].reshape(runs)))
+        self.best_genotype.append(genotypes.reshape(f.shape + (-1,))[rows].reshape(runs + (-1,)))
+        self.fitness_max.append(_entry(f.max(axis=1).reshape(runs)))
+        self.fitness_min.append(_entry(f.min(axis=1).reshape(runs)))
+        self.genotype_max.append(genotypes.max(axis=-2))
+        self.genotype_min.append(genotypes.min(axis=-2))
         self.actions.append(np.asarray(action, dtype=float))
+
+    def split_runs(self) -> list[RunTrace]:
+        """One trace per run of a lockstep record."""
+        columns = [np.array(getattr(self, f.name)) for f in fields(self)]
+        return [RunTrace(*(c[:, i].tolist() if c.ndim == 2 else list(c[:, i]) for c in columns))
+                for i in range(columns[0].shape[1])]
 
 
 @dataclass(frozen=True)
@@ -52,93 +66,77 @@ class ObservationSpec:
 
     def length(self, action_dim: int) -> int:
         g = self.history_length
-        n = g + action_dim
-        if self.include_intra_df:
-            n += g
-        if self.include_inter_dx:
-            n += 2 * g
-        if self.include_intra_dx:
-            n += 2 * g
-        return n
+        return (g + action_dim + g * self.include_intra_df
+                + 2 * g * (self.include_inter_dx + self.include_intra_dx))
+
+
+def _newest(trace: RunTrace, values: list, count: int) -> np.ndarray:
+    """The last `count` entries of a per-generation list, newest first."""
+    if len(trace) == 0:
+        raise ValueError("trace is empty")
+    return np.asarray(values[max(len(values) - count, 0):], dtype=float)[::-1]
+
+
+def _padded(values: np.ndarray, g: int) -> np.ndarray:
+    """`values` over the newest generations, zeros where the run is younger."""
+    out = np.zeros((g,) + values.shape[1:])
+    out[:len(values)] = values
+    return out
+
+
+def _min_max(ratio: np.ndarray, g: int) -> np.ndarray:
+    """(min, max) over dimensions per generation, as 2g interleaved entries."""
+    pairs = _padded(np.stack([ratio.min(axis=-1), ratio.max(axis=-1)], axis=1), g)
+    return pairs.reshape((2 * g,) + pairs.shape[2:])
+
+
+def _change(new, old):
+    """Self-normalized change from `old` to `new`, in (-1, 1)."""
+    num = new - old
+    return num / (abs(num) + abs(old) + EPS)
 
 
 def inter_delta_f(trace: RunTrace, g: int) -> np.ndarray:
     """Normalized best-fitness change over the last g generations, newest first."""
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
-    out = np.zeros(g)
-    k = len(trace) - 1
-    f = trace.best_fitness
-    for idx in range(g):
-        j = k - idx
-        if j >= 1:
-            num = f[j] - f[j - 1]
-            out[idx] = num / (abs(num) + abs(f[j - 1]) + EPS)
-    return out
+    f = _newest(trace, trace.best_fitness, g + 1)
+    return _padded(_change(f[:-1], f[1:]), g)
 
 
 def intra_delta_f(trace: RunTrace, g: int) -> np.ndarray:
     """Normalized population fitness spread over the last g generations."""
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
-    out = np.zeros(g)
-    k = len(trace) - 1
-    for idx in range(g):
-        j = k - idx
-        if j >= 0:
-            spread = abs(trace.fitness_max[j] - trace.fitness_min[j])
-            out[idx] = spread / (spread + abs(trace.best_fitness[j]) + EPS)
-    return out
+    spread = np.abs(_newest(trace, trace.fitness_max, g) - _newest(trace, trace.fitness_min, g))
+    return _padded(spread / (spread + np.abs(_newest(trace, trace.best_fitness, g)) + EPS), g)
 
 
 def inter_delta_x(trace: RunTrace, g: int, bounds_width: np.ndarray) -> np.ndarray:
     """(min, max) of the bound-normalized best-genotype displacement, per generation."""
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
-    out = np.zeros(2 * g)
-    k = len(trace) - 1
-    for idx in range(g):
-        j = k - idx
-        if j >= 1:
-            delta = (trace.best_genotype[j] - trace.best_genotype[j - 1]) / bounds_width
-            out[2 * idx] = np.min(delta)
-            out[2 * idx + 1] = np.max(delta)
-    return out
+    x = _newest(trace, trace.best_genotype, g + 1)
+    return _min_max((x[:-1] - x[1:]) / bounds_width, g)
 
 
 def intra_delta_x(trace: RunTrace, g: int, bounds_width: np.ndarray) -> np.ndarray:
     """(min, max) of per-dimension population spread ratios, per generation."""
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
-    out = np.zeros(2 * g)
-    k = len(trace) - 1
-    for idx in range(g):
-        j = k - idx
-        if j >= 0:
-            ratio = np.abs(trace.genotype_max[j] - trace.genotype_min[j]) / bounds_width
-            out[2 * idx] = np.min(ratio)
-            out[2 * idx + 1] = np.max(ratio)
-    return out
+    spread = _newest(trace, trace.genotype_max, g) - _newest(trace, trace.genotype_min, g)
+    return _min_max(np.abs(spread) / bounds_width, g)
 
 
 def build_observation(trace: RunTrace, spec: ObservationSpec, previous_action: np.ndarray,
                       bounds_width: np.ndarray | None = None) -> np.ndarray:
     """Flattened policy input: [inter df | previous action | optional blocks]."""
     g = spec.history_length
-    parts = [inter_delta_f(trace, g), np.asarray(previous_action, dtype=float)]
+    parts = [inter_delta_f(trace, g), np.asarray(previous_action, dtype=float).T]
     if spec.include_intra_df:
         parts.append(intra_delta_f(trace, g))
-    if spec.include_inter_dx or spec.include_intra_dx:
-        if bounds_width is None:
-            raise ValueError("bounds_width is required for genotype-delta blocks")
+    if (spec.include_inter_dx or spec.include_intra_dx) and bounds_width is None:
+        raise ValueError("bounds_width is required for genotype-delta blocks")
     if spec.include_inter_dx:
         parts.append(inter_delta_x(trace, g, bounds_width))
     if spec.include_intra_dx:
         parts.append(intra_delta_x(trace, g, bounds_width))
-    return np.concatenate(parts)
+    return np.concatenate(parts).T
 
 
-def reward(trace: RunTrace) -> float:
+def reward(trace: RunTrace):
     """Negated inter-generational delta-f of the newest generation.
 
     The sign flip makes a fitness improvement (under minimization) yield a
@@ -146,4 +144,4 @@ def reward(trace: RunTrace) -> float:
     """
     if len(trace) < 2:
         return 0.0
-    return float(-inter_delta_f(trace, 1)[0])
+    return -_change(trace.best_fitness[-1], trace.best_fitness[-2])

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import replace_atomically
 from .observe import ObservationSpec
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -193,8 +194,9 @@ def decode_de_params(action: np.ndarray, spec: ActionSpec, np_: int,
     raise ValueError(f"action space {spec.kind!r} does not parameterize DE")
 
 
-def decode_sigma(action: np.ndarray) -> float:
-    return float(np.clip(np.asarray(action, dtype=float)[0], SIGMA_MIN, SIGMA_MAX))
+def decode_sigma(action: np.ndarray) -> np.ndarray:
+    """Sigma of one action `(1,)`, or of one action per run `(R, 1)`."""
+    return np.clip(np.asarray(action, dtype=float)[..., 0], SIGMA_MIN, SIGMA_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +218,7 @@ def save_checkpoint(path, policy: PolicyNet, action_kind: str, obs_spec: Observa
             for w, b in zip(policy.mlp.weights, policy.mlp.biases)
         ],
     }
-    with open(path, "w") as fh:
+    with replace_atomically(path) as fh:
         json.dump(doc, fh)
 
 

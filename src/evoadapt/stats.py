@@ -3,12 +3,12 @@ cross-function comparison matrix behind the heatmap-style result tables."""
 
 from __future__ import annotations
 
-import csv
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .artifacts import replace_atomically, write_csv
 
 
 def auc(best_fitness_curve) -> float:
@@ -92,21 +92,18 @@ def _fn_label(function) -> str:
 
 
 def export_comparison_csv(matrix: ComparisonMatrix, path) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "ratio"] + [_fn_label(f) for f in matrix.functions])
-        for variant in matrix.variants:
-            ratio = matrix.row_ratio(variant)
-            row = [variant, "n/a" if ratio is None else f"{ratio:.6f}"]
-            for function in matrix.functions:
-                p = matrix.cell(variant, function)
-                row.append("n/a" if p is None else f"{p:.6f}")
-            writer.writerow(row)
+    rows = [["variant", "ratio"] + [_fn_label(f) for f in matrix.functions]]
+    for variant in matrix.variants:
+        ratio = matrix.row_ratio(variant)
+        row = [variant, "n/a" if ratio is None else f"{ratio:.6f}"]
+        for function in matrix.functions:
+            p = matrix.cell(variant, function)
+            row.append("n/a" if p is None else f"{p:.6f}")
+        rows.append(row)
+    write_csv(path, rows)
 
 
 def export_comparison_json(matrix: ComparisonMatrix, path) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     doc = {
         "functions": [_fn_label(f) for f in matrix.functions],
         "rows": [
@@ -120,5 +117,5 @@ def export_comparison_json(matrix: ComparisonMatrix, path) -> None:
             for variant in matrix.variants
         ],
     }
-    with open(path, "w") as fh:
+    with replace_atomically(path) as fh:
         json.dump(doc, fh, indent=2)

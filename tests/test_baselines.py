@@ -42,6 +42,18 @@ class TestCsa:
                 mults.append(sigma / sigma0)
             assert np.isclose(mults[0], mults[1])
 
+    def test_stacked_runs_update_like_the_one_run_formula(self):
+        """Each run of a stacked update equals the one-vector formula bit for
+        bit; a stacked norm or `np.exp` would round some runs differently."""
+        rng = np.random.default_rng(4)
+        state = make_csa_state(7, c=0.3)
+        xi = rng.normal(size=(6, 7)) * 3.0
+        sigma = rng.uniform(0.1, 2.0, 6)
+        new, stacked = csa_update(state, xi, sigma)
+        for i in range(6):
+            ratio = np.linalg.norm(new.path[i]) / state.expected_norm
+            assert stacked[i] == sigma[i] * math.exp((state.c / state.d_sigma) * (ratio - 1.0))
+
     def test_expected_norm_approximation(self):
         # compare against a Monte-Carlo estimate
         rng = np.random.default_rng(0)

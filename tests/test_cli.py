@@ -5,6 +5,7 @@ import pytest
 from evoadapt.benchmarks import registry_list
 from evoadapt import cli
 from evoadapt.cli import main
+from evoadapt.cmaes import StateNotFinite
 from evoadapt.config import (ConfigError, config_from_dict, config_to_dict,
                              load_config)
 
@@ -93,23 +94,54 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 2
 
 
-@pytest.mark.parametrize("command,overrides", [
-    ("train", {"action": "de_bogus"}),
-    ("train", {"training": {"mode": "single", "function": "NoSuch", "dimension": 10}}),
-    ("train", {"ppo": {"optimizer": "rmsprop"}}),
-    ("evaluate", {}),
+CMA_CSA = ["--algorithm", "cmaes", "--adaptation", "csa"]
+
+
+@pytest.mark.parametrize("command,overrides,flags,cause", [
+    ("train", {"action": "de_bogus"}, [], "de_bogus"),
+    ("train", {"training": {"mode": "single", "function": "NoSuch", "dimension": 10}}, [],
+     "NoSuch"),
+    ("train", {"ppo": {"optimizer": "rmsprop"}}, [], "rmsprop"),
+    ("evaluate", {}, ["--checkpoint", "{tmp}/absent.json"], "absent.json"),
+    ("train", {"test": {"runs": 5, "generations": 10, "population": 3}}, [],
+     "test.population"),
+    ("evaluate", {}, ["--adaptation", "fixed", "--runs", "0"], "--runs"),
+    ("compare", {}, ["--checkpoint", "{tmp}/absent.json", "--runs", "-1"], "--runs"),
+    ("evaluate", {}, CMA_CSA + ["--sigma0", "0"], "--sigma0"),
+    ("evaluate", {}, ["--algorithm", "cmaes", "--adaptation", "fixed", "--fixed-sigma", "-0.5"],
+     "--fixed-sigma"),
+    ("evaluate", {}, ["--adaptation", "jde", "--jobs", "0"], "--jobs"),
 ], ids=["unknown-action", "unknown-training-function", "unknown-optimizer",
-        "missing-checkpoint"])
-def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides):
+        "missing-checkpoint", "population-below-4", "no-runs", "compare-negative-runs",
+        "sigma0-zero", "fixed-sigma-negative", "no-jobs"])
+def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides, flags,
+                                                 cause):
     cfg_path, _ = base_config(tmp_path, **overrides)
     if command == "train":
         argv = ["train", "--config", str(cfg_path)]
     else:
-        argv = ["evaluate", "--checkpoint", str(tmp_path / "absent.json"),
-                "--function", "Sphere", "--dimension", "10", "--out", str(tmp_path / "x")]
+        argv = [command] + [f.format(tmp=tmp_path) for f in flags] + [
+            "--out", str(tmp_path / "x")]
+        argv += (["--function", "Sphere", "--dimension", "10"] if command == "evaluate"
+                 else ["--function", "Sphere:10"])
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err
     assert not (tmp_path / "run").exists() and not (tmp_path / "x").exists()
+
+
+def test_diverging_cma_run_raises_a_named_error(tmp_path):
+    """CSA on AttractiveSector-5, seed 30, drives the covariance to NaN; the
+    error names the function, the run seed and the generation instead of
+    letting `LinAlgError` escape from the eigendecomposition."""
+    out = tmp_path / "x"
+    argv = ["evaluate", "--algorithm", "cmaes", "--adaptation", "csa", "--function",
+            "AttractiveSector", "--dimension", "5", "--seed", "30", "--runs", "1",
+            "--out", str(out)]
+    with pytest.raises(StateNotFinite, match=r"AttractiveSector-5 is not finite at "
+                                             r"generation 49 \(run seeds \[30\]\)"):
+        main(argv)
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evoadapt.benchmarks import get_function, registry_list
+from evoadapt.cmaes import StateNotFinite
 from evoadapt.envloop import (CsaController, Episode, EpisodeConfig, EvolutionEnv,
                               FixedDeController, FixedSigmaController,
                               IdeController, JdeController, PolicyController,
@@ -201,11 +202,50 @@ class TestProtocol:
         assert result.seeds == list(range(100, 150))
         assert np.all(result.aucs > 0) and np.all(result.bests >= 0)
 
-    def test_reproducible_and_thread_pool_matches_serial(self):
-        serial = run_test_protocol(JdeController, ("Rastrigin", 10), 7, runs=8)
-        parallel = run_test_protocol(JdeController, ("Rastrigin", 10), 7, runs=8, jobs=4)
-        assert np.array_equal(serial.aucs, parallel.aucs)
-        assert np.array_equal(serial.bests, parallel.bests)
+    @pytest.mark.parametrize("algorithm,kind,stochastic", [
+        ("de", "fixed", False), ("de", "ide", False), ("de", "jde", False),
+        ("de", "de_direct", False), ("de", "de_normal", True), ("de", "de_uniform", False),
+        ("cmaes", "fixed", False), ("cmaes", "csa", False), ("cmaes", "cma_sigma", True),
+    ])
+    def test_lockstep_run_equals_the_same_seed_run_alone(self, algorithm, kind, stochastic):
+        """Run i of an R-run protocol gives the bytes of seed_base + i run
+        alone, field for field, so results do not depend on the batch size."""
+        if kind in ("fixed", "ide", "jde", "csa"):
+            factory = {("de", "fixed"): FixedDeController, ("de", "ide"): IdeController,
+                       ("de", "jde"): JdeController, ("cmaes", "fixed"): FixedSigmaController,
+                       ("cmaes", "csa"): lambda: CsaController(10)}[algorithm, kind]
+        else:
+            spec = action_spec(kind)
+            obs_spec = ObservationSpec(history_length=6, include_intra_df=True,
+                                       include_inter_dx=True, include_intra_dx=True)
+            policy = PolicyNet(obs_spec.length(spec.dim), spec.dim, hidden=(8,),
+                               rng=np.random.default_rng(3))
+            policy.mlp.weights[-1] *= 100.0
+            factory = lambda: PolicyController(policy, spec, obs_spec,  # noqa: E731
+                                               stochastic=stochastic)
+        fn = get_function("Rastrigin", 10)
+        protocol = run_test_protocol(factory, ("Rastrigin", 10), 40, runs=4,
+                                     algorithm=algorithm)
+        for i, seed in enumerate(protocol.seeds):
+            alone = run_episode(Episode(fn, algorithm, np.random.default_rng(seed)), factory())
+            for field in dataclasses.fields(alone):
+                ours = np.array(getattr(protocol.traces[i], field.name))
+                theirs = np.array(getattr(alone, field.name))
+                assert ours.shape == theirs.shape, field.name
+                assert ours.tobytes() == theirs.tobytes(), (field.name, i)
+        repeat = run_test_protocol(factory, ("Rastrigin", 10), 40, runs=4, algorithm=algorithm)
+        assert protocol.aucs.tobytes() == repeat.aucs.tobytes()
+        assert protocol.bests.tobytes() == repeat.bests.tobytes()
+
+    def test_protocol_rejects_no_runs(self):
+        with pytest.raises(ValueError):
+            run_test_protocol(FixedDeController, ("Sphere", 10), 0, runs=0)
+
+    def test_diverging_cma_run_names_function_seed_and_generation(self):
+        with pytest.raises(StateNotFinite, match=r"AttractiveSector-5 is not finite at "
+                                                 r"generation \d+ \(run seeds \[30\]\)"):
+            run_test_protocol(lambda: CsaController(5), ("AttractiveSector", 5), 28, runs=4,
+                              algorithm="cmaes")
 
     def test_cma_protocol(self):
         result = run_test_protocol(lambda: CsaController(10), ("Sphere", 10), 3,
