@@ -1,10 +1,20 @@
-.PHONY: test test-fast paper-run
+.PHONY: test test-fast bench bench-selftest paper-run
 
 test:
 	pytest -v
 
 test-fast:
 	pytest -v -m "not slow"
+
+# The three benchmark workloads, each timed end to end for 40 s (see perfbench/README.md).
+bench:
+	for workload in de-protocol cmaes-protocol ppo-train; do \
+	  python3 perfbench/run.py --workload $$workload --seed 1 --seconds 40 --trace 0 || exit 1; \
+	done
+
+# Show that every benchmark output check fails on a corrupted output.
+bench-selftest:
+	python3 perfbench/selftest.py
 
 # One full multi-function training (5000 episodes over the whole registry).
 # Took 342 s (61 PPO iterations) on a 2-CPU Intel Xeon VM, numpy 2.4.6.

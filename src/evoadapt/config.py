@@ -73,6 +73,10 @@ class ExperimentConfig:
             raise ConfigError("de requires a DE action space")
         if self.training.episodes <= 0 or self.test.runs <= 0:
             raise ConfigError("budgets must be positive")
+        steps = self.training.episodes * (self.test.generations - 1)
+        if steps < self.ppo.horizon:
+            raise ConfigError(f"training.episodes x (test.generations - 1) = {steps} steps "
+                              f"fill no ppo.horizon of {self.ppo.horizon} steps")
         if self.test.population < MIN_POPULATION:
             raise ConfigError(f"test.population must be >= {MIN_POPULATION}, "
                               f"got {self.test.population}")

@@ -2,15 +2,16 @@
 
 The network is a plain fully connected net (default in -> 50 -> 50 -> out)
 with a state-independent log-std head for the Gaussian policy. Forward and
-backward passes are implemented directly on numpy arrays so the trainer can
-check its analytic gradients against finite differences.
+backward passes are implemented directly on numpy arrays; `ppo.ppo_loss`
+runs both nets' first layer itself and the rest through `Mlp.forward_cache`
+and `Mlp.backward`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -83,47 +84,46 @@ class Mlp:
             self.weights.append(w)
             self.biases.append(np.zeros(n_out))
 
-    def _act(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(z, 0.0) if self.activation == "relu" else np.tanh(z)
+    def activate(self, a: np.ndarray) -> np.ndarray:
+        """Hidden-layer activation, in place."""
+        return np.maximum(a, 0.0, out=a) if self.activation == "relu" else np.tanh(a, out=a)
 
-    def _act_grad(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return (z > 0.0).astype(float) if self.activation == "relu" else 1.0 - a ** 2
+    def activation_grad(self, a: np.ndarray) -> np.ndarray:
+        """Derivative of the activation, from its output `a`."""
+        return a > 0.0 if self.activation == "relu" else 1.0 - a ** 2
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         single = np.ndim(x) == 1
-        out, _ = self.forward_cache(np.atleast_2d(np.asarray(x, dtype=float)))
+        a = np.atleast_2d(np.asarray(x, dtype=float)) @ self.weights[0].T + self.biases[0]
+        out, _ = self.forward_cache(self.activate(a) if len(self.weights) > 1 else a)
         return out[0] if single else out
 
-    def forward_cache(self, X: np.ndarray):
-        """Batched forward pass returning output and the activations cache."""
-        a = np.asarray(X, dtype=float)
-        pre, post = [], [a]
-        n_layers = len(self.weights)
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            pre.append(z)
-            a = z if li == n_layers - 1 else self._act(z)  # linear output layer
-            post.append(a)
-        return a, (pre, post)
+    def forward_cache(self, a0: np.ndarray):
+        """Layers 1.. on layer 0's (activated) output `a0`: the net's output
+        and the cache `backward` reads, every hidden layer's output."""
+        outs, a = [a0], a0
+        for li in range(1, len(self.weights)):
+            a = a @ self.weights[li].T
+            a += self.biases[li]
+            if li < len(self.weights) - 1:  # linear output layer
+                outs.append(self.activate(a))
+        return a, outs
 
-    def backward(self, cache, grad_out: np.ndarray):
-        """Backprop `grad_out` (dLoss/dOutput, shape (B, out)) to weight grads."""
-        pre, post = cache
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        delta = np.asarray(grad_out, dtype=float)
-        for li in reversed(range(len(self.weights))):
-            grads_w[li] = delta.T @ post[li]
-            grads_b[li] = delta.sum(axis=0)
-            if li > 0:
-                delta = (delta @ self.weights[li]) * self._act_grad(pre[li - 1], post[li])
-        return grads_w, grads_b
+    def backward(self, outs: list, delta: np.ndarray, grads: "Mlp", d0: np.ndarray) -> None:
+        """Backprop `delta` (dLoss/dOutput) through layers n-1..1 into the
+        arrays of `grads`, a net of the same sizes, and dLoss/d(layer-0
+        output) into `d0`; layer 0's own gradients are the caller's."""
+        for li in range(len(self.weights) - 1, 0, -1):
+            np.matmul(delta.T, outs[li - 1], out=grads.weights[li])
+            np.add.reduce(delta, axis=0, out=grads.biases[li])
+            delta = np.matmul(delta, self.weights[li], out=d0 if li == 1 else None)
+            if li > 1:
+                delta *= self.activation_grad(outs[li - 1])
+        if delta is not d0:  # a net without hidden layers
+            d0[...] = delta
 
     def params(self) -> list[np.ndarray]:
         return self.weights + self.biases
-
-    def has_nan(self) -> bool:
-        return any(not np.all(np.isfinite(p)) for p in self.params())
 
 
 class PolicyNet:
@@ -144,16 +144,12 @@ class PolicyNet:
 
     def forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         obs = np.asarray(obs, dtype=float)
-        expected = self.in_dim
-        if obs.shape[-1] != expected:
-            raise ValueError(f"observation length {obs.shape[-1]} != input size {expected}")
+        if obs.shape[-1] != self.in_dim:
+            raise ValueError(f"observation length {obs.shape[-1]} != input size {self.in_dim}")
         return self.mlp.forward(obs), self.log_std.copy()
 
     def params(self) -> list[np.ndarray]:
         return self.mlp.params() + [self.log_std]
-
-    def has_nan(self) -> bool:
-        return self.mlp.has_nan() or not np.all(np.isfinite(self.log_std))
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +164,12 @@ def gaussian_log_prob(raw: np.ndarray, mean: np.ndarray, log_std: np.ndarray) ->
 
 def sample_action(mean: np.ndarray, log_std: np.ndarray, spec: ActionSpec,
                   rng: np.random.Generator, stochastic: bool = True):
-    """Draw (or take) the raw action, clip into bounds, return its log-prob."""
+    """Draw (or take) the raw action; return it clipped into bounds, and raw."""
     if stochastic:
         raw = mean + np.exp(log_std) * rng.standard_normal(spec.dim)
     else:
         raw = np.asarray(mean, dtype=float).copy()
-    logp = float(gaussian_log_prob(raw, mean, log_std))
-    return spec.clip(raw), raw, logp
+    return spec.clip(raw), raw
 
 
 def decode_de_params(action: np.ndarray, spec: ActionSpec, np_: int,
@@ -206,12 +201,7 @@ def save_checkpoint(path, policy: PolicyNet, action_kind: str, obs_spec: Observa
     doc = {
         "architecture": {"sizes": policy.mlp.sizes, "activation": policy.mlp.activation},
         "action_kind": action_kind,
-        "observation": {
-            "history_length": obs_spec.history_length,
-            "include_intra_df": obs_spec.include_intra_df,
-            "include_inter_dx": obs_spec.include_inter_dx,
-            "include_intra_dx": obs_spec.include_intra_dx,
-        },
+        "observation": asdict(obs_spec),
         "log_std": policy.log_std.tolist(),
         "layers": [
             {"weights": w.tolist(), "bias": b.tolist()}
@@ -230,12 +220,7 @@ def load_checkpoint(path) -> tuple[PolicyNet, str, ObservationSpec]:
         activation = doc["architecture"]["activation"]
         kind = doc["action_kind"]
         obs = doc["observation"]
-        obs_spec = ObservationSpec(
-            history_length=obs["history_length"],
-            include_intra_df=obs["include_intra_df"],
-            include_inter_dx=obs["include_inter_dx"],
-            include_intra_dx=obs["include_intra_dx"],
-        )
+        obs_spec = ObservationSpec(**{f.name: obs[f.name] for f in fields(ObservationSpec)})
         policy = PolicyNet(sizes[0], sizes[-1], hidden=tuple(sizes[1:-1]), activation=activation)
         policy.log_std = np.array(doc["log_std"], dtype=float)
         for li, layer in enumerate(doc["layers"]):

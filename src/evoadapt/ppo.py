@@ -39,6 +39,9 @@ class PpoConfig:
     checkpoint_every: int = 10
 
     def __post_init__(self):
+        for name in ("epochs", "horizon", "minibatch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.minibatch > self.horizon:
             raise ValueError("minibatch size must be <= horizon")
         if self.learning_rate <= 0.0:
@@ -49,141 +52,160 @@ class PpoConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-@dataclass
-class RolloutBuffer:
-    obs: np.ndarray
-    actions: np.ndarray      # raw pre-clip draws
-    log_probs: np.ndarray
-    rewards: np.ndarray
-    values: np.ndarray
-    dones: np.ndarray        # episode-terminal flags
-
-
-def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float,
-                last_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """GAE over the buffer; the recursion resets at episode boundaries.
+def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray, gamma: float,
+                lam: float, last_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """GAE over a rollout; the recursion resets at episode boundaries
+    (`dones` flags each episode's terminal step).
 
     Terminated episodes bootstrap with value 0; `last_value` bootstraps the
-    buffer tail if it does not end on a terminal step.
+    rollout tail if it does not end on a terminal step.
     """
-    T = len(buffer.rewards)
+    T = len(rewards)
     advantages = np.zeros(T)
     gae = 0.0
     next_value = last_value
     for t in reversed(range(T)):
-        if buffer.dones[t]:
+        if dones[t]:
             next_value = 0.0
             gae = 0.0
-        delta = buffer.rewards[t] + gamma * next_value - buffer.values[t]
+        delta = rewards[t] + gamma * next_value - values[t]
         gae = delta + gamma * lam * gae
         advantages[t] = gae
-        next_value = buffer.values[t]
-    return advantages, advantages + buffer.values
+        next_value = values[t]
+    return advantages, advantages + values
 
 
 def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     return (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
 
-def ppo_loss(obs, raw_actions, old_log_probs, advantages, returns,
-             policy: PolicyNet, value: Mlp, cfg: PpoConfig):
-    """Loss, statistics and analytic gradients for one minibatch.
+class ActorCritic:
+    """Policy and value nets whose parameters are views into one vector.
+
+    `theta` holds the policy's layers (weights, then bias, layer by layer),
+    its log_std, then the value net's layers. `grad` has the same layout, with
+    `grad_policy`/`grad_value` nets of views into it.
+    """
+
+    def __init__(self, policy: PolicyNet, value: Mlp):
+        self.policy, self.value = policy, value
+        self.grad_policy = PolicyNet(policy.in_dim, policy.action_dim,
+                                     hidden=policy.mlp.sizes[1:-1])
+        self.grad_value = Mlp(value.sizes)
+        self.theta = _bind(policy, value)
+        self.grad = _bind(self.grad_policy, self.grad_value)
+        split = sum(p.size for p in policy.params())
+        self.grad_slices = (self.grad[:split], self.grad[split:])
+        self.work = np.empty((2, 0, 0))  # ppo_loss's first-layer arrays, kept between calls
+
+
+def _bind(policy: PolicyNet, value: Mlp) -> np.ndarray:
+    """Copy the nets' parameters into one vector in `ActorCritic`'s layout
+    and make every parameter attribute a view into it."""
+    def layers(net):
+        return [(a, i) for i in range(len(net.weights)) for a in (net.weights, net.biases)]
+
+    slots = layers(policy.mlp) + [(vars(policy), "log_std")] + layers(value)
+    arrays = [np.asarray(owner[key], dtype=float) for owner, key in slots]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    end = 0
+    for (owner, key), a in zip(slots, arrays):
+        owner[key] = flat[end:end + a.size].reshape(a.shape)
+        end += a.size
+    return flat
+
+
+def ppo_loss(obs, raw_actions, old_log_probs, advantages, returns, net: ActorCritic,
+             cfg: PpoConfig) -> dict:
+    """Loss and statistics of one minibatch; writes the analytic gradient of
+    the loss into `net.grad`.
 
     Loss = -(clipped surrogate) + c_v * value MSE - c_e * entropy.
-    Returns (stats, policy_weight_grads, log_std_grad, value_weight_grads).
     """
-    obs = np.asarray(obs, dtype=float)
-    raw_actions = np.asarray(raw_actions, dtype=float)
-    B = len(obs)
+    p, v = net.policy.mlp, net.value
+    gp, gv = net.grad_policy, net.grad_value
+    B, h = len(obs), p.sizes[1]
 
-    mean, cache_p = policy.mlp.forward_cache(obs)
-    log_std = policy.log_std
+    # both first layers share one output array; their products stay per net,
+    # since OpenBLAS runs the stacked ones on two spinning threads
+    if net.work.shape[1] < B:  # reused: fresh ~100 kB arrays each minibatch page-fault
+        net.work = np.empty((2, B, h + v.sizes[1]))
+    first, d0 = net.work[:, :B]
+    np.matmul(obs, p.weights[0].T, out=first[:, :h])
+    np.matmul(obs, v.weights[0].T, out=first[:, h:])
+    first += np.concatenate((p.biases[0], v.biases[0]))
+    if len(p.weights) > 1:
+        p.activate(first)
+    mean, outs_p = p.forward_cache(first[:, :h])
+    v_out, outs_v = v.forward_cache(first[:, h:])
+
+    log_std = net.policy.log_std
     std = np.exp(log_std)
     diff = raw_actions - mean
-    z = diff / std
-    logp = np.sum(-0.5 * z ** 2 - log_std - 0.5 * LOG_2PI, axis=1)
+    z2 = (diff / std) ** 2
+    logp = np.add.reduce(-0.5 * z2 - log_std - 0.5 * LOG_2PI, axis=1)
 
     ratio = np.exp(logp - old_log_probs)
     surr1 = ratio * advantages
     surr2 = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * advantages
-    surrogate = np.minimum(surr1, surr2)
-    policy_loss = -float(surrogate.mean())
+    policy_loss = -float(np.add.reduce(np.minimum(surr1, surr2))) / B
 
-    entropy = float(np.sum(log_std + 0.5 * (LOG_2PI + 1.0)))
+    entropy = float(np.add.reduce(log_std + 0.5 * (LOG_2PI + 1.0)))
 
-    v_out, cache_v = value.forward_cache(obs)
-    v = v_out[:, 0]
-    v_err = v - returns
-    value_loss = float(np.mean(v_err ** 2))
+    v_err = v_out[:, 0] - returns
+    value_loss = float(np.add.reduce(v_err ** 2)) / B
 
     loss = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
 
     # gradient flows through the unclipped branch only where it is the minimum
-    active = (surr1 <= surr2).astype(float)
-    d_logp = -(active * ratio * advantages) / B
-    grad_mean = d_logp[:, None] * (diff / std ** 2)
-    grad_log_std = np.sum(d_logp[:, None] * (z ** 2 - 1.0), axis=0)
-    grad_log_std -= cfg.entropy_coef * np.ones_like(log_std)
-    policy_w, policy_b = policy.mlp.backward(cache_p, grad_mean)
+    active = surr1 <= surr2
+    d_logp = -(active * surr1) / B
+    np.add.reduce(d_logp[:, None] * (z2 - 1.0), axis=0, out=gp.log_std)
+    gp.log_std -= cfg.entropy_coef
 
-    grad_v = (cfg.value_coef * 2.0 * v_err / B)[:, None]
-    value_w, value_b = value.backward(cache_v, grad_v)
+    p.backward(outs_p, d_logp[:, None] * (diff / std ** 2), gp.mlp, d0[:, :h])
+    v.backward(outs_v, (cfg.value_coef * 2.0 * v_err / B)[:, None], gv, d0[:, h:])
+    if len(p.weights) > 1:
+        d0 *= p.activation_grad(first)
+    np.matmul(d0[:, :h].T, obs, out=gp.mlp.weights[0])
+    np.matmul(d0[:, h:].T, obs, out=gv.weights[0])
+    np.add.reduce(d0[:, :h], axis=0, out=gp.mlp.biases[0])
+    np.add.reduce(d0[:, h:], axis=0, out=gv.biases[0])
 
-    stats = {
-        "loss": float(loss),
-        "policy_loss": policy_loss,
-        "value_loss": value_loss,
-        "entropy": entropy,
-        "clip_fraction": float(np.mean(active < 0.5)),
-    }
-    return stats, policy_w + policy_b, grad_log_std, value_w + value_b
+    return {"loss": float(loss), "policy_loss": policy_loss, "value_loss": value_loss,
+            "entropy": entropy, "clip_fraction": 1.0 - np.count_nonzero(active) / B}
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizers, each one vector operation over the flat parameters
 
 class Sgd:
-    def __init__(self, params: list[np.ndarray], lr: float):
-        self.params = params
-        self.lr = lr
+    def __init__(self, theta: np.ndarray, lr: float):
+        self.theta, self.lr = theta, lr
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        for p, g in zip(self.params, grads):
-            p -= self.lr * g
+    def step(self, grad: np.ndarray) -> None:
+        self.theta -= self.lr * grad
 
 
 class Adam:
-    def __init__(self, params: list[np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
+    def __init__(self, theta: np.ndarray, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.theta, self.lr, self.beta1, self.beta2, self.eps = theta, lr, beta1, beta2, eps
+        self.m, self.v, self.t = np.zeros_like(theta), np.zeros_like(theta), 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g ** 2
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad ** 2
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        self.theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def clip_gradients(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    total = math.sqrt(sum(float(np.sum(g ** 2)) for g in grads))
+def clip_gradients(grad: np.ndarray, max_norm: float) -> None:
+    """Scale a 1-D gradient in place so that its norm is at most `max_norm`."""
+    total = math.sqrt(float(grad @ grad))
     if total > max_norm > 0.0:
-        scale = max_norm / total
-        return [g * scale for g in grads]
-    return grads
-
-
-def _make_optimizer(kind: str, params: list[np.ndarray], lr: float):
-    if kind == "sgd":
-        return Sgd(params, lr)
-    if kind == "adam":
-        return Adam(params, lr)
-    raise ValueError(f"unknown optimizer {kind!r}")
+        grad *= max_norm / total
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +215,13 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
           on_iteration=None):
     """Iterate collect-T-steps / K-epoch optimization until the episode budget
     cannot fill another horizon. Returns (policy, value_net, log_rows)."""
-    in_dim = env.observation_dim
-    a_dim = env.action_dim
+    in_dim, a_dim = env.observation_dim, env.action_dim
     policy = PolicyNet(in_dim, a_dim, hidden=config.hidden, activation=config.activation,
                        rng=rng, log_std_init=config.log_std_init)
     value = Mlp([in_dim, *config.hidden, 1], activation=config.activation, rng=rng,
                 last_layer_scale=1.0)
-
-    opt_policy = _make_optimizer(config.optimizer, policy.mlp.params() + [policy.log_std],
-                                 config.learning_rate)
-    opt_value = _make_optimizer(config.optimizer, value.params(), config.learning_rate)
+    net = ActorCritic(policy, value)
+    optimizer = {"sgd": Sgd, "adam": Adam}[config.optimizer](net.theta, config.learning_rate)
 
     T = config.horizon
     steps_per_episode = env.steps_per_episode
@@ -211,17 +230,16 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
     iteration = 0
     obs = env.reset()
     ep_return = 0.0
-    completed_returns: list[float] = []
+
+    # one minibatch is one gather of rows of `packed`
+    packed = np.empty((T, in_dim + a_dim + 3))
+    obs_buf, act_buf = packed[:, :in_dim], packed[:, in_dim:in_dim + a_dim]
+    logp_buf, adv_buf, ret_buf = packed[:, in_dim + a_dim:].T
+    rew_buf, val_buf = np.empty((2, T))
+    done_buf = np.empty(T, dtype=bool)
 
     while (episodes_budget - episodes_done) * steps_per_episode >= T:
-        obs_buf = np.empty((T, in_dim))
-        act_buf = np.empty((T, a_dim))
-        logp_buf = np.empty(T)
-        rew_buf = np.empty(T)
-        val_buf = np.empty(T)
-        done_buf = np.zeros(T, dtype=bool)
         iter_returns: list[float] = []
-
         for t in range(T):
             mean, log_std = policy.forward(obs)
             raw = mean + np.exp(log_std) * rng.standard_normal(a_dim)
@@ -239,41 +257,36 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
             if done:
                 episodes_done += 1
                 iter_returns.append(ep_return)
-                completed_returns.append(ep_return)
                 ep_return = 0.0
                 next_obs = env.reset()
             obs = next_obs
 
         last_value = 0.0 if done_buf[-1] else float(value.forward(obs)[0])
-        buffer = RolloutBuffer(obs_buf, act_buf, logp_buf, rew_buf, val_buf, done_buf)
-        advantages, returns = compute_gae(buffer, config.gamma, config.gae_lambda, last_value)
-        advantages = normalize_advantages(advantages)
+        advantages, ret_buf[:] = compute_gae(rew_buf, val_buf, done_buf, config.gamma,
+                                             config.gae_lambda, last_value)
+        adv_buf[:] = normalize_advantages(advantages)
 
-        stats = {}
         for _ in range(config.epochs):
             perm = rng.permutation(T)
             for start in range(0, T, config.minibatch):
-                idx = perm[start:start + config.minibatch]
-                stats, pg, lsg, vg = ppo_loss(
-                    obs_buf[idx], act_buf[idx], logp_buf[idx],
-                    advantages[idx], returns[idx], policy, value, config,
-                )
+                mb = packed[perm[start:start + config.minibatch]]
+                stats = ppo_loss(mb[:, :in_dim], mb[:, in_dim:in_dim + a_dim],
+                                 *mb[:, in_dim + a_dim:].T, net, config)
                 if not math.isfinite(stats["loss"]):
                     raise TrainingInstability(f"non-finite loss at iteration {iteration}")
-                pg = clip_gradients(pg + [lsg], config.grad_clip)
-                vg = clip_gradients(vg, config.grad_clip)
-                opt_policy.step(pg)
-                opt_value.step(vg)
-            if policy.has_nan() or value.has_nan():
+                for grad in net.grad_slices:  # policy and value clip separately
+                    clip_gradients(grad, config.grad_clip)
+                optimizer.step(net.grad)
+            if not np.isfinite(net.theta).all():
                 raise TrainingInstability(f"non-finite weights at iteration {iteration}")
 
         row = {
             "iteration": iteration,
             "episodes_done": episodes_done,
             "mean_return": float(np.mean(iter_returns)) if iter_returns else float("nan"),
-            "policy_loss": stats.get("policy_loss", float("nan")),
-            "value_loss": stats.get("value_loss", float("nan")),
-            "entropy": stats.get("entropy", float("nan")),
+            "policy_loss": stats["policy_loss"],
+            "value_loss": stats["value_loss"],
+            "entropy": stats["entropy"],
         }
         log_rows.append(row)
         if on_iteration is not None:

@@ -26,15 +26,15 @@ def rng():
 def nan_gradient_once(monkeypatch):
     """The first PPO update of the test meets a NaN in one policy-gradient
     entry; later updates (a retry's, say) are clean. The trainer's own
-    non-finite checks have to catch it."""
+    non-finite checks have to catch it. The trainer clips the policy slice
+    of the flat gradient first, so the first call poisons that slice."""
     real = ppo.clip_gradients
     armed = [True]
 
-    def poisoned(grads, max_norm):
-        grads = real(grads, max_norm)
+    def poisoned(grad, max_norm):
+        real(grad, max_norm)
         if armed[0]:
             armed[0] = False
-            grads[0].flat[0] = np.nan
-        return grads
+            grad[0] = np.nan
 
     monkeypatch.setattr(ppo, "clip_gradients", poisoned)

@@ -20,7 +20,7 @@ from evoadapt.envloop import (CsaController, EpisodeConfig, EvolutionEnv,
 from evoadapt.observe import (ObservationSpec, inter_delta_f, intra_delta_f,
                               intra_delta_x)
 from evoadapt.policy import Mlp, PolicyNet, action_spec, gaussian_log_prob
-from evoadapt.ppo import PpoConfig, ppo_loss, train
+from evoadapt.ppo import ActorCritic, PpoConfig, ppo_loss, train
 from evoadapt.stats import auc, win_probability
 
 from conftest import random_trace
@@ -82,24 +82,22 @@ def test_criterion_3_gradient_correctness():
         old = gaussian_log_prob(act, mean, policy.log_std) + rng.standard_normal(B) * 0.1
         adv = rng.standard_normal(B)
         ret = rng.standard_normal(B)
-        args = (obs, act, old, adv, ret, policy, value, cfg)
-        _stats, pg, lsg, vg = ppo_loss(*args)
-        params = policy.mlp.params() + [policy.log_std] + value.params()
-        grads = pg + [lsg] + vg
+        net = ActorCritic(policy, value)
+        args = (obs, act, old, adv, ret, net, cfg)
+        ppo_loss(*args)
+        g = net.grad.copy()
+        p = net.theta
         h = 1e-6
-        for p, g in zip(params, grads):
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
-                orig = p[ix]
-                p[ix] = orig + h
-                up = ppo_loss(*args)[0]["loss"]
-                p[ix] = orig - h
-                dn = ppo_loss(*args)[0]["loss"]
-                p[ix] = orig
-                fd = (up - dn) / (2 * h)
-                if abs(fd - g[ix]) > 1e-4 * max(abs(fd), abs(g[ix]), 1e-6):
-                    failures += 1
+        for ix in range(p.size):
+            orig = p[ix]
+            p[ix] = orig + h
+            up = ppo_loss(*args)["loss"]
+            p[ix] = orig - h
+            dn = ppo_loss(*args)["loss"]
+            p[ix] = orig
+            fd = (up - dn) / (2 * h)
+            if abs(fd - g[ix]) > 1e-4 * max(abs(fd), abs(g[ix]), 1e-6):
+                failures += 1
     assert failures == 0
     print("ACCEPTANCE 3 (gradient correctness): PASS")
 

@@ -111,9 +111,17 @@ CMA_CSA = ["--algorithm", "cmaes", "--adaptation", "csa"]
     ("evaluate", {}, ["--algorithm", "cmaes", "--adaptation", "fixed", "--fixed-sigma", "-0.5"],
      "--fixed-sigma"),
     ("evaluate", {}, ["--adaptation", "jde", "--jobs", "0"], "--jobs"),
+    ("train", {"ppo": {"horizon": 100, "minibatch": 0}}, [], "minibatch must be at least 1"),
+    ("train", {"ppo": {"horizon": 100, "minibatch": -5}}, [], "minibatch must be at least 1"),
+    ("train", {"ppo": {"horizon": 0, "minibatch": 0}}, [], "horizon must be at least 1"),
+    ("train", {"ppo": {"horizon": 36, "minibatch": 36, "epochs": 0}}, [],
+     "epochs must be at least 1"),
+    ("train", {"training": {"mode": "single", "function": "Sphere", "dimension": 10,
+                            "episodes": 3}}, [], "= 27 steps fill no ppo.horizon of 36"),
 ], ids=["unknown-action", "unknown-training-function", "unknown-optimizer",
         "missing-checkpoint", "population-below-4", "no-runs", "compare-negative-runs",
-        "sigma0-zero", "fixed-sigma-negative", "no-jobs"])
+        "sigma0-zero", "fixed-sigma-negative", "no-jobs", "minibatch-zero",
+        "minibatch-negative", "horizon-zero", "epochs-zero", "budget-fills-no-horizon"])
 def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides, flags,
                                                  cause):
     cfg_path, _ = base_config(tmp_path, **overrides)

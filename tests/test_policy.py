@@ -7,6 +7,7 @@ from evoadapt.observe import ObservationSpec
 from evoadapt.policy import (Mlp, PolicyNet, action_spec, decode_de_params,
                              decode_sigma, gaussian_log_prob, load_checkpoint,
                              sample_action, save_checkpoint)
+from evoadapt.ppo import ActorCritic, PpoConfig, ppo_loss
 
 
 class TestActionSpec:
@@ -54,41 +55,43 @@ class TestForward:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_output_gradients_match_finite_differences(self, activation):
+        # ppo_loss runs the backward pass (layer 0 itself, the rest through
+        # Mlp.backward): with value_coef 0.5, one row and a return one below
+        # the output, dLoss/dWeights of the value net is dOutput/dWeights
         rng = np.random.default_rng(0)
-        net = Mlp([3, 4, 2], activation=activation, rng=rng, last_layer_scale=1.0)
+        net = Mlp([3, 4, 1], activation=activation, rng=rng, last_layer_scale=1.0)
         x = rng.standard_normal((1, 3)) + 0.1
-        for out_idx in range(2):
-            seed_vec = np.zeros((1, 2))
-            seed_vec[0, out_idx] = 1.0
-            _, cache = net.forward_cache(x)
-            gw, gb = net.backward(cache, seed_vec)
-            grads = gw + gb
-            params = net.weights + net.biases
-            h = 1e-6
-            for p, g in zip(params, grads):
-                it = np.nditer(p, flags=["multi_index"])
-                for _ in it:
-                    ix = it.multi_index
-                    orig = p[ix]
-                    p[ix] = orig + h
-                    up = net.forward(x[0])[out_idx]
-                    p[ix] = orig - h
-                    dn = net.forward(x[0])[out_idx]
-                    p[ix] = orig
-                    fd = (up - dn) / (2 * h)
-                    assert abs(fd - g[ix]) <= 1e-4 * max(abs(fd), abs(g[ix]), 1e-6)
+        pair = ActorCritic(PolicyNet(3, 2, hidden=(4,), activation=activation), net)
+        cfg = PpoConfig(horizon=1, minibatch=1, value_coef=0.5)
+        ret = net.forward(x[0]) - 1.0
+        ppo_loss(x, np.zeros((1, 2)), np.zeros(1), np.zeros(1), ret, pair, cfg)
+        grads = pair.grad_value.params()
+        params = net.weights + net.biases
+        h = 1e-6
+        for p, g in zip(params, grads):
+            it = np.nditer(p, flags=["multi_index"])
+            for _ in it:
+                ix = it.multi_index
+                orig = p[ix]
+                p[ix] = orig + h
+                up = net.forward(x[0])[0]
+                p[ix] = orig - h
+                dn = net.forward(x[0])[0]
+                p[ix] = orig
+                fd = (up - dn) / (2 * h)
+                assert abs(fd - g[ix]) <= 1e-4 * max(abs(fd), abs(g[ix]), 1e-6)
 
 
 class TestSampleAction:
     def test_degenerate_gaussian_returns_clipped_mean(self, rng):
         spec = action_spec("de_direct")
-        action, raw, _ = sample_action(np.array([0.5, 0.5]), np.full(2, -745.0),
+        action, raw = sample_action(np.array([0.5, 0.5]), np.full(2, -745.0),
                                        spec, rng, stochastic=True)
         assert np.allclose(action, [0.5, 0.5], atol=1e-300)
 
     def test_mean_outside_bounds_lands_on_boundary(self, rng):
         spec = action_spec("de_direct")
-        action, _, _ = sample_action(np.array([5.0, -3.0]), np.zeros(2), spec, rng,
+        action, _ = sample_action(np.array([5.0, -3.0]), np.zeros(2), spec, rng,
                                      stochastic=False)
         assert np.array_equal(action, [2.0, 0.0])
 

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from evoadapt.policy import Mlp, PolicyNet, gaussian_log_prob
-from evoadapt.ppo import (Adam, PpoConfig, RolloutBuffer, TrainingInstability,
+from evoadapt.ppo import (ActorCritic, Adam, PpoConfig, TrainingInstability,
                           clip_gradients, compute_gae, normalize_advantages,
                           ppo_loss, train)
 
@@ -29,37 +31,32 @@ def bandit_config(**overrides):
 
 
 def make_buffer(rewards, values, dones):
-    n = len(rewards)
-    return RolloutBuffer(
-        obs=np.zeros((n, 1)), actions=np.zeros((n, 1)), log_probs=np.zeros(n),
-        rewards=np.asarray(rewards, dtype=float),
-        values=np.asarray(values, dtype=float),
-        dones=np.asarray(dones, dtype=bool),
-    )
+    return (np.asarray(rewards, dtype=float), np.asarray(values, dtype=float),
+            np.asarray(dones, dtype=bool))
 
 
 class TestGae:
     def test_undiscounted_return_to_go(self):
         rewards = [1.0, 2.0, 3.0]
         buf = make_buffer(rewards, [0, 0, 0], [False, False, True])
-        adv, ret = compute_gae(buf, gamma=1.0, lam=1.0)
+        adv, ret = compute_gae(*buf, gamma=1.0, lam=1.0)
         assert np.allclose(adv, [6.0, 5.0, 3.0])
         assert np.allclose(ret, adv)
 
     def test_single_step_episode(self):
         buf = make_buffer([2.0], [0.5], [True])
-        adv, ret = compute_gae(buf, gamma=0.9, lam=0.8)
+        adv, ret = compute_gae(*buf, gamma=0.9, lam=0.8)
         assert np.isclose(adv[0], 2.0 - 0.5)  # terminal bootstrap 0
         assert np.isclose(ret[0], 2.0)
 
     def test_all_zero_inputs_give_zero_advantages(self):
         buf = make_buffer([0.0] * 5, [0.0] * 5, [False] * 4 + [True])
-        adv, _ = compute_gae(buf, gamma=0.99, lam=0.95)
+        adv, _ = compute_gae(*buf, gamma=0.99, lam=0.95)
         assert np.all(adv == 0.0)
 
     def test_recursion_resets_at_episode_boundary(self):
         buf = make_buffer([1.0, 1.0], [0.0, 0.0], [True, True])
-        adv, _ = compute_gae(buf, gamma=1.0, lam=1.0)
+        adv, _ = compute_gae(*buf, gamma=1.0, lam=1.0)
         assert np.allclose(adv, [1.0, 1.0])
 
     def test_normalization(self, rng):
@@ -96,7 +93,7 @@ class TestPpoLoss:
         act = mean + 0.3
         old = gaussian_log_prob(act, mean, policy.log_std)  # ratio == 1 exactly
         adv = np.array([1.0, -2.0, 0.5, 3.0])
-        stats, *_ = ppo_loss(obs, act, old, adv, np.zeros(4), policy, value, cfg)
+        stats = ppo_loss(obs, act, old, adv, np.zeros(4), ActorCritic(policy, value), cfg)
         assert np.isclose(stats["policy_loss"], -adv.mean())
 
     def test_clip_binds_for_large_ratio(self, rng):
@@ -109,7 +106,7 @@ class TestPpoLoss:
         # old log-prob chosen so the ratio is exactly 2
         old = gaussian_log_prob(act, mean, policy.log_std) - np.log(2.0)
         adv = np.array([1.7])
-        stats, *_ = ppo_loss(obs, act, old, adv, np.zeros(1), policy, value, cfg)
+        stats = ppo_loss(obs, act, old, adv, np.zeros(1), ActorCritic(policy, value), cfg)
         assert np.isclose(stats["policy_loss"], -1.3 * 1.7)
 
     def test_surrogate_never_exceeds_clip_envelope(self):
@@ -125,22 +122,20 @@ class TestPpoLoss:
     @pytest.mark.parametrize("seed", range(10))
     def test_gradients_match_finite_differences(self, seed):
         obs, act, old, adv, ret, policy, value, cfg = toy_setup(seed)
-        stats, pg, lsg, vg = ppo_loss(obs, act, old, adv, ret, policy, value, cfg)
-        params = policy.mlp.params() + [policy.log_std] + value.params()
-        grads = pg + [lsg] + vg
+        net = ActorCritic(policy, value)
+        ppo_loss(obs, act, old, adv, ret, net, cfg)
+        grad = net.grad.copy()
+        p = net.theta
         h = 1e-6
-        for p, g in zip(params, grads):
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
-                orig = p[ix]
-                p[ix] = orig + h
-                up = ppo_loss(obs, act, old, adv, ret, policy, value, cfg)[0]["loss"]
-                p[ix] = orig - h
-                dn = ppo_loss(obs, act, old, adv, ret, policy, value, cfg)[0]["loss"]
-                p[ix] = orig
-                fd = (up - dn) / (2 * h)
-                assert abs(fd - g[ix]) <= 1e-4 * max(abs(fd), abs(g[ix]), 1e-6)
+        for ix in range(p.size):
+            orig = p[ix]
+            p[ix] = orig + h
+            up = ppo_loss(obs, act, old, adv, ret, net, cfg)["loss"]
+            p[ix] = orig - h
+            dn = ppo_loss(obs, act, old, adv, ret, net, cfg)["loss"]
+            p[ix] = orig
+            fd = (up - dn) / (2 * h)
+            assert abs(fd - grad[ix]) <= 1e-4 * max(abs(fd), abs(grad[ix]), 1e-6)
 
 
 class TestConfig:
@@ -151,6 +146,13 @@ class TestConfig:
     def test_nonpositive_learning_rate_rejected(self):
         with pytest.raises(ValueError):
             PpoConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("sizes", [{"minibatch": 0}, {"minibatch": -5},
+                                       {"horizon": 0, "minibatch": 0}, {"epochs": 0},
+                                       {"epochs": -1}])
+    def test_sizes_below_one_rejected(self, sizes):
+        with pytest.raises(ValueError, match=f"{next(iter(sizes))} must be at least 1"):
+            PpoConfig(**sizes)
 
 
 class TestTrain:
@@ -211,17 +213,187 @@ class TestTrain:
 
 
 def test_gradient_clipping_rescales_to_max_norm():
-    grads = [np.array([30.0, 40.0]), np.array([0.0])]  # norm 50
-    clipped = clip_gradients(grads, 40.0)
-    total = np.sqrt(sum(np.sum(g ** 2) for g in clipped))
+    clipped = np.array([30.0, 40.0, 0.0])  # norm 50
+    clip_gradients(clipped, 40.0)
+    total = np.sqrt(np.sum(clipped ** 2))
     assert np.isclose(total, 40.0)
-    untouched = clip_gradients([np.array([1.0])], 40.0)
-    assert untouched[0][0] == 1.0
+    untouched = np.array([1.0])
+    clip_gradients(untouched, 40.0)
+    assert untouched[0] == 1.0
 
 
 def test_adam_moves_toward_minimum():
     p = np.array([5.0])
-    opt = Adam([p], lr=0.5)
+    opt = Adam(p, lr=0.5)
     for _ in range(200):
-        opt.step([2.0 * p])  # gradient of p^2
+        opt.step(2.0 * p)  # gradient of p^2
     assert abs(p[0]) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The flat update against a per-array reference
+
+class RandomObsEnv:
+    """Observations of the DE policy's size (44 inputs, 4 actions), reward
+    pulling the action towards 0.3, 49-step episodes."""
+
+    observation_dim = 44
+    action_dim = 4
+    steps_per_episode = 49
+
+    def __init__(self):
+        self.rng = np.random.default_rng(7)
+        self.t = 0
+
+    def reset(self):
+        self.t = 0
+        return self.rng.standard_normal(44)
+
+    def step(self, raw):
+        self.t += 1
+        return (self.rng.standard_normal(44), -float(np.sum((raw - 0.3) ** 2)),
+                self.t >= 49)
+
+
+def reference_grads(obs, raw, old_logp, adv, ret, policy, value, cfg):
+    """Per-array loss gradients: each net's own forward and backward pass."""
+    B = len(obs)
+
+    def forward(net, x):
+        post = [x]
+        for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = post[-1] @ w.T + b
+            post.append(z if li == len(net.weights) - 1 else net.activate(z))
+        return post
+
+    def backward(net, post, delta):
+        gw, gb = [None] * len(net.weights), [None] * len(net.biases)
+        for li in reversed(range(len(net.weights))):
+            gw[li], gb[li] = delta.T @ post[li], delta.sum(axis=0)
+            if li > 0:
+                delta = (delta @ net.weights[li]) * net.activation_grad(post[li])
+        return gw + gb
+
+    post_p, post_v = forward(policy.mlp, obs), forward(value, obs)
+    std = np.exp(policy.log_std)
+    diff = raw - post_p[-1]
+    z = diff / std
+    logp = np.sum(-0.5 * z ** 2 - policy.log_std - 0.5 * math.log(2 * math.pi), axis=1)
+    ratio = np.exp(logp - old_logp)
+    surr1 = ratio * adv
+    surr2 = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv
+    d_logp = -((surr1 <= surr2).astype(float) * ratio * adv) / B
+    grad_log_std = np.sum(d_logp[:, None] * (z ** 2 - 1.0), axis=0) - cfg.entropy_coef
+    policy_grads = backward(policy.mlp, post_p, d_logp[:, None] * (diff / std ** 2))
+    v_err = post_v[-1][:, 0] - ret
+    value_grads = backward(value, post_v, (cfg.value_coef * 2.0 * v_err / B)[:, None])
+    return policy_grads + [grad_log_std], value_grads
+
+
+def flat_order_norm(grads, n_layers):
+    """Norm of a net's per-array gradients (weights, biases, then the
+    policy's log_std) summed in the flat layout's order: layer by layer,
+    weights then bias, then log_std."""
+    w, b = grads[:n_layers], grads[n_layers:2 * n_layers]
+    order = [x for li in range(n_layers) for x in (w[li], b[li])] + grads[2 * n_layers:]
+    flat = np.concatenate([x.ravel() for x in order])
+    return math.sqrt(float(flat @ flat))
+
+
+def reference_iteration(env, cfg, rng, flat_norm=False):
+    """One PPO iteration of `train` with per-array parameters, per-array
+    gradient clipping and per-array SGD/Adam steps. The clipping norm sums
+    per-array sums of squares, or with `flat_norm` all squares in the flat
+    layout's order."""
+    in_dim, a_dim, T = env.observation_dim, env.action_dim, cfg.horizon
+    policy = PolicyNet(in_dim, a_dim, hidden=cfg.hidden, activation=cfg.activation, rng=rng,
+                       log_std_init=cfg.log_std_init)
+    value = Mlp([in_dim, *cfg.hidden, 1], activation=cfg.activation, rng=rng,
+                last_layer_scale=1.0)
+    obs_buf, act_buf = np.empty((T, in_dim)), np.empty((T, a_dim))
+    logp_buf, rew_buf, val_buf = np.empty(T), np.empty(T), np.empty(T)
+    done_buf = np.zeros(T, dtype=bool)
+    obs = env.reset()
+    for t in range(T):
+        mean, log_std = policy.forward(obs)
+        raw = mean + np.exp(log_std) * rng.standard_normal(a_dim)
+        obs_buf[t], act_buf[t] = obs, raw
+        logp_buf[t] = float(gaussian_log_prob(raw, mean, log_std))
+        val_buf[t] = float(value.forward(obs)[0])
+        obs, rew_buf[t], done_buf[t] = env.step(raw)
+        if done_buf[t]:
+            obs = env.reset()
+    last_value = 0.0 if done_buf[-1] else float(value.forward(obs)[0])
+    adv, ret = compute_gae(rew_buf, val_buf, done_buf, cfg.gamma, cfg.gae_lambda, last_value)
+    adv = normalize_advantages(adv)
+
+    params = [policy.params(), value.params()]
+    moments = [[[np.zeros_like(p), np.zeros_like(p)] for p in ps] for ps in params]
+    step = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(T)
+        for start in range(0, T, cfg.minibatch):
+            idx = perm[start:start + cfg.minibatch]
+            grads = reference_grads(obs_buf[idx], act_buf[idx], logp_buf[idx], adv[idx],
+                                    ret[idx], policy, value, cfg)
+            step += 1
+            for ps, gs, ms in zip(params, grads, moments):
+                total = (flat_order_norm(gs, len(value.weights)) if flat_norm
+                         else math.sqrt(sum(float(np.sum(g ** 2)) for g in gs)))
+                if total > cfg.grad_clip:
+                    gs = [g * (cfg.grad_clip / total) for g in gs]
+                for p, g, m in zip(ps, gs, ms):
+                    if cfg.optimizer == "sgd":
+                        p -= cfg.learning_rate * g
+                        continue
+                    m[0] = 0.9 * m[0] + (1 - 0.9) * g
+                    m[1] = 0.999 * m[1] + (1 - 0.999) * g ** 2
+                    m_hat, v_hat = m[0] / (1 - 0.9 ** step), m[1] / (1 - 0.999 ** step)
+                    p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return policy.params() + value.params()
+
+
+def one_iteration(optimizer, grad_clip, flat_norm=False):
+    # 160 steps: minibatches of 128 and 32 rows, as in a default 4000-step
+    # horizon; 4 episodes of 49 steps fill it once
+    cfg = PpoConfig(horizon=160, minibatch=128, epochs=3, optimizer=optimizer,
+                    learning_rate=1e-3, grad_clip=grad_clip)
+    policy, value, log = train(RandomObsEnv(), cfg, episodes_budget=4,
+                               rng=np.random.default_rng(5))
+    assert len(log) == 1
+    reference = reference_iteration(RandomObsEnv(), cfg, np.random.default_rng(5), flat_norm)
+    return policy.params() + value.params(), reference
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_flat_update_equals_per_array_update_bit_for_bit(optimizer):
+    flat, reference = one_iteration(optimizer, grad_clip=1e6)  # clipping never binds
+    for a, b in zip(flat, reference):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_binding_clip_differs_only_in_the_norms_summation_order(optimizer):
+    # summed in the flat order, the reference's clipping norm gives the same bytes
+    flat, reference = one_iteration(optimizer, grad_clip=0.05, flat_norm=True)
+    for a, b in zip(flat, reference):
+        assert a.tobytes() == b.tobytes()
+    unclipped, _ = one_iteration(optimizer, grad_clip=1e6)
+    assert any(a.tobytes() != u.tobytes() for a, u in zip(flat, unclipped))  # it binds
+
+
+def test_flat_and_per_array_gradient_norms_agree():
+    # summed per array, the norm (so a binding clip's scale) differs from the
+    # flat one by summation order only; weights a clip scaled an ulp apart can
+    # differ by more after cancellation, so the bound is on the norm
+    rng = np.random.default_rng(3)
+    policy = PolicyNet(44, 4, rng=rng)
+    value = Mlp([44, 50, 50, 1], rng=rng, last_layer_scale=1.0)
+    net = ActorCritic(policy, value)
+    obs, act = rng.standard_normal((128, 44)), rng.standard_normal((128, 4))
+    ppo_loss(obs, act, rng.standard_normal(128) - 5.0, rng.standard_normal(128),
+             rng.standard_normal(128), net, PpoConfig())
+    parts = (net.grad_policy.params(), net.grad_value.params())
+    for grad, arrays in zip(net.grad_slices, parts):
+        per_array = math.sqrt(sum(float(np.sum(g ** 2)) for g in arrays))
+        np.testing.assert_allclose(math.sqrt(float(grad @ grad)), per_array, rtol=1e-15)

@@ -1,6 +1,9 @@
-"""Property tests of the batched objectives, the DE generation and iDE."""
+"""Property tests of the batched objectives, the DE generation, iDE and
+policy checkpoints."""
 
 import dataclasses
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,6 +15,9 @@ from evoadapt.baselines import archive_differences
 from evoadapt.benchmarks import (EvalBudget, evaluate, evaluate_population,
                                  get_function, registry_list)
 from evoadapt.de import de_generation, init_population, pick_pairs
+from evoadapt.observe import ObservationSpec
+from evoadapt.policy import action_spec, load_checkpoint, save_checkpoint
+from evoadapt.ppo import PpoConfig, train
 
 # a little beyond the [-5, 5] box, so the boundary penalty terms run too
 COORDS = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False, allow_subnormal=False)
@@ -108,3 +114,49 @@ def test_ide_archive_pairs_are_distinct_entries(m, n, seed):
     else:
         assert np.all(diffs != 0.0)
         assert np.all(np.abs(diffs) <= m - 1)
+
+
+class OneStepEnv:
+    """One-step episodes with a constant observation and reward 0."""
+
+    steps_per_episode = 1
+
+    def __init__(self, observation_dim, action_dim):
+        self.observation_dim, self.action_dim = observation_dim, action_dim
+
+    def reset(self):
+        return np.zeros(self.observation_dim)
+
+    def step(self, raw):
+        return np.zeros(self.observation_dim), 0.0, True
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["cma_sigma", "de_direct", "de_normal", "de_uniform"]),
+       hidden=st.lists(st.integers(min_value=1, max_value=6), max_size=2),
+       activation=st.sampled_from(["relu", "tanh"]), seed=SEEDS, data=st.data())
+def test_checkpoint_round_trips_bit_for_bit(kind, hidden, activation, seed, data):
+    obs_spec = ObservationSpec(history_length=data.draw(st.integers(1, 6), label="g"),
+                               include_intra_df=data.draw(st.booleans(), label="intra_df"),
+                               include_inter_dx=data.draw(st.booleans(), label="inter_dx"),
+                               include_intra_dx=data.draw(st.booleans(), label="intra_dx"))
+    a_dim = action_spec(kind).dim
+    cfg = PpoConfig(horizon=4, minibatch=2, epochs=1, hidden=tuple(hidden),
+                    activation=activation)
+    policy, _value, _log = train(OneStepEnv(obs_spec.length(a_dim), a_dim), cfg,
+                                 episodes_budget=4, rng=np.random.default_rng(seed))
+    # train returns a policy whose arrays are views into its flat parameters;
+    # any finite value, written through those views, must survive the file
+    assert all(p.base is not None for p in policy.params())
+    for i, p in enumerate(policy.params()):
+        p[...] = data.draw(arrays(np.float64, p.shape,
+                                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+                           label=f"param{i}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.json")
+        save_checkpoint(path, policy, kind, obs_spec)
+        loaded, loaded_kind, loaded_spec = load_checkpoint(path)
+    assert (loaded_kind, loaded_spec) == (kind, obs_spec)
+    assert loaded.mlp.sizes == policy.mlp.sizes and loaded.mlp.activation == activation
+    for a, b in zip(policy.params(), loaded.params()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
