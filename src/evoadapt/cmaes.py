@@ -22,7 +22,8 @@ EIGEN_FLOOR = 1e-20
 
 
 class StateNotFinite(ArithmeticError):
-    """A run's covariance holds NaN or inf, so it has no eigendecomposition.
+    """A run's covariance holds NaN or inf, so it has no square root to sample
+    from.
 
     `runs` indexes the offending runs of a lockstep batch (0 for a lone
     run); the message names the function and the generation.
@@ -77,9 +78,9 @@ def _recombination(lam: int, d: int):
 
 
 def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked eigendecomposition; a run whose smallest eigenvalue is not
-    positive has its eigenvalues floored."""
-    vals, vecs = np.linalg.eigh((cov + cov.swapaxes(-1, -2)) / 2.0)
+    """Eigendecomposition with the repair: a covariance whose smallest
+    eigenvalue is not positive has its eigenvalues floored."""
+    vals, vecs = np.linalg.eigh(cov)
     broken = vals[..., :1] <= 0.0
     if broken.any():
         logger.warning("covariance not positive definite (min eigenvalue %.3e), flooring",
@@ -88,11 +89,25 @@ def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def sample_offspring(mean: np.ndarray, cov: np.ndarray, sigma, lam: int, rng) -> np.ndarray:
+def _square_root(cov: np.ndarray) -> np.ndarray:
+    """`A` with `A @ A.T == cov`: the Cholesky factor, one stacked call over
+    runs. If a run is not positive definite, each run is factored alone and
+    the failing ones get `vecs * sqrt(floored vals)`; a run alone factors to
+    the bytes it gets in the stack."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        if cov.ndim > 2:
+            return np.array([_square_root(c) for c in cov])
     vals, vecs = _decompose(cov)
+    return vecs * np.sqrt(vals)
+
+
+def sample_offspring(mean: np.ndarray, cov: np.ndarray, sigma, lam: int, rng) -> np.ndarray:
+    root = _square_root(cov)
     z = per_run(rng, lambda r: r.standard_normal((lam, mean.shape[-1])))
     sigma = np.asarray(sigma, dtype=float)[..., None, None]
-    return mean[..., None, :] + sigma * (z * np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    return mean[..., None, :] + sigma * (z @ root.swapaxes(-1, -2))
 
 
 def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, lam: int, rng,

@@ -236,6 +236,7 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
     obs_buf, act_buf = packed[:, :in_dim], packed[:, in_dim:in_dim + a_dim]
     logp_buf, adv_buf, ret_buf = packed[:, in_dim + a_dim:].T
     rew_buf, val_buf = np.empty((2, T))
+    mean_buf = np.empty((T, a_dim))
     done_buf = np.empty(T, dtype=bool)
 
     while (episodes_budget - episodes_done) * steps_per_episode >= T:
@@ -243,13 +244,12 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
         for t in range(T):
             mean, log_std = policy.forward(obs)
             raw = mean + np.exp(log_std) * rng.standard_normal(a_dim)
-            logp = float(gaussian_log_prob(raw, mean, log_std))
             val = float(value.forward(obs)[0])
 
             next_obs, r, done = env.step(raw)
             obs_buf[t] = obs
             act_buf[t] = raw
-            logp_buf[t] = logp
+            mean_buf[t] = mean
             rew_buf[t] = r
             val_buf[t] = val
             done_buf[t] = done
@@ -261,6 +261,7 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
                 next_obs = env.reset()
             obs = next_obs
 
+        logp_buf[:] = gaussian_log_prob(act_buf, mean_buf, log_std)
         last_value = 0.0 if done_buf[-1] else float(value.forward(obs)[0])
         advantages, ret_buf[:] = compute_gae(rew_buf, val_buf, done_buf, config.gamma,
                                              config.gae_lambda, last_value)

@@ -139,15 +139,15 @@ def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, over
 
 
 def test_diverging_cma_run_raises_a_named_error(tmp_path):
-    """CSA on AttractiveSector-5, seed 30, drives the covariance to NaN; the
-    error names the function, the run seed and the generation instead of
-    letting `LinAlgError` escape from the eigendecomposition."""
+    """CSA on LinearSlope-5, seed 49, drives the covariance to NaN; the error
+    names the function, the run seed and the generation instead of letting
+    `LinAlgError` escape from the covariance factorisation."""
     out = tmp_path / "x"
     argv = ["evaluate", "--algorithm", "cmaes", "--adaptation", "csa", "--function",
-            "AttractiveSector", "--dimension", "5", "--seed", "30", "--runs", "1",
+            "LinearSlope", "--dimension", "5", "--seed", "49", "--runs", "1",
             "--out", str(out)]
-    with pytest.raises(StateNotFinite, match=r"AttractiveSector-5 is not finite at "
-                                             r"generation 49 \(run seeds \[30\]\)"):
+    with pytest.raises(StateNotFinite, match=r"LinearSlope-5 is not finite at "
+                                             r"generation 40 \(run seeds \[49\]\)"):
         main(argv)
     assert not out.exists()
 

@@ -1,9 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from evoadapt.benchmarks import EvalBudget, get_function
 from evoadapt.cmaes import (CmaState, cma_generation, init_state,
-                            sample_offspring, _decompose)
+                            sample_offspring, _decompose, _square_root)
 
 SPHERE = get_function("Sphere", 10)
 
@@ -49,6 +51,44 @@ def test_sampling_distribution(rng):
     X = sample_offspring(np.zeros(5), np.eye(5), 1.0, 100_000, rng)
     assert np.all(np.abs(X.mean(axis=0)) < 0.02)
     assert np.all(np.abs(X.std(axis=0) - 1.0) < 0.02)
+
+
+def test_sampling_distribution_rotated_ill_conditioned():
+    """Mean and covariance of the offspring are `m` and `sigma^2 C` for a
+    rotated C with condition number 1e4, where the square root's transpose
+    matters. Each entry of the sample mean and covariance must lie within
+    5 standard errors of its target."""
+    rng = np.random.default_rng(7)
+    rotation, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    C = (rotation * np.logspace(-2, 2, 5)) @ rotation.T
+    C = (C + C.T) / 2.0
+    mean, sigma, n = np.array([1.0, -2.0, 0.5, 3.0, -0.25]), 0.3, 200_000
+    X = sample_offspring(mean, C, sigma, n, rng)
+    target = sigma ** 2 * C
+    sd = np.sqrt(np.diag(target))
+    assert np.all(np.abs(X.mean(axis=0) - mean) < 5.0 * sd / np.sqrt(n))
+    # standard error of a sample covariance entry of a Gaussian
+    se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target ** 2) / n)
+    assert np.all(np.abs(np.cov(X, rowvar=False) - target) < 5.0 * se)
+
+
+def test_one_broken_run_takes_the_repair_and_the_others_keep_their_bytes(caplog):
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((3, 5, 5))
+    cov = M @ M.swapaxes(-1, -2) + 0.1 * np.eye(5)
+    cov[1] = np.diag([-1.0, 1.0, 2.0, 3.0, 4.0])
+    mean, sigma, lam = rng.standard_normal((3, 5)), np.array([0.5, 1.0, 2.0]), 8
+
+    with caplog.at_level(logging.WARNING, logger="evoadapt.cmaes"):
+        stacked = sample_offspring(mean, cov, sigma, lam,
+                                   [np.random.default_rng(s) for s in range(3)])
+    assert "flooring" in caplog.text
+    vals, vecs = _decompose(cov[1])
+    assert np.array_equal(_square_root(cov)[1], vecs * np.sqrt(vals))
+    assert np.isfinite(stacked).all()
+    for i in range(3):
+        alone = sample_offspring(mean[i], cov[i], sigma[i], lam, np.random.default_rng(i))
+        assert stacked[i].tobytes() == alone.tobytes(), i
 
 
 def test_best_so_far_envelope_non_increasing(rng):

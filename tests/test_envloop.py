@@ -242,9 +242,9 @@ class TestProtocol:
             run_test_protocol(FixedDeController, ("Sphere", 10), 0, runs=0)
 
     def test_diverging_cma_run_names_function_seed_and_generation(self):
-        with pytest.raises(StateNotFinite, match=r"AttractiveSector-5 is not finite at "
-                                                 r"generation \d+ \(run seeds \[30\]\)"):
-            run_test_protocol(lambda: CsaController(5), ("AttractiveSector", 5), 28, runs=4,
+        with pytest.raises(StateNotFinite, match=r"LinearSlope-5 is not finite at "
+                                                 r"generation \d+ \(run seeds \[49\]\)"):
+            run_test_protocol(lambda: CsaController(5), ("LinearSlope", 5), 47, runs=4,
                               algorithm="cmaes")
 
     def test_cma_protocol(self):

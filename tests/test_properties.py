@@ -1,5 +1,5 @@
-"""Property tests of the batched objectives, the DE generation, iDE and
-policy checkpoints."""
+"""Property tests of the batched objectives, the DE generation, the CMA-ES
+covariance, iDE and policy checkpoints."""
 
 import dataclasses
 import os
@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from evoadapt.baselines import archive_differences
 from evoadapt.benchmarks import (EvalBudget, evaluate, evaluate_population,
                                  get_function, registry_list)
+from evoadapt.cmaes import cma_generation, init_state
 from evoadapt.de import de_generation, init_population, pick_pairs
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import action_spec, load_checkpoint, save_checkpoint
@@ -100,6 +101,22 @@ def test_de_generation_spends_np_evaluations_and_keeps_the_best(entry, np_, F, C
         assert pop.best_fitness <= best
         best = pop.best_fitness
     assert np.all((pop.genotypes >= fn.lower) & (pop.genotypes <= fn.upper))
+
+
+@settings(max_examples=25, deadline=None)
+@given(entry=st.sampled_from(registry_list()),
+       sigma=st.floats(min_value=1e-3, max_value=3.0), seed=SEEDS)
+def test_cma_covariance_stays_symmetric_positive_definite(entry, sigma, seed):
+    """At a fixed sigma the covariance after every generation is exactly
+    symmetric and has a Cholesky factor, so sampling never needs the
+    eigenvalue repair."""
+    fn = get_function(*entry)
+    rng = np.random.default_rng(seed)
+    state = init_state(fn, sigma, rng)
+    for _ in range(30):
+        state = cma_generation(state, sigma, fn, 10, rng).state
+        assert np.array_equal(state.cov, state.cov.T)
+        np.linalg.cholesky(state.cov)
 
 
 @settings(max_examples=30, deadline=None)
