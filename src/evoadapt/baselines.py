@@ -1,13 +1,13 @@
 """Handcrafted adaptation baselines: CSA (step size), iDE and jDE (F, CR).
 
-Each works on one run, or on R runs in lockstep: state arrays then gain a
-leading run axis, and `rng` holds one Generator per run.
+Each works on R >= 1 runs in lockstep: state arrays hold a leading run
+axis, and `rng` holds one Generator per run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ def expected_chi_norm(d: int) -> float:
 
 @dataclass
 class CsaState:
-    path: np.ndarray                    # (d,), or (R, d) once it met R runs
+    path: np.ndarray                    # (d,) zeros, broadcast to (R, d) by the first update
     c: float
     d_sigma: float
     expected_norm: float
@@ -45,7 +45,8 @@ def make_csa_state(dim: int, c: float | None = None, d_sigma: float = 1.0) -> Cs
 
 
 def csa_update(state: CsaState, xi_star: np.ndarray, sigma) -> tuple[CsaState, np.ndarray]:
-    """Cumulate the best child's direction and rescale sigma.
+    """Cumulate each run's best-child direction (`(R, d)`) and rescale its
+    sigma (a scalar or `(R,)`); returns the new state and `(R,)` sigmas.
 
     The norm and exp run once per run: `np.linalg.norm` over a stack sums
     in another order than over one vector, and `np.exp` may round unlike
@@ -54,8 +55,8 @@ def csa_update(state: CsaState, xi_star: np.ndarray, sigma) -> tuple[CsaState, n
     c = state.c
     path = (1.0 - c) * state.path + math.sqrt(c * (2.0 - c)) * np.asarray(xi_star, dtype=float)
     factors = [math.exp((c / state.d_sigma) * (np.linalg.norm(p) / state.expected_norm - 1.0))
-               for p in path.reshape(-1, path.shape[-1])]
-    new_sigma = np.asarray(sigma, dtype=float) * np.reshape(factors, path.shape[:-1])
+               for p in path]
+    new_sigma = np.asarray(sigma, dtype=float) * np.array(factors)
     return CsaState(path=path, c=c, d_sigma=state.d_sigma,
                     expected_norm=state.expected_norm), new_sigma
 
@@ -65,10 +66,10 @@ def csa_update(state: CsaState, xi_star: np.ndarray, sigma) -> tuple[CsaState, n
 
 @dataclass
 class IdeState:
-    F: np.ndarray                       # per-individual scale factors, (NP,) or (R, NP)
-    CR: np.ndarray                      # per-individual crossover rates
-    f_archive: list = field(default_factory=list)   # floats; one such list per run for R runs
-    cr_archive: list = field(default_factory=list)
+    F: np.ndarray                       # per-individual scale factors, (R, NP)
+    CR: np.ndarray                      # per-individual crossover rates, (R, NP)
+    f_archive: list                     # one list of floats per run
+    cr_archive: list
 
 
 def make_ide_state(np_: int, rng) -> IdeState:
@@ -91,19 +92,20 @@ def archive_differences(archive: list[float], n: int, rng: np.random.Generator) 
 
 
 def ide_update(state: IdeState, best_index, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Per-individual (F, CR) perturbed around the best individual's values."""
-    if not state.f_archive or not state.cr_archive:
+    """Per-individual (F, CR) perturbed around each run's best individual's
+    values (`best_index` holds one index per run)."""
+    if not all(state.f_archive) or not all(state.cr_archive):
         raise ValueError("iDE archives must be non-empty")
-    np_ = state.F.shape[-1]
+    np_ = state.F.shape[1]
 
     def noise(r, f_archive, cr_archive):
         return (r.normal(0.0, 0.5, np_) * archive_differences(f_archive, np_, r),
                 r.normal(0.0, 0.5, np_) * archive_differences(cr_archive, np_, r))
 
     noises = per_run(rng, noise, state.f_archive, state.cr_archive)
-    best = np.asarray(best_index)[..., None]
-    F = np.take_along_axis(state.F, best, axis=-1) + noises[..., 0, :]
-    CR = np.take_along_axis(state.CR, best, axis=-1) + noises[..., 1, :]
+    best = np.asarray(best_index)[:, None]
+    F = np.take_along_axis(state.F, best, axis=1) + noises[:, 0]
+    CR = np.take_along_axis(state.CR, best, axis=1) + noises[:, 1]
     return np.clip(F, F_LOW, F_HIGH), np.clip(CR, CR_LOW, CR_HIGH)
 
 
@@ -112,11 +114,7 @@ def ide_record_success(state: IdeState, F: np.ndarray, CR: np.ndarray, replaced:
     won = np.asarray(replaced, dtype=bool)
     state.F[won] = F[won]
     state.CR[won] = CR[won]
-    archives = (zip(state.f_archive, state.cr_archive) if won.ndim > 1
-                else [(state.f_archive, state.cr_archive)])
-    np_ = won.shape[-1]
-    for (f_archive, cr_archive), f, cr, w in zip(archives, F.reshape(-1, np_),
-                                                 CR.reshape(-1, np_), won.reshape(-1, np_)):
+    for f_archive, cr_archive, f, cr, w in zip(state.f_archive, state.cr_archive, F, CR, won):
         f_archive.extend(f[w].tolist())
         cr_archive.extend(cr[w].tolist())
 
@@ -126,8 +124,8 @@ def ide_record_success(state: IdeState, F: np.ndarray, CR: np.ndarray, replaced:
 
 @dataclass
 class JdeState:
-    best_F: float = 0.5                 # a float, or one value per run
-    best_CR: float = 0.9
+    best_F: np.ndarray                  # (R,)
+    best_CR: np.ndarray                 # (R,)
     p: float = 0.1
 
 
@@ -139,7 +137,7 @@ def jde_update(state: JdeState, rng) -> tuple[np.ndarray, np.ndarray]:
         return F, CR
 
     drawn = per_run(rng, draw, state.best_F, state.best_CR)
-    return drawn[..., 0], drawn[..., 1]
+    return drawn[:, 0], drawn[:, 1]
 
 
 def jde_record(state: JdeState, F, CR, improved) -> None:

@@ -84,20 +84,18 @@ def evaluate_population(fn: BenchmarkFunction, X: np.ndarray, budget: EvalBudget
 
 def evaluate_runs(fn: BenchmarkFunction, X: np.ndarray,
                   budget: EvalBudget | None = None) -> np.ndarray:
-    """Fitnesses `(..., n)` of a `(..., n, d)` stack (one population per run),
+    """Fitnesses `(R, n)` of an `(R, n, d)` stack (one population per run),
     from one `evaluate_population` call over all its rows."""
     return evaluate_population(fn, X.reshape(-1, fn.dimension), budget).reshape(X.shape[:-1])
 
 
 def per_run(rng, draw: Callable, *args) -> np.ndarray:
-    """`draw(generator, *args)` for one run, or stacked over runs in lockstep.
+    """`draw(generator, *args)` stacked over runs in lockstep.
 
-    `rng` is one Generator, or one Generator per run; then each of `args`
-    holds one entry per run. Only the random draws loop over runs, so each
-    run's generator is used exactly as a run stepped alone would use it.
+    `rng` holds one Generator per run, and each of `args` one entry per run.
+    Only the random draws loop over runs, so each run's generator is used
+    exactly as a one-run batch would use it.
     """
-    if isinstance(rng, np.random.Generator):
-        return np.asarray(draw(rng, *args))
     return np.array([draw(r, *row) for r, *row in zip(rng, *args)])
 
 

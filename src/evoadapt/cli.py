@@ -119,10 +119,9 @@ def _load_policy(path: str):
 
 
 def _controller_factory(algorithm: str, adaptation: str, checkpoint: tuple | None,
-                        fixed_f: float, fixed_cr: float, fixed_sigma: float,
-                        sigma0: float, fn_key: tuple):
-    """Controller constructor for one function. `checkpoint` is what
-    `load_checkpoint` returned, which `adaptation == "policy"` needs;
+                        fixed_f: float, fixed_cr: float, fixed_sigma: float):
+    """Controller constructor, one fresh controller per protocol. `checkpoint`
+    is what `load_checkpoint` returned, which `adaptation == "policy"` needs;
     `algorithm` was read from that same checkpoint."""
     if adaptation == "policy":
         if checkpoint is None:
@@ -139,9 +138,8 @@ def _controller_factory(algorithm: str, adaptation: str, checkpoint: tuple | Non
             return lambda: FixedDeController(fixed_f, fixed_cr)
         raise ConfigError(f"adaptation {adaptation!r} is not available for de")
     if algorithm == "cmaes":
-        dim = fn_key[1]
         if adaptation == "csa":
-            return lambda: CsaController(dim, sigma0=sigma0)
+            return CsaController
         if adaptation == "fixed":
             return lambda: FixedSigmaController(fixed_sigma)
         raise ConfigError(f"adaptation {adaptation!r} is not available for cmaes")
@@ -172,11 +170,9 @@ def cmd_evaluate(args) -> int:
         fn = get_function(args.function, args.dimension)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from exc
-    fn_key = (fn.name, fn.dimension)
     factory = _controller_factory(algorithm, adaptation, checkpoint,
-                                  args.fixed_f, args.fixed_cr, args.fixed_sigma,
-                                  args.sigma0, fn_key)
-    result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
+                                  args.fixed_f, args.fixed_cr, args.fixed_sigma)
+    result = run_test_protocol(factory, (fn.name, fn.dimension), args.seed, runs=args.runs,
                                algorithm=algorithm, sigma0=args.sigma0)
     out_dir = args.out
     write_csv(os.path.join(out_dir, "metrics.csv"),
@@ -218,17 +214,19 @@ def cmd_compare(args) -> int:
     else:
         functions = registry_list()
 
-    def metrics_for(adaptation, checkpoint, fn_key):
-        factory = _controller_factory(algorithm, adaptation, checkpoint, args.fixed_f,
-                                      args.fixed_cr, args.fixed_sigma, args.sigma0, fn_key)
-        result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
-                                   algorithm=algorithm, sigma0=args.sigma0)
-        return result.aucs if args.metric == "auc" else result.bests
+    def metrics(adaptation, checkpoint=None):
+        """Each function's per-run metric under one controller factory."""
+        factory = _controller_factory(algorithm, adaptation, checkpoint,
+                                      args.fixed_f, args.fixed_cr, args.fixed_sigma)
+        out = {}
+        for fn_key in functions:
+            result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
+                                       algorithm=algorithm, sigma0=args.sigma0)
+            out[fn_key] = result.aucs if args.metric == "auc" else result.bests
+        return out
 
-    opponent_metrics = {fn_key: metrics_for(opponent, None, fn_key) for fn_key in functions}
-    variant_metrics = {label: {fn_key: metrics_for("policy", checkpoint, fn_key)
-                               for fn_key in functions}
-                       for label, checkpoint in variants}
+    opponent_metrics = metrics(opponent)
+    variant_metrics = {label: metrics("policy", checkpoint) for label, checkpoint in variants}
 
     matrix = build_comparison(variant_metrics, opponent_metrics, functions)
     os.makedirs(args.out, exist_ok=True)

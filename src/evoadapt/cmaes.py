@@ -2,7 +2,8 @@
 
 Mean and covariance updates follow Hansen's canonical recombination weights
 and learning rates; only sigma control is delegated to the caller (learned
-policy, CSA baseline or a fixed value).
+policy, CSA baseline or a fixed value). Every array holds R >= 1 runs in
+lockstep on a leading axis, and `rng` holds one Generator per run.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ class StateNotFinite(ArithmeticError):
     """A run's covariance holds NaN or inf, so it has no square root to sample
     from.
 
-    `runs` indexes the offending runs of a lockstep batch (0 for a lone
-    run); the message names the function and the generation.
+    `runs` indexes the offending runs of the lockstep batch; the message
+    names the function and the generation.
     """
 
     def __init__(self, message: str, runs):
@@ -36,33 +37,33 @@ class StateNotFinite(ArithmeticError):
 
 @dataclass
 class CmaState:
-    """One run's state, or R runs' with a leading run axis on every array."""
-    mean: np.ndarray        # (d,) or (R, d)
-    cov: np.ndarray         # (d, d) or (R, d, d)
-    sigma: float | np.ndarray
-    path_c: np.ndarray
+    """R runs' state, with a leading run axis on every array."""
+    mean: np.ndarray        # (R, d)
+    cov: np.ndarray         # (R, d, d)
+    path_c: np.ndarray      # (R, d)
     generation_index: int = 0
 
 
 @dataclass
 class GenerationResult:
     state: CmaState
-    samples: np.ndarray     # unclipped offspring, (lam, d) or (R, lam, d)
+    samples: np.ndarray     # unclipped offspring, (R, lam, d)
     genotypes: np.ndarray   # clipped points that were evaluated
-    fitnesses: np.ndarray
+    fitnesses: np.ndarray   # (R, lam)
     mean_before: np.ndarray
-    sigma_used: np.ndarray  # () or (R,)
+    sigma_used: np.ndarray  # () for one sigma for all runs, else (R,)
 
     @property
-    def best_index(self):
-        return np.argmin(self.fitnesses, axis=-1)
+    def best_index(self) -> np.ndarray:
+        return np.argmin(self.fitnesses, axis=1)
 
 
-def init_state(fn: BenchmarkFunction, sigma0: float, rng) -> CmaState:
+def init_state(fn: BenchmarkFunction, rng) -> CmaState:
+    """Each run's mean uniform in the box, identity covariance, zero path."""
     mean = per_run(rng, lambda r: r.uniform(fn.lower, fn.upper))
     d = fn.dimension
-    return CmaState(mean=mean, cov=np.broadcast_to(np.eye(d), mean.shape + (d,)).copy(),
-                    sigma=float(sigma0), path_c=np.zeros_like(mean))
+    return CmaState(mean=mean, cov=np.broadcast_to(np.eye(d), (len(mean), d, d)).copy(),
+                    path_c=np.zeros_like(mean))
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,42 +91,48 @@ def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _square_root(cov: np.ndarray) -> np.ndarray:
-    """`A` with `A @ A.T == cov`: the Cholesky factor, one stacked call over
-    runs. If a run is not positive definite, each run is factored alone and
-    the failing ones get `vecs * sqrt(floored vals)`; a run alone factors to
-    the bytes it gets in the stack."""
+    """`A` with `A @ A.T == cov` for each run of an `(R, d, d)` stack: the
+    Cholesky factor, one stacked call over runs. If a run is not positive
+    definite, each run is factored alone and the failing ones get
+    `vecs * sqrt(floored vals)`; a run alone factors to the bytes it gets
+    in the stack."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        if cov.ndim > 2:
-            return np.array([_square_root(c) for c in cov])
-    vals, vecs = _decompose(cov)
-    return vecs * np.sqrt(vals)
+        return np.array([_repaired_root(c) for c in cov])
+
+
+def _repaired_root(cov: np.ndarray) -> np.ndarray:
+    """One run's `(d, d)` square root, through the repair if it needs it."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        vals, vecs = _decompose(cov)
+        return vecs * np.sqrt(vals)
 
 
 def sample_offspring(mean: np.ndarray, cov: np.ndarray, sigma, lam: int, rng) -> np.ndarray:
+    """`lam` offspring per run, `(R, lam, d)`, around the `(R, d)` means."""
     root = _square_root(cov)
-    z = per_run(rng, lambda r: r.standard_normal((lam, mean.shape[-1])))
+    z = per_run(rng, lambda r: r.standard_normal((lam, mean.shape[1])))
     sigma = np.asarray(sigma, dtype=float)[..., None, None]
-    return mean[..., None, :] + sigma * (z @ root.swapaxes(-1, -2))
+    return mean[:, None, :] + sigma * (z @ root.swapaxes(-1, -2))
 
 
 def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, lam: int, rng,
                    budget: EvalBudget | None = None) -> GenerationResult:
-    """One generation at the given step size, of one run or of R runs in
-    lockstep (`sigma` is then a scalar or one value per run, `rng` one
-    Generator per run); consumes `lam` evaluations per run, in one
+    """One generation of R runs in lockstep at the given step size (a scalar
+    or one value per run); consumes `lam` evaluations per run, in one
     objective call."""
     sigma = np.asarray(sigma, dtype=float)
     if (sigma <= 0.0).any():
         raise ValueError(f"sigma must be positive, got {sigma}")
     if lam < 2:
         raise ValueError(f"lambda must be >= 2, got {lam}")
-    runs = state.mean.shape[:-1]
-    needed = lam * math.prod(runs)
+    needed = lam * len(state.mean)
     if budget is not None and budget.remaining < needed:
         raise BudgetExhausted(f"generation needs {needed} evaluations, {budget.remaining} left")
-    broken = ~np.isfinite(state.cov).all(axis=(-2, -1))
+    broken = ~np.isfinite(state.cov).all(axis=(1, 2))
     if broken.any():
         raise StateNotFinite(f"CMA-ES covariance on {fn.name}-{fn.dimension} is not finite "
                              f"at generation {state.generation_index}",
@@ -138,20 +145,20 @@ def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, lam: int, rng,
     genotypes = np.clip(samples, fn.lower, fn.upper)
     fitnesses = evaluate_runs(fn, genotypes, budget)
 
-    order = np.argsort(fitnesses, axis=-1)
-    elite = np.take_along_axis(samples, order[..., :mu, None], axis=-2)  # unclipped samples
+    order = np.argsort(fitnesses, axis=1)
+    elite = np.take_along_axis(samples, order[:, :mu, None], axis=1)  # unclipped samples
     mean_new = weights @ elite
     step = sigma[..., None]
     y_w = (mean_new - state.mean) / step
     path_c = (1.0 - c_c) * state.path_c + math.sqrt(c_c * (2.0 - c_c) * mu_eff) * y_w
 
-    ys = (elite - state.mean[..., None, :]) / step[..., None]
+    ys = (elite - state.mean[:, None, :]) / step[..., None]
     rank_mu = (weights[:, None] * ys).swapaxes(-1, -2) @ ys
-    outer = path_c[..., :, None] * path_c[..., None, :]
+    outer = path_c[:, :, None] * path_c[:, None, :]
     cov = (1.0 - c_1 - c_mu) * state.cov + c_1 * outer + c_mu * rank_mu
     cov = (cov + cov.swapaxes(-1, -2)) / 2.0
 
-    new_state = CmaState(mean=mean_new, cov=cov, sigma=sigma, path_c=path_c,
+    new_state = CmaState(mean=mean_new, cov=cov, path_c=path_c,
                          generation_index=state.generation_index + 1)
     return GenerationResult(state=new_state, samples=samples, genotypes=genotypes,
                             fitnesses=fitnesses, mean_before=state.mean.copy(), sigma_used=sigma)

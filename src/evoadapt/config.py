@@ -32,7 +32,6 @@ class TrainingSection:
 
 @dataclass
 class TestSection:
-    runs: int = 50
     generations: int = 50
     population: int = 10
 
@@ -71,8 +70,8 @@ class ExperimentConfig:
             raise ConfigError("cmaes requires the cma_sigma action space")
         if self.algorithm == "de" and self.action == "cma_sigma":
             raise ConfigError("de requires a DE action space")
-        if self.training.episodes <= 0 or self.test.runs <= 0:
-            raise ConfigError("budgets must be positive")
+        if self.training.episodes <= 0:
+            raise ConfigError(f"training.episodes must be positive, got {self.training.episodes}")
         steps = self.training.episodes * (self.test.generations - 1)
         if steps < self.ppo.horizon:
             raise ConfigError(f"training.episodes x (test.generations - 1) = {steps} steps "

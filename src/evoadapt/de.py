@@ -2,7 +2,8 @@
 
 Scale factor and crossover rate are stored per individual so that a single
 global pair (broadcast), per-individual baselines (iDE) and policy-sampled
-values all go through the same generation step.
+values all go through the same generation step. Every array holds R >= 1
+runs in lockstep on a leading axis, and `rng` holds one Generator per run.
 """
 
 from __future__ import annotations
@@ -21,31 +22,26 @@ MIN_POPULATION = 4  # best + two distinct difference individuals + parent
 
 @dataclass
 class Population:
-    genotypes: np.ndarray  # (NP, d), or (R, NP, d) for R runs in lockstep
-    fitnesses: np.ndarray  # (NP,) or (R, NP)
-    generation_index: int = 0
+    genotypes: np.ndarray  # (R, NP, d)
+    fitnesses: np.ndarray  # (R, NP)
 
     @property
-    def size(self) -> int:
-        return self.genotypes.shape[-2]
+    def best_index(self) -> np.ndarray:
+        return self.fitnesses.argmin(axis=1)
 
     @property
-    def best_index(self):
-        return self.fitnesses.argmin(axis=-1)
-
-    @property
-    def best_fitness(self):
-        return self.fitnesses.min(axis=-1)
+    def best_fitness(self) -> np.ndarray:
+        return self.fitnesses.min(axis=1)
 
 
 def init_population(fn: BenchmarkFunction, np_: int, rng,
                     budget: EvalBudget | None = None) -> Population:
     """Uniform random population within bounds; consumes NP evaluations per
-    run. `rng` is one Generator, or a list of them for runs in lockstep."""
+    run."""
     if np_ < MIN_POPULATION:
         raise ValueError(f"population size must be >= {MIN_POPULATION}, got {np_}")
     genotypes = per_run(rng, lambda r: r.uniform(fn.lower, fn.upper, size=(np_, fn.dimension)))
-    return Population(genotypes, evaluate_runs(fn, genotypes, budget), 0)
+    return Population(genotypes, evaluate_runs(fn, genotypes, budget))
 
 
 def mutate_best1(best: np.ndarray, a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
@@ -53,34 +49,32 @@ def mutate_best1(best: np.ndarray, a: np.ndarray, b: np.ndarray, f) -> np.ndarra
     return best + f * (a - b)
 
 
-def pick_pairs(np_: int, best, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Difference indices (a[i], b[i]) for every individual i: distinct from
-    each other, from i and from `best`. Each row ranks random keys with i
-    and `best` masked out and keeps the two smallest; with runs in lockstep
-    `best` holds one index per run and the keys are `(R, NP, NP)`."""
+def pick_pairs(np_: int, best: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Difference indices (a[r, i], b[r, i]) for every individual i of every
+    run r: distinct from each other, from i and from the run's `best[r]`.
+    Each row ranks random `(R, NP, NP)` keys with i and `best` masked out
+    and keeps the two smallest."""
     keys = per_run(rng, lambda r: r.random((np_, np_)))
     rows = np.arange(np_)
-    masked = (rows[:, None] == rows) | (rows == np.asarray(best)[..., None, None])
+    masked = (rows[:, None] == rows) | (rows == np.asarray(best)[:, None, None])
     pair = np.argpartition(np.where(masked, np.inf, keys), 1, axis=-1)
     return pair[..., 0], pair[..., 1]
 
 
 def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, rng,
                   budget: EvalBudget | None = None) -> tuple[Population, np.ndarray]:
-    """One best/1/bin generation of one run, or of R runs in lockstep
-    (`(R, NP, d)` genotypes, one Generator per run in `rng`).
+    """One best/1/bin generation of R runs in lockstep.
 
-    `F` and `CR` broadcast against the fitnesses: a scalar, one value per
-    individual, or `(R, 1)` for one value per run. Returns the next
-    population and the mask of parents that were replaced by their trial
-    (child fitness <= parent fitness). Consumes exactly NP evaluations per
-    run, all runs' children in one objective call; if the budget cannot
-    cover them, the generation is aborted before consuming anything.
+    `F` and `CR` broadcast against the `(R, NP)` fitnesses: a scalar, one
+    value per individual, or `(R, 1)` for one value per run. Returns the
+    next population and the `(R, NP)` mask of parents that were replaced by
+    their trial (child fitness <= parent fitness). Consumes exactly NP
+    evaluations per run, all runs' children in one objective call; if the
+    budget cannot cover them, the generation is aborted before consuming
+    anything.
     """
-    shape = pop.fitnesses.shape
-    X = pop.genotypes.reshape((-1,) + pop.genotypes.shape[-2:])  # a lone run as R = 1
+    X, fit = pop.genotypes, pop.fitnesses
     R, np_, d = X.shape
-    fit = pop.fitnesses.reshape(R, np_)
     F = np.asarray(F, dtype=float)[..., None]    # broadcasts against (R, NP, d)
     CR = np.asarray(CR, dtype=float)[..., None]
     if budget is not None and budget.remaining < fit.size:
@@ -96,6 +90,5 @@ def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, rng,
 
     child_fit = evaluate_runs(fn, children, budget)
     replaced = child_fit <= fit
-    genotypes = np.where(replaced[..., None], children, X).reshape(pop.genotypes.shape)
-    fitnesses = np.where(replaced, child_fit, fit).reshape(shape)
-    return Population(genotypes, fitnesses, pop.generation_index + 1), replaced.reshape(shape)
+    return (Population(np.where(replaced[..., None], children, X),
+                       np.where(replaced, child_fit, fit)), replaced)

@@ -5,13 +5,13 @@ exactly 500 evaluations: generation 0 is the evaluated initial population
 (DE) or the first sampling at the initial step size (CMA-ES), followed by
 49 controller-driven generations.
 
-`Episode` steps every run, for the test protocol (`run_episode` with a
-`Controller`) and for PPO (`EvolutionEnv`) alike.
+`Episode` steps every run as a lockstep batch of R >= 1 runs, for the test
+protocol (`run_episode` with a `Controller`, R runs) and for PPO
+(`EvolutionEnv`, one run) alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,31 +54,31 @@ def multi_function_sampler(function_set: list, rng: np.random.Generator):
 class DeOutcome(NamedTuple):
     F: np.ndarray
     CR: np.ndarray
-    replaced: np.ndarray    # parents their trial replaced
-    improved: bool          # the best fitness went down
+    replaced: np.ndarray    # (R, NP): parents their trial replaced
+    improved: np.ndarray    # (R,): the run's best fitness went down
 
 
 class Episode:
-    """One run of `algorithm` on `fn` (`rng` a Generator), or R runs in
-    lockstep (one Generator per run: arrays gain a leading run axis, `runs`
-    is `(R,)`, one objective call per generation). Construction evaluates
-    generation 0: the DE population, or the first CMA-ES sampling at
-    `sigma0` (kept as `result`). `start(action)` records it; `apply(params,
-    action)` runs one generation with F/CR or sigma, records its trace rows
-    and rewards, and returns a `DeOutcome` or the CMA-ES `GenerationResult`."""
+    """R runs (`runs`) of `algorithm` on `fn` in lockstep, one Generator per
+    run in `rng`: every array has a leading run axis, and each generation is
+    one objective call. Construction evaluates generation 0: the DE
+    population, or the first CMA-ES sampling at `sigma0` (kept as `result`).
+    `start(action)` records it; `apply(params, action)` runs one generation
+    with F/CR or sigma, records its trace rows and rewards, and returns a
+    `DeOutcome` or the CMA-ES `GenerationResult`."""
 
-    def __init__(self, fn: BenchmarkFunction, algorithm: str, rng,
+    def __init__(self, fn: BenchmarkFunction, algorithm: str, rng: list,
                  generations: int = DEFAULT_GENERATIONS,
                  population: int = DEFAULT_POPULATION, sigma0: float = DEFAULT_SIGMA0):
         self.fn, self.algorithm, self.rng = fn, algorithm, rng
         self.generations, self.population, self.sigma0 = generations, population, sigma0
-        self.runs = () if isinstance(rng, np.random.Generator) else (len(rng),)
-        self.budget = EvalBudget(generations * population * math.prod(self.runs))
+        self.runs = len(rng)
+        self.budget = EvalBudget(generations * population * self.runs)
         self.trace = RunTrace()
         if algorithm == "de":
             self.pop = de.init_population(fn, population, rng, self.budget)
         elif algorithm == "cmaes":
-            state = cmaes.init_state(fn, sigma0, rng)
+            state = cmaes.init_state(fn, rng)
             self.result = cmaes.cma_generation(state, sigma0, fn, population, rng, self.budget)
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -90,12 +90,12 @@ class Episode:
     def each(self, action) -> np.ndarray:
         """The same action for every run."""
         action = np.asarray(action, dtype=float)
-        return np.broadcast_to(action, self.runs + action.shape)
+        return np.broadcast_to(action, (self.runs,) + action.shape)
 
     def start(self, action) -> None:
         last = self.pop if self.algorithm == "de" else self.result
         self.trace.append_generation(last.genotypes, last.fitnesses, action)
-        self.trace.rewards.append(np.zeros(self.runs) if self.runs else 0.0)
+        self.trace.rewards.append(np.zeros(self.runs))
 
     def apply(self, params, action):
         if self.algorithm == "de":
@@ -177,19 +177,20 @@ class FixedSigmaController(Controller):
 
 
 class CsaController(FixedSigmaController):
-    def __init__(self, dim: int, sigma0: float = DEFAULT_SIGMA0,
-                 c: float | None = None, d_sigma: float = 1.0):
-        super().__init__(sigma0)
-        self.state = baselines.make_csa_state(dim, c=c, d_sigma=d_sigma)
+    """CSA with its default constants for the episode's dimension."""
+
+    def __init__(self):
+        """No settings: `start` builds the CSA state, and its feedback on
+        generation 0's sampling at `sigma0` sets the first sigmas."""
 
     def start(self, episode):
+        self.state = baselines.make_csa_state(episode.fn.dimension)
         self.feedback(episode.result)
         return super().start(episode)
 
     def feedback(self, outcome: cmaes.GenerationResult):
-        best = np.asarray(outcome.best_index)[..., None, None]
-        xi_star = ((np.take_along_axis(outcome.samples, best, axis=-2)[..., 0, :]
-                    - outcome.mean_before) / outcome.sigma_used[..., None])
+        best = outcome.samples[np.arange(len(outcome.samples)), outcome.best_index]
+        xi_star = (best - outcome.mean_before) / outcome.sigma_used[..., None]
         self.state, self.sigma = baselines.csa_update(self.state, xi_star, outcome.sigma_used)
 
 
@@ -246,15 +247,21 @@ def run_episode(episode: Episode, controller) -> RunTrace:
     return episode.trace
 
 
-def run_de_episode(fn: BenchmarkFunction, controller, rng, generations: int = DEFAULT_GENERATIONS,
+def run_de_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator,
+                   generations: int = DEFAULT_GENERATIONS,
                    population: int = DEFAULT_POPULATION) -> RunTrace:
-    return run_episode(Episode(fn, "de", rng, generations, population), controller)
+    """The trace of one DE run drawing from `rng`: a one-run `Episode`."""
+    episode = Episode(fn, "de", [rng], generations, population)
+    return run_episode(episode, controller).split_runs()[0]
 
 
-def run_cma_episode(fn: BenchmarkFunction, controller, rng, generations: int = DEFAULT_GENERATIONS,
+def run_cma_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator,
+                    generations: int = DEFAULT_GENERATIONS,
                     population: int = DEFAULT_POPULATION,
                     sigma0: float = DEFAULT_SIGMA0) -> RunTrace:
-    return run_episode(Episode(fn, "cmaes", rng, generations, population, sigma0), controller)
+    """The trace of one CMA-ES run drawing from `rng`: a one-run `Episode`."""
+    episode = Episode(fn, "cmaes", [rng], generations, population, sigma0)
+    return run_episode(episode, controller).split_runs()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +270,11 @@ def run_cma_episode(fn: BenchmarkFunction, controller, rng, generations: int = D
 class EvolutionEnv:
     """Step interface over evolutionary runs for the PPO trainer.
 
-    One reset/step cycle covers one episode: reset samples the function,
-    runs generation 0 and returns the observation, each step applies one
-    controlled generation. Policy-emitted raw actions are clipped into the
-    action space before decoding.
+    One reset/step cycle covers one episode, a one-run `Episode` drawing
+    from the env's generator: reset samples the function, runs generation 0
+    and returns the observation, each step applies one controlled
+    generation. PPO sees run 0's observation and reward. Policy-emitted raw
+    actions are clipped into the action space before decoding.
     """
 
     def __init__(self, config: EpisodeConfig, rng: np.random.Generator):
@@ -291,15 +299,15 @@ class EvolutionEnv:
         cfg = self.config
         function = multi_function_sampler(cfg.functions, self.rng)
         self.episode_log.append(function)
-        self.episode = Episode(get_function(*function), cfg.algorithm, self.rng,
+        self.episode = Episode(get_function(*function), cfg.algorithm, [self.rng],
                                cfg.generations, cfg.population, cfg.sigma0)
         self.episode.start(self.decoder.start(self.episode))
-        return self.decoder.observe(self.episode)
+        return self.decoder.observe(self.episode)[0]
 
     def step(self, raw_action: np.ndarray):
-        action = self.spec.clip(raw_action)
+        action = self.spec.clip(raw_action)[None]
         self.episode.apply(self.decoder.decode(self.episode, action), action)
-        return (self.decoder.observe(self.episode), self.episode.trace.rewards[-1],
+        return (self.decoder.observe(self.episode)[0], self.episode.trace.rewards[-1][0],
                 self.episode.done)
 
 
@@ -320,7 +328,8 @@ def run_test_protocol(controller_factory, function: tuple, seed_base: int,
                       sigma0: float = DEFAULT_SIGMA0) -> ProtocolResult:
     """Seeded runs seed_base..seed_base+runs-1 stepped in lockstep under one
     controller; run i draws only from `default_rng(seed_base + i)`, so it
-    gives the bytes it gives alone. Results are ordered by run index."""
+    gives the bytes of a one-run batch of that seed. Results are ordered by
+    run index."""
     if runs < 1:
         raise ValueError(f"a protocol needs at least one run, got {runs}")
     fn = get_function(*function)

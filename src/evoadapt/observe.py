@@ -3,8 +3,9 @@
 All metrics are normalized so that the policy input stays in a fixed range
 regardless of the objective's scale: fitness deltas are self-normalized with
 a 1e-5 guard against division by zero, genotype deltas are normalized by the
-search-space bounds. A trace of R lockstep runs holds a leading run axis
-in every entry; its metrics gain a trailing one (observations one row each).
+search-space bounds. A trace of R >= 1 lockstep runs holds a leading run
+axis in every entry; its metrics gain a trailing one, and observations are
+one row per run. `RunTrace.split_runs` gives each run its own trace.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ import numpy as np
 EPS = 1e-5
 
 
-def _entry(value):
-    """A lone run's scalar as a Python float; a per-run array as it is."""
-    return value.item() if value.ndim == 0 else value
-
-
 @dataclass
 class RunTrace:
-    """Per-generation record of one evolutionary run (or of R lockstep runs)."""
+    """Per-generation record of R lockstep runs, one `(R, ...)` entry per
+    generation; `split_runs` turns it into one plain trace per run."""
 
     best_fitness: list = field(default_factory=list)
     best_genotype: list = field(default_factory=list)
@@ -39,15 +36,15 @@ class RunTrace:
 
     def append_generation(self, genotypes: np.ndarray, fitnesses: np.ndarray,
                           action: np.ndarray) -> None:
-        runs = fitnesses.shape[:-1]
-        f = fitnesses.reshape(-1, fitnesses.shape[-1])  # a lone run as one row
-        rows = np.arange(len(f)), f.argmin(axis=1)
-        self.best_fitness.append(_entry(f[rows].reshape(runs)))
-        self.best_genotype.append(genotypes.reshape(f.shape + (-1,))[rows].reshape(runs + (-1,)))
-        self.fitness_max.append(_entry(f.max(axis=1).reshape(runs)))
-        self.fitness_min.append(_entry(f.min(axis=1).reshape(runs)))
-        self.genotype_max.append(genotypes.max(axis=-2))
-        self.genotype_min.append(genotypes.min(axis=-2))
+        """Record `(R, NP, d)` genotypes, `(R, NP)` fitnesses and the
+        `(R, actions)` actions that produced them."""
+        rows = np.arange(len(fitnesses)), fitnesses.argmin(axis=1)
+        self.best_fitness.append(fitnesses[rows])
+        self.best_genotype.append(genotypes[rows])
+        self.fitness_max.append(fitnesses.max(axis=1))
+        self.fitness_min.append(fitnesses.min(axis=1))
+        self.genotype_max.append(genotypes.max(axis=1))
+        self.genotype_min.append(genotypes.min(axis=1))
         self.actions.append(np.asarray(action, dtype=float))
 
     def split_runs(self) -> list[RunTrace]:

@@ -190,7 +190,7 @@ def decode_de_params(action: np.ndarray, spec: ActionSpec, np_: int,
 
 
 def decode_sigma(action: np.ndarray) -> np.ndarray:
-    """Sigma of one action `(1,)`, or of one action per run `(R, 1)`."""
+    """One sigma per run, `(R,)`, from one action per run, `(R, 1)`."""
     return np.clip(np.asarray(action, dtype=float)[..., 0], SIGMA_MIN, SIGMA_MAX)
 
 

@@ -7,13 +7,14 @@ from evoadapt.observe import RunTrace
 
 def random_trace(rng: np.random.Generator, length: int, dim: int = 3,
                  pop: int = 6, width: float = 10.0) -> RunTrace:
-    """Trace of a synthetic run with population points inside [-w/2, w/2]^d."""
+    """Trace of one synthetic run (R = 1) with population points inside
+    [-w/2, w/2]^d."""
     trace = RunTrace()
     for _ in range(length):
-        genotypes = rng.uniform(-width / 2, width / 2, size=(pop, dim))
-        fitnesses = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=pop)
-        trace.append_generation(genotypes, fitnesses, np.array([0.5]))
-        trace.rewards.append(0.0)
+        genotypes = rng.uniform(-width / 2, width / 2, size=(1, pop, dim))
+        fitnesses = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=(1, pop))
+        trace.append_generation(genotypes, fitnesses, np.array([[0.5]]))
+        trace.rewards.append(np.zeros(1))
     return trace
 
 

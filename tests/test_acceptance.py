@@ -135,8 +135,7 @@ def test_criterion_5_engine_behavior():
         assert trace.best_fitness[-1] < trace.best_fitness[0]
         envelope = np.minimum.accumulate(trace.best_fitness)
         assert np.all(np.diff(envelope) <= 0.0)
-    csa = run_test_protocol(lambda: CsaController(10), ("Sphere", 10), 0,
-                            runs=50, algorithm="cmaes")
+    csa = run_test_protocol(CsaController, ("Sphere", 10), 0, runs=50, algorithm="cmaes")
     fixed = run_test_protocol(lambda: FixedSigmaController(0.5), ("Sphere", 10), 0,
                               runs=50, algorithm="cmaes")
     assert np.median(csa.bests) < np.median(fixed.bests)

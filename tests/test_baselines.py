@@ -11,24 +11,26 @@ class TestCsa:
     def test_neutral_path_length_keeps_sigma(self):
         state = make_csa_state(10, c=0.5)
         # choose xi* so that ||p_new|| equals the expected norm exactly
-        direction = np.zeros(10)
-        direction[0] = state.expected_norm / math.sqrt(0.5 * 1.5)
+        direction = np.zeros((1, 10))
+        direction[0, 0] = state.expected_norm / math.sqrt(0.5 * 1.5)
         _new, sigma = csa_update(state, direction, 0.7)
-        assert sigma == 0.7
+        assert sigma.shape == (1,)
+        assert sigma[0] == 0.7
 
     def test_path_recurrence_from_zero(self):
         state = make_csa_state(4, c=0.5)
         v = np.array([1.0, -2.0, 0.5, 3.0])
-        new, _sigma = csa_update(state, v, 1.0)
-        assert np.allclose(new.path, math.sqrt(0.75) * v)
-        assert np.allclose(new.path, 0.8660254037844386 * v)
+        new, _sigma = csa_update(state, v[None], 1.0)
+        assert new.path.shape == (1, 4)
+        assert np.allclose(new.path[0], math.sqrt(0.75) * v)
+        assert np.allclose(new.path[0], 0.8660254037844386 * v)
 
     def test_double_length_path_scales_sigma_by_exp_half(self):
         state = make_csa_state(6, c=0.5, d_sigma=1.0)
-        direction = np.zeros(6)
-        direction[0] = 2.0 * state.expected_norm / math.sqrt(0.5 * 1.5)
+        direction = np.zeros((1, 6))
+        direction[0, 0] = 2.0 * state.expected_norm / math.sqrt(0.5 * 1.5)
         _new, sigma = csa_update(state, direction, 1.0)
-        assert np.isclose(sigma, math.exp(0.5))
+        assert np.isclose(sigma[0], math.exp(0.5))
 
     def test_multiplier_depends_only_on_normalized_length(self):
         # same ||p_new|| / E-norm ratio in different dimensions, same multiplier
@@ -36,10 +38,10 @@ class TestCsa:
             mults = []
             for d in (5, 20):
                 state = make_csa_state(d, c=0.25, d_sigma=1.5)
-                direction = np.zeros(d)
-                direction[0] = 1.4 * state.expected_norm / math.sqrt(0.25 * 1.75)
+                direction = np.zeros((1, d))
+                direction[0, 0] = 1.4 * state.expected_norm / math.sqrt(0.25 * 1.75)
                 _new, sigma = csa_update(state, direction, sigma0)
-                mults.append(sigma / sigma0)
+                mults.append(sigma[0] / sigma0)
             assert np.isclose(mults[0], mults[1])
 
     def test_stacked_runs_update_like_the_one_run_formula(self):
@@ -63,88 +65,96 @@ class TestCsa:
 
 class TestIde:
     def test_equal_archive_draws_give_best_value(self, rng):
-        state = make_ide_state(6, rng)
-        state.f_archive = [0.7, 0.7, 0.7]
-        state.cr_archive = [0.3, 0.3, 0.3]
-        F, CR = ide_update(state, 2, rng)
-        assert np.allclose(F, state.F[2])
-        assert np.allclose(CR, state.CR[2])
+        state = make_ide_state(6, [rng])
+        state.f_archive = [[0.7, 0.7, 0.7]]
+        state.cr_archive = [[0.3, 0.3, 0.3]]
+        F, CR = ide_update(state, [2], [rng])
+        assert F.shape == CR.shape == (1, 6)
+        assert np.allclose(F, state.F[0, 2])
+        assert np.allclose(CR, state.CR[0, 2])
 
     def test_outputs_always_clipped(self, rng):
-        state = make_ide_state(8, rng)
-        state.f_archive = [0.0, 2.0] * 5
-        state.cr_archive = [0.0, 1.0] * 5
+        state = make_ide_state(8, [rng])
+        state.f_archive = [[0.0, 2.0] * 5]
+        state.cr_archive = [[0.0, 1.0] * 5]
         for _ in range(200):
-            F, CR = ide_update(state, 0, rng)
+            F, CR = ide_update(state, [0], [rng])
             assert np.all((F >= 0) & (F <= 2))
             assert np.all((CR >= 0) & (CR <= 1))
 
     def test_monte_carlo_mean_is_best(self):
-        rng = np.random.default_rng(1)
+        rng = [np.random.default_rng(1)]
         state = make_ide_state(4, rng)
         state.F[:] = [0.9, 1.0, 1.1, 1.05]
-        state.f_archive = [0.8, 0.9, 1.0, 1.1]
+        state.f_archive = [[0.8, 0.9, 1.0, 1.1]]
         draws = []
         for _ in range(25_000):
-            F, _ = ide_update(state, 1, rng)
-            draws.extend(F)
+            F, _ = ide_update(state, [1], rng)
+            draws.extend(F[0])
         draws = np.array(draws)
         # noise term has zero mean; 3 standard errors around F_best = 1.0
         stderr = draws.std() / math.sqrt(len(draws))
         assert abs(draws.mean() - 1.0) < 3 * stderr + 1e-3
 
     def test_success_recording_updates_state_and_archives(self, rng):
-        state = make_ide_state(4, rng)
-        n0 = len(state.f_archive)
+        state = make_ide_state(4, [rng])
+        n0 = len(state.f_archive[0])
         before = state.F.copy()
-        F = np.array([0.2, 0.4, 0.6, 0.8])
-        CR = np.array([0.1, 0.3, 0.5, 0.7])
-        ide_record_success(state, F, CR, np.array([True, False, True, False]))
-        assert len(state.f_archive) == n0 + 2
-        assert state.F[0] == 0.2 and state.F[2] == 0.6
-        assert state.F[1] == before[1] and state.F[3] == before[3]
+        F = np.array([[0.2, 0.4, 0.6, 0.8]])
+        CR = np.array([[0.1, 0.3, 0.5, 0.7]])
+        ide_record_success(state, F, CR, np.array([[True, False, True, False]]))
+        assert len(state.f_archive[0]) == n0 + 2
+        assert state.f_archive[0][n0:] == [0.2, 0.6]
+        assert state.F[0, 0] == 0.2 and state.F[0, 2] == 0.6
+        assert state.F[0, 1] == before[0, 1] and state.F[0, 3] == before[0, 3]
 
 
 class TestJde:
     def test_resample_branch_bounds(self):
-        state = JdeState(best_F=5.0, best_CR=5.0)  # sentinel outside sample range
-        rng = np.random.default_rng(0)
+        # sentinels outside the sample range
+        state = JdeState(best_F=np.array([5.0]), best_CR=np.array([5.0]))
+        rng = [np.random.default_rng(0)]
         for _ in range(2000):
             F, CR = jde_update(state, rng)
+            F, CR = F[0], CR[0]
             if F != 5.0:
                 assert 0.1 <= F < 1.0
             if CR != 5.0:
                 assert 0.0 <= CR < 1.0
 
     def test_keep_branch_returns_best(self):
-        state = JdeState(best_F=0.42, best_CR=0.77, p=0.0)
-        F, CR = jde_update(state, np.random.default_rng(0))
-        assert F == 0.42 and CR == 0.77
+        state = JdeState(best_F=np.array([0.42]), best_CR=np.array([0.77]), p=0.0)
+        F, CR = jde_update(state, [np.random.default_rng(0)])
+        assert F.shape == CR.shape == (1,)
+        assert F[0] == 0.42 and CR[0] == 0.77
 
     def test_resample_frequency(self):
-        state = JdeState(best_F=-1.0, best_CR=-1.0)
-        rng = np.random.default_rng(2)
-        hits = sum(jde_update(state, rng)[0] != -1.0 for _ in range(100_000))
+        state = JdeState(best_F=np.array([-1.0]), best_CR=np.array([-1.0]))
+        rng = [np.random.default_rng(2)]
+        hits = sum(jde_update(state, rng)[0][0] != -1.0 for _ in range(100_000))
         assert abs(hits / 100_000 - 0.1) < 0.01
 
     def test_record_on_improvement_only(self):
-        state = JdeState()
-        jde_record(state, 0.9, 0.1, improved=False)
-        assert state.best_F == 0.5
-        jde_record(state, 0.9, 0.1, improved=True)
-        assert state.best_F == 0.9 and state.best_CR == 0.1
+        state = JdeState(np.array([0.5, 0.5]), np.array([0.9, 0.9]))
+        jde_record(state, np.array([0.9, 0.8]), np.array([0.1, 0.2]),
+                   improved=np.array([False, False]))
+        assert np.array_equal(state.best_F, [0.5, 0.5])
+        jde_record(state, np.array([0.9, 0.8]), np.array([0.1, 0.2]),
+                   improved=np.array([True, False]))
+        assert np.array_equal(state.best_F, [0.9, 0.5])
+        assert np.array_equal(state.best_CR, [0.1, 0.9])
 
 
 def test_baselines_deterministic_under_fixed_seed():
     def traj(seed):
-        rng = np.random.default_rng(seed)
+        rng = [np.random.default_rng(seed)]
         ide = make_ide_state(6, rng)
-        jde = JdeState()
+        jde = JdeState(np.array([0.5]), np.array([0.9]))
         out = []
         for _ in range(20):
-            F, CR = ide_update(ide, 0, rng)
-            out.append((F.copy(), CR.copy(), jde_update(jde, rng)))
+            F, CR = ide_update(ide, [0], rng)
+            out.append((F.copy(), CR.copy(), np.stack(jde_update(jde, rng))))
         return out
 
     for (f1, c1, j1), (f2, c2, j2) in zip(traj(9), traj(9)):
-        assert np.array_equal(f1, f2) and np.array_equal(c1, c2) and j1 == j2
+        assert np.array_equal(f1, f2) and np.array_equal(c1, c2) and np.array_equal(j1, j2)

@@ -17,7 +17,7 @@ def base_config(tmp_path, **overrides):
         "action": "de_uniform",
         "training": {"mode": "single", "function": "Sphere", "dimension": 10,
                      "episodes": 8, "retries": 3},
-        "test": {"runs": 5, "generations": 10, "population": 6},
+        "test": {"generations": 10, "population": 6},
         "ppo": {"horizon": 36, "minibatch": 36, "epochs": 2, "hidden": [4],
                 "optimizer": "adam", "learning_rate": 1e-3, "checkpoint_every": 1},
         "seed": 1,
@@ -103,8 +103,10 @@ CMA_CSA = ["--algorithm", "cmaes", "--adaptation", "csa"]
      "NoSuch"),
     ("train", {"ppo": {"optimizer": "rmsprop"}}, [], "rmsprop"),
     ("evaluate", {}, ["--checkpoint", "{tmp}/absent.json"], "absent.json"),
-    ("train", {"test": {"runs": 5, "generations": 10, "population": 3}}, [],
+    ("train", {"test": {"generations": 10, "population": 3}}, [],
      "test.population"),
+    ("train", {"test": {"runs": 5, "generations": 10, "population": 6}}, [],
+     "unknown keys in test: ['runs']"),
     ("evaluate", {}, ["--adaptation", "fixed", "--runs", "0"], "--runs"),
     ("compare", {}, ["--checkpoint", "{tmp}/absent.json", "--runs", "-1"], "--runs"),
     ("evaluate", {}, CMA_CSA + ["--sigma0", "0"], "--sigma0"),
@@ -119,7 +121,7 @@ CMA_CSA = ["--algorithm", "cmaes", "--adaptation", "csa"]
     ("train", {"training": {"mode": "single", "function": "Sphere", "dimension": 10,
                             "episodes": 3}}, [], "= 27 steps fill no ppo.horizon of 36"),
 ], ids=["unknown-action", "unknown-training-function", "unknown-optimizer",
-        "missing-checkpoint", "population-below-4", "no-runs", "compare-negative-runs",
+        "missing-checkpoint", "population-below-4", "test-runs-unknown", "no-runs", "compare-negative-runs",
         "sigma0-zero", "fixed-sigma-negative", "no-jobs", "minibatch-zero",
         "minibatch-negative", "horizon-zero", "epochs-zero", "budget-fills-no-horizon"])
 def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides, flags,

@@ -11,16 +11,16 @@ SPHERE = get_function("Sphere", 10)
 
 
 def test_generation_advances_eval_counter(rng):
-    state = init_state(SPHERE, 0.5, rng)
+    state = init_state(SPHERE, [rng])
     budget = EvalBudget(500)
-    cma_generation(state, 0.5, SPHERE, 10, rng, budget)
+    cma_generation(state, 0.5, SPHERE, 10, [rng], budget)
     assert budget.used == 10
 
 
 def test_determinism():
     def run(seed):
-        rng = np.random.default_rng(seed)
-        state = init_state(SPHERE, 0.5, rng)
+        rng = [np.random.default_rng(seed)]
+        state = init_state(SPHERE, rng)
         for sigma in (0.5, 0.4, 0.3):
             result = cma_generation(state, sigma, SPHERE, 10, rng)
             state = result.state
@@ -32,11 +32,12 @@ def test_determinism():
 
 
 def test_covariance_stays_positive_definite(rng):
-    state = init_state(SPHERE, 1.0, rng)
+    state = init_state(SPHERE, [rng])
     for _ in range(30):
-        result = cma_generation(state, 0.5, SPHERE, 10, rng)
+        result = cma_generation(state, 0.5, SPHERE, 10, [rng])
         state = result.state
-        vals = np.linalg.eigvalsh((state.cov + state.cov.T) / 2)
+        cov = state.cov[0]
+        vals = np.linalg.eigvalsh((cov + cov.T) / 2)
         assert np.all(vals > 0)
 
 
@@ -48,7 +49,7 @@ def test_eigenvalue_floor_repair():
 
 
 def test_sampling_distribution(rng):
-    X = sample_offspring(np.zeros(5), np.eye(5), 1.0, 100_000, rng)
+    X = sample_offspring(np.zeros((1, 5)), np.eye(5)[None], 1.0, 100_000, [rng])[0]
     assert np.all(np.abs(X.mean(axis=0)) < 0.02)
     assert np.all(np.abs(X.std(axis=0) - 1.0) < 0.02)
 
@@ -63,7 +64,7 @@ def test_sampling_distribution_rotated_ill_conditioned():
     C = (rotation * np.logspace(-2, 2, 5)) @ rotation.T
     C = (C + C.T) / 2.0
     mean, sigma, n = np.array([1.0, -2.0, 0.5, 3.0, -0.25]), 0.3, 200_000
-    X = sample_offspring(mean, C, sigma, n, rng)
+    X = sample_offspring(mean[None], C[None], sigma, n, [rng])[0]
     target = sigma ** 2 * C
     sd = np.sqrt(np.diag(target))
     assert np.all(np.abs(X.mean(axis=0) - mean) < 5.0 * sd / np.sqrt(n))
@@ -87,15 +88,16 @@ def test_one_broken_run_takes_the_repair_and_the_others_keep_their_bytes(caplog)
     assert np.array_equal(_square_root(cov)[1], vecs * np.sqrt(vals))
     assert np.isfinite(stacked).all()
     for i in range(3):
-        alone = sample_offspring(mean[i], cov[i], sigma[i], lam, np.random.default_rng(i))
-        assert stacked[i].tobytes() == alone.tobytes(), i
+        alone = sample_offspring(mean[i:i + 1], cov[i:i + 1], sigma[i:i + 1], lam,
+                                 [np.random.default_rng(i)])
+        assert stacked[i].tobytes() == alone[0].tobytes(), i
 
 
 def test_best_so_far_envelope_non_increasing(rng):
-    state = init_state(SPHERE, 0.5, rng)
+    state = init_state(SPHERE, [rng])
     bests = []
     for _ in range(50):
-        result = cma_generation(state, 0.5, SPHERE, 10, rng)
+        result = cma_generation(state, 0.5, SPHERE, 10, [rng])
         state = result.state
         bests.append(result.fitnesses.min())
     envelope = np.minimum.accumulate(bests)
@@ -103,15 +105,15 @@ def test_best_so_far_envelope_non_increasing(rng):
 
 
 def test_small_sigma_near_optimum_improves(rng):
-    state = CmaState(mean=np.zeros(10), cov=np.eye(10), sigma=1.0, path_c=np.zeros(10))
-    wide = cma_generation(state, 1.0, SPHERE, 20, np.random.default_rng(0))
-    narrow = cma_generation(state, 1e-3, SPHERE, 20, np.random.default_rng(0))
+    state = CmaState(mean=np.zeros((1, 10)), cov=np.eye(10)[None], path_c=np.zeros((1, 10)))
+    wide = cma_generation(state, 1.0, SPHERE, 20, [np.random.default_rng(0)])
+    narrow = cma_generation(state, 1e-3, SPHERE, 20, [np.random.default_rng(0)])
     assert narrow.fitnesses.min() < wide.fitnesses.min()
 
 
 def test_invalid_inputs_rejected(rng):
-    state = init_state(SPHERE, 0.5, rng)
+    state = init_state(SPHERE, [rng])
     with pytest.raises(ValueError):
-        cma_generation(state, -1.0, SPHERE, 10, rng)
+        cma_generation(state, -1.0, SPHERE, 10, [rng])
     with pytest.raises(ValueError):
-        cma_generation(state, 0.5, SPHERE, 1, rng)
+        cma_generation(state, 0.5, SPHERE, 1, [rng])

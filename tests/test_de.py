@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evoadapt.benchmarks import BudgetExhausted, EvalBudget, get_function
-from evoadapt.de import Population, de_generation, init_population, mutate_best1
+from evoadapt.de import de_generation, init_population, mutate_best1
 
 SPHERE = get_function("Sphere", 10)
 
@@ -14,57 +14,59 @@ def test_mutation_formula():
 
 
 def test_init_population_within_bounds(rng):
-    pop = init_population(SPHERE, 10, rng)
-    assert pop.genotypes.shape == (10, 10)
+    pop = init_population(SPHERE, 10, [rng])
+    assert pop.genotypes.shape == (1, 10, 10)
+    assert pop.fitnesses.shape == (1, 10)
     assert np.all(pop.genotypes >= -5) and np.all(pop.genotypes <= 5)
 
 
 def test_init_population_deterministic():
-    a = init_population(SPHERE, 10, np.random.default_rng(7))
-    b = init_population(SPHERE, 10, np.random.default_rng(7))
+    a = init_population(SPHERE, 10, [np.random.default_rng(7)])
+    b = init_population(SPHERE, 10, [np.random.default_rng(7)])
     assert np.array_equal(a.genotypes, b.genotypes)
     assert np.array_equal(a.fitnesses, b.fitnesses)
 
 
 def test_init_population_counts_evaluations():
     budget = EvalBudget(500)
-    init_population(SPHERE, 10, np.random.default_rng(0), budget)
+    init_population(SPHERE, 10, [np.random.default_rng(0)], budget)
     assert budget.used == 10
 
 
 def test_population_too_small_rejected(rng):
     with pytest.raises(ValueError):
-        init_population(SPHERE, 3, rng)
+        init_population(SPHERE, 3, [rng])
 
 
 def test_zero_scale_factor_makes_mutants_equal_best(rng):
-    pop = init_population(SPHERE, 10, rng)
-    best = pop.genotypes[pop.best_index].copy()
+    pop = init_population(SPHERE, 10, [rng])
+    best = pop.genotypes[0, pop.best_index[0]].copy()
     # with F=0 and CR=1 every child equals the clipped best
-    new_pop, _ = de_generation(pop, 0.0, 1.0, SPHERE, rng)
-    for child, old, old_fit, new_fit in zip(new_pop.genotypes, pop.genotypes,
-                                            pop.fitnesses, new_pop.fitnesses):
+    new_pop, _ = de_generation(pop, 0.0, 1.0, SPHERE, [rng])
+    for child, old, old_fit, new_fit in zip(new_pop.genotypes[0], pop.genotypes[0],
+                                            pop.fitnesses[0], new_pop.fitnesses[0]):
         if new_fit != old_fit or not np.array_equal(child, old):
             assert np.array_equal(child, best)
 
 
 def test_full_crossover_takes_all_genes_from_mutant(rng):
     # F=0, CR=1: every child gene comes from the mutant, which is the best
-    pop = init_population(SPHERE, 8, rng)
-    best_fit = pop.best_fitness
-    new_pop, replaced = de_generation(pop, 0.0, 1.0, SPHERE, rng)
+    pop = init_population(SPHERE, 8, [rng])
+    best_fit = pop.best_fitness[0]
+    new_pop, replaced = de_generation(pop, 0.0, 1.0, SPHERE, [rng])
+    assert replaced.shape == (1, 8)
     assert np.all(new_pop.fitnesses[replaced] == best_fit)
 
 
 def test_elitism_monotone_and_reproducible():
     def run(seed):
-        rng = np.random.default_rng(seed)
+        rng = [np.random.default_rng(seed)]
         budget = EvalBudget(500)
         pop = init_population(SPHERE, 10, rng, budget)
-        bests = [pop.best_fitness]
+        bests = [pop.best_fitness[0]]
         for _ in range(49):
             pop, _ = de_generation(pop, 0.5, 0.9, SPHERE, rng, budget)
-            bests.append(pop.best_fitness)
+            bests.append(pop.best_fitness[0])
         return np.array(bests), pop
 
     bests1, pop1 = run(11)
@@ -75,32 +77,32 @@ def test_elitism_monotone_and_reproducible():
 
 
 def test_children_within_bounds(rng):
-    pop = init_population(SPHERE, 10, rng)
+    pop = init_population(SPHERE, 10, [rng])
     for _ in range(10):
-        pop, _ = de_generation(pop, 1.9, 1.0, SPHERE, rng)
+        pop, _ = de_generation(pop, 1.9, 1.0, SPHERE, [rng])
         assert np.all(pop.genotypes >= -5) and np.all(pop.genotypes <= 5)
 
 
 def test_generation_consumes_exactly_np_evaluations(rng):
     budget = EvalBudget(500)
-    pop = init_population(SPHERE, 10, rng, budget)
-    de_generation(pop, 0.5, 0.9, SPHERE, rng, budget)
+    pop = init_population(SPHERE, 10, [rng], budget)
+    de_generation(pop, 0.5, 0.9, SPHERE, [rng], budget)
     assert budget.used == 20
 
 
 def test_budget_exhaustion_aborts_generation(rng):
     budget = EvalBudget(15)
-    pop = init_population(SPHERE, 10, rng, budget)
+    pop = init_population(SPHERE, 10, [rng], budget)
     with pytest.raises(BudgetExhausted):
-        de_generation(pop, 0.5, 0.9, SPHERE, rng, budget)
+        de_generation(pop, 0.5, 0.9, SPHERE, [rng], budget)
     assert budget.used == 10  # nothing consumed by the aborted generation
 
 
 def test_sphere_improves_in_100_of_100_runs():
     for seed in range(100):
-        rng = np.random.default_rng(seed)
+        rng = [np.random.default_rng(seed)]
         pop = init_population(SPHERE, 10, rng)
-        initial = pop.best_fitness
+        initial = pop.best_fitness[0]
         for _ in range(49):
             pop, _ = de_generation(pop, 0.5, 0.9, SPHERE, rng)
-        assert pop.best_fitness < initial
+        assert pop.best_fitness[0] < initial

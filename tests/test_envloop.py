@@ -71,7 +71,7 @@ class TestEpisodeTraces:
         (IdeController, "de"),
         (JdeController, "de"),
         (FixedSigmaController, "cmaes"),
-        (lambda: CsaController(10), "cmaes"),
+        (lambda: CsaController(), "cmaes"),
     ])
     def test_episodes_deterministic_under_fixed_seed(self, controller_factory, algorithm):
         fn = get_function("Ellipsoid", 10)
@@ -90,10 +90,10 @@ class TestEpisodeTraces:
 
     def test_run_episode_dispatch_and_unknown_algorithm(self):
         fn = get_function("Sphere", 10)
-        trace = run_episode(Episode(fn, "de", np.random.default_rng(0)), FixedDeController())
+        trace = run_episode(Episode(fn, "de", [np.random.default_rng(0)]), FixedDeController())
         assert len(trace) == 50
         with pytest.raises(ValueError):
-            run_episode(Episode(fn, "pso", np.random.default_rng(0)), FixedDeController())
+            run_episode(Episode(fn, "pso", [np.random.default_rng(0)]), FixedDeController())
 
 
 class TestFunctionSampler:
@@ -169,10 +169,10 @@ class TestEvolutionEnv:
         while not done:
             obs, r, done = env.step(policy.forward(obs)[0])
             rewards.append(r)
-        trained = env.episode.trace
+        trained = env.episode.trace.split_runs()[0]
 
-        episode = Episode(get_function("Rastrigin", 10), algorithm, np.random.default_rng(21))
-        trace = run_episode(episode, PolicyController(policy, spec, obs_spec))
+        episode = Episode(get_function("Rastrigin", 10), algorithm, [np.random.default_rng(21)])
+        trace = run_episode(episode, PolicyController(policy, spec, obs_spec)).split_runs()[0]
         assert trace.rewards[1:] == rewards
         assert trace.best_fitness[1:] == trained.best_fitness[1:]
         assert len(trace.actions) == len(trained.actions) == 50
@@ -208,12 +208,13 @@ class TestProtocol:
         ("cmaes", "fixed", False), ("cmaes", "csa", False), ("cmaes", "cma_sigma", True),
     ])
     def test_lockstep_run_equals_the_same_seed_run_alone(self, algorithm, kind, stochastic):
-        """Run i of an R-run protocol gives the bytes of seed_base + i run
-        alone, field for field, so results do not depend on the batch size."""
+        """Run i of an R-run protocol gives the bytes of a one-run batch of
+        seed_base + i, field for field, so results do not depend on the
+        batch size."""
         if kind in ("fixed", "ide", "jde", "csa"):
             factory = {("de", "fixed"): FixedDeController, ("de", "ide"): IdeController,
                        ("de", "jde"): JdeController, ("cmaes", "fixed"): FixedSigmaController,
-                       ("cmaes", "csa"): lambda: CsaController(10)}[algorithm, kind]
+                       ("cmaes", "csa"): CsaController}[algorithm, kind]
         else:
             spec = action_spec(kind)
             obs_spec = ObservationSpec(history_length=6, include_intra_df=True,
@@ -227,7 +228,8 @@ class TestProtocol:
         protocol = run_test_protocol(factory, ("Rastrigin", 10), 40, runs=4,
                                      algorithm=algorithm)
         for i, seed in enumerate(protocol.seeds):
-            alone = run_episode(Episode(fn, algorithm, np.random.default_rng(seed)), factory())
+            alone = run_episode(Episode(fn, algorithm, [np.random.default_rng(seed)]),
+                                factory()).split_runs()[0]
             for field in dataclasses.fields(alone):
                 ours = np.array(getattr(protocol.traces[i], field.name))
                 theirs = np.array(getattr(alone, field.name))
@@ -244,12 +246,10 @@ class TestProtocol:
     def test_diverging_cma_run_names_function_seed_and_generation(self):
         with pytest.raises(StateNotFinite, match=r"LinearSlope-5 is not finite at "
                                                  r"generation \d+ \(run seeds \[49\]\)"):
-            run_test_protocol(lambda: CsaController(5), ("LinearSlope", 5), 47, runs=4,
-                              algorithm="cmaes")
+            run_test_protocol(CsaController, ("LinearSlope", 5), 47, runs=4, algorithm="cmaes")
 
     def test_cma_protocol(self):
-        result = run_test_protocol(lambda: CsaController(10), ("Sphere", 10), 3,
-                                   runs=5, algorithm="cmaes")
+        result = run_test_protocol(CsaController, ("Sphere", 10), 3, runs=5, algorithm="cmaes")
         assert len(result.traces) == 5
         assert np.all(np.isfinite(result.aucs))
 

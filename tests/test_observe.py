@@ -9,30 +9,37 @@ from evoadapt.observe import (ObservationSpec, RunTrace, build_observation,
 from conftest import random_trace
 
 
+def append(trace, genotypes, fitnesses):
+    """Record one generation of a one-run batch: `(NP, d)` genotypes and
+    `(NP,)` fitnesses gain the leading run axis."""
+    trace.append_generation(np.asarray(genotypes, dtype=float)[None],
+                            np.asarray(fitnesses, dtype=float)[None], np.array([[0.5]]))
+
+
 def trace_from_best_fitness(values):
     trace = RunTrace()
     for v in values:
-        trace.append_generation(np.zeros((2, 2)), np.array([v, v + 1.0]), np.array([0.5]))
+        append(trace, np.zeros((2, 2)), [v, v + 1.0])
     return trace
 
 
 class TestInterDeltaF:
     def test_no_change_gives_zero(self):
         trace = trace_from_best_fitness([5.0, 5.0])
-        assert inter_delta_f(trace, 1)[0] == 0.0
+        assert inter_delta_f(trace, 1)[0, 0] == 0.0
 
     def test_improvement_value(self):
         trace = trace_from_best_fitness([10.0, 5.0])
-        assert np.isclose(inter_delta_f(trace, 1)[0], -0.3333331111112593, atol=1e-12)
+        assert np.isclose(inter_delta_f(trace, 1)[0, 0], -0.3333331111112593, atol=1e-12)
 
     def test_saturates_toward_one(self):
         trace = trace_from_best_fitness([0.0, 1e9])
-        v = inter_delta_f(trace, 1)[0]
+        v = inter_delta_f(trace, 1)[0, 0]
         assert v > 0.9999999 and v < 1.0
 
     def test_newest_first_and_zero_padding(self):
         trace = trace_from_best_fitness([8.0, 4.0, 2.0])
-        out = inter_delta_f(trace, 5)
+        out = inter_delta_f(trace, 5)[:, 0]
         assert np.isclose(out[0], (2.0 - 4.0) / (2.0 + 4.0 + 1e-5))
         assert np.isclose(out[1], (4.0 - 8.0) / (4.0 + 8.0 + 1e-5))
         assert np.all(out[2:] == 0.0)
@@ -47,16 +54,16 @@ class TestInterDeltaF:
 class TestIntraDeltaF:
     def test_uniform_population_gives_zero(self):
         trace = RunTrace()
-        trace.append_generation(np.zeros((3, 2)), np.full(3, 4.2), np.array([0.5]))
-        assert intra_delta_f(trace, 1)[0] == 0.0
+        append(trace, np.zeros((3, 2)), np.full(3, 4.2))
+        assert intra_delta_f(trace, 1)[0, 0] == 0.0
 
     def test_known_values(self):
         trace = RunTrace()
-        trace.append_generation(np.zeros((2, 2)), np.array([0.0, 10.0]), np.array([0.5]))
-        assert np.isclose(intra_delta_f(trace, 1)[0], 0.9999990000010001, atol=1e-12)
+        append(trace, np.zeros((2, 2)), [0.0, 10.0])
+        assert np.isclose(intra_delta_f(trace, 1)[0, 0], 0.9999990000010001, atol=1e-12)
         trace2 = RunTrace()
-        trace2.append_generation(np.zeros((2, 2)), np.array([1.0, 2.0]), np.array([0.5]))
-        assert np.isclose(intra_delta_f(trace2, 1)[0], 0.49999750001249993, atol=1e-12)
+        append(trace2, np.zeros((2, 2)), [1.0, 2.0])
+        assert np.isclose(intra_delta_f(trace2, 1)[0, 0], 0.49999750001249993, atol=1e-12)
 
 
 class TestDeltaX:
@@ -65,15 +72,16 @@ class TestDeltaX:
     def test_zero_displacement(self):
         trace = RunTrace()
         for _ in range(2):
-            trace.append_generation(np.array([[1.0, 1.0]]), np.array([0.0]), np.array([0.5]))
+            append(trace, [[1.0, 1.0]], [0.0])
         assert np.all(inter_delta_x(trace, 1, self.width) == 0.0)
 
     def test_inter_displacement_pair(self):
         trace = RunTrace()
-        trace.append_generation(np.array([[0.0, 0.0]]), np.array([0.0]), np.array([0.5]))
-        trace.append_generation(np.array([[1.0, -2.0]]), np.array([0.0]), np.array([0.5]))
+        append(trace, [[0.0, 0.0]], [0.0])
+        append(trace, [[1.0, -2.0]], [0.0])
         pair = inter_delta_x(trace, 1, self.width)
-        assert np.allclose(pair, [-0.2, 0.1])
+        assert pair.shape == (2, 1)
+        assert np.allclose(pair[:, 0], [-0.2, 0.1])
 
     def test_min_leq_max(self, rng):
         trace = random_trace(rng, 6)
@@ -82,38 +90,38 @@ class TestDeltaX:
 
     def test_intra_spread_values(self):
         trace = RunTrace()
-        pop = np.array([[0.0, 0.0], [2.0, 5.0]])
-        trace.append_generation(pop, np.array([0.0, 1.0]), np.array([0.5]))
-        assert np.allclose(intra_delta_x(trace, 1, self.width), [0.2, 0.5])
+        append(trace, [[0.0, 0.0], [2.0, 5.0]], [0.0, 1.0])
+        spread = intra_delta_x(trace, 1, self.width)
+        assert spread.shape == (2, 1)
+        assert np.allclose(spread[:, 0], [0.2, 0.5])
 
     def test_identical_population_gives_zero_and_full_span_gives_one(self):
         trace = RunTrace()
-        trace.append_generation(np.ones((4, 2)), np.zeros(4), np.array([0.5]))
+        append(trace, np.ones((4, 2)), np.zeros(4))
         assert np.all(intra_delta_x(trace, 1, self.width) == 0.0)
         trace2 = RunTrace()
-        trace2.append_generation(np.array([[-5.0, 0.0], [5.0, 0.1]]),
-                                 np.zeros(2), np.array([0.5]))
-        assert intra_delta_x(trace2, 1, self.width)[1] == 1.0
+        append(trace2, [[-5.0, 0.0], [5.0, 0.1]], np.zeros(2))
+        assert intra_delta_x(trace2, 1, self.width)[1, 0] == 1.0
 
 
 class TestBuildObservation:
     def test_base_length(self, rng):
         trace = random_trace(rng, 3)
         spec = ObservationSpec(history_length=40)
-        obs = build_observation(trace, spec, np.zeros(4))
-        assert len(obs) == 44
+        obs = build_observation(trace, spec, np.zeros((1, 4)))
+        assert obs.shape == (1, 44)
 
     def test_with_intra_df_length(self, rng):
         trace = random_trace(rng, 3)
         spec = ObservationSpec(history_length=40, include_intra_df=True)
-        obs = build_observation(trace, spec, np.zeros(4))
-        assert len(obs) == 84
+        obs = build_observation(trace, spec, np.zeros((1, 4)))
+        assert obs.shape == (1, 84)
 
     def test_generation_zero_inter_block_is_zero(self, rng):
         trace = random_trace(rng, 1)
         spec = ObservationSpec(history_length=10)
-        obs = build_observation(trace, spec, np.full(2, 0.5))
-        assert np.all(obs[:10] == 0.0)
+        obs = build_observation(trace, spec, np.full((1, 2), 0.5))
+        assert np.all(obs[0, :10] == 0.0)
 
     @given(intra_df=st.booleans(), inter_dx=st.booleans(), intra_dx=st.booleans(),
            g=st.integers(min_value=1, max_value=50),
@@ -123,8 +131,8 @@ class TestBuildObservation:
                                                             intra_dx, g, a):
         spec = ObservationSpec(g, intra_df, inter_dx, intra_dx)
         trace = random_trace(np.random.default_rng(0), 4)
-        obs = build_observation(trace, spec, np.zeros(a), np.full(3, 10.0))
-        assert len(obs) == spec.length(a)
+        obs = build_observation(trace, spec, np.zeros((1, a)), np.full(3, 10.0))
+        assert obs.shape == (1, spec.length(a))
         assert np.all(np.isfinite(obs))
 
 
@@ -149,17 +157,18 @@ class TestReward:
 
     def test_no_improvement_is_zero(self):
         trace = trace_from_best_fitness([3.0, 3.0])
-        assert reward(trace) == 0.0
+        assert reward(trace).shape == (1,)
+        assert reward(trace)[0] == 0.0
 
     def test_improvement_is_positive(self):
         trace = trace_from_best_fitness([10.0, 5.0])
-        assert np.isclose(reward(trace), 0.3333331111112593, atol=1e-12)
+        assert np.isclose(reward(trace)[0], 0.3333331111112593, atol=1e-12)
 
     def test_elitist_run_rewards_nonnegative(self):
-        trace = trace_from_best_fitness([10.0, 8.0, 8.0, 3.0, 1.0])
+        values = [10.0, 8.0, 8.0, 3.0, 1.0]
         for k in range(2, 6):
-            sub = trace_from_best_fitness(trace.best_fitness[:k])
-            assert reward(sub) >= 0.0
+            sub = trace_from_best_fitness(values[:k])
+            assert reward(sub)[0] >= 0.0
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):

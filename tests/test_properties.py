@@ -1,7 +1,8 @@
-"""Property tests of the batched objectives, the DE generation, the CMA-ES
-covariance, iDE and policy checkpoints."""
+"""Property tests of the batched objectives and their optima, the DE
+generation, the CMA-ES covariance, iDE and policy checkpoints."""
 
 import dataclasses
+import math
 import os
 import tempfile
 
@@ -39,6 +40,36 @@ def test_population_equals_rows_bit_for_bit(name, dim, data):
     assert np.all(np.isfinite(batched))
 
 
+def documented_optimum(name: str, d: int) -> np.ndarray:
+    """Where the registry's COCO definitions (arXiv 1603.08785, with identity
+    rotations and no objective offset) put each function's optimum: the
+    origin, except where the shift cannot be removed."""
+    ones = np.ones(d)
+    if name == "LinearSlope":
+        return 5.0 * ones
+    if name == "Schwefel":
+        return 0.5 * 4.2096874633 * ones
+    if name == "LunacekBiR":
+        return 1.25 * ones  # mu0 / 2 on the canonical sign vector
+    if name in ("RosenbrockRotated", "CompositeGR"):
+        return 0.5 / max(1.0, math.sqrt(d) / 8.0) * ones
+    return np.zeros(d)
+
+
+BOX = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+
+@pytest.mark.parametrize("name,dim", registry_list())
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_entry_is_zero_at_its_optimum_and_not_below_it_in_the_box(name, dim, data):
+    fn = get_function(name, dim)
+    assert abs(evaluate(fn, documented_optimum(name, dim))) <= 1e-12
+    n = data.draw(st.integers(min_value=1, max_value=8), label="n")
+    X = data.draw(arrays(np.float64, (n, dim), elements=BOX), label="X")
+    assert np.all(evaluate_population(fn, X) >= -1e-12)
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(min_value=0, max_value=15), seed=SEEDS)
 def test_wrapped_objective_is_called_once_per_row(n, seed):
@@ -65,9 +96,9 @@ def test_evaluate_population_rejects_wrong_width():
 @given(np_=st.integers(min_value=4, max_value=40), data=st.data(), seed=SEEDS)
 def test_mutation_pairs_are_distinct(np_, data, seed):
     best = data.draw(st.integers(min_value=0, max_value=np_ - 1), label="best")
-    a, b = pick_pairs(np_, best, np.random.default_rng(seed))
-    rows = np.arange(np_)
-    assert a.shape == b.shape == (np_,)
+    a, b = pick_pairs(np_, np.array([best]), [np.random.default_rng(seed)])
+    assert a.shape == b.shape == (1, np_)
+    a, b, rows = a[0], b[0], np.arange(np_)
     assert np.all((a >= 0) & (a < np_) & (b >= 0) & (b < np_))
     assert np.all(a != b)
     assert np.all((a != rows) & (b != rows))
@@ -75,11 +106,11 @@ def test_mutation_pairs_are_distinct(np_, data, seed):
 
 
 def test_mutation_pairs_reach_every_ordered_pair():
-    rng = np.random.default_rng(0)
+    rng = [np.random.default_rng(0)]
     seen = set()
     for _ in range(300):
-        a, b = pick_pairs(5, 0, rng)
-        seen.add((int(a[1]), int(b[1])))
+        a, b = pick_pairs(5, np.array([0]), rng)
+        seen.add((int(a[0, 1]), int(b[0, 1])))
     # individual 1 with best 0 draws from {2, 3, 4}: six ordered pairs
     assert seen == {(p, q) for p in (2, 3, 4) for q in (2, 3, 4) if p != q}
 
@@ -90,16 +121,16 @@ def test_mutation_pairs_reach_every_ordered_pair():
        seed=SEEDS)
 def test_de_generation_spends_np_evaluations_and_keeps_the_best(entry, np_, F, CR, seed):
     fn = get_function(*entry)
-    rng = np.random.default_rng(seed)
+    rng = [np.random.default_rng(seed)]
     budget = EvalBudget(6 * np_)
     pop = init_population(fn, np_, rng, budget)
-    best = pop.best_fitness
+    best = pop.best_fitness[0]
     for generation in range(1, 6):
         pop, replaced = de_generation(pop, F, CR, fn, rng, budget)
         assert budget.used == (generation + 1) * np_
-        assert replaced.shape == (np_,)
-        assert pop.best_fitness <= best
-        best = pop.best_fitness
+        assert replaced.shape == (1, np_)
+        assert pop.best_fitness[0] <= best
+        best = pop.best_fitness[0]
     assert np.all((pop.genotypes >= fn.lower) & (pop.genotypes <= fn.upper))
 
 
@@ -111,12 +142,13 @@ def test_cma_covariance_stays_symmetric_positive_definite(entry, sigma, seed):
     symmetric and has a Cholesky factor, so sampling never needs the
     eigenvalue repair."""
     fn = get_function(*entry)
-    rng = np.random.default_rng(seed)
-    state = init_state(fn, sigma, rng)
+    rng = [np.random.default_rng(seed)]
+    state = init_state(fn, rng)
     for _ in range(30):
         state = cma_generation(state, sigma, fn, 10, rng).state
-        assert np.array_equal(state.cov, state.cov.T)
-        np.linalg.cholesky(state.cov)
+        cov = state.cov[0]
+        assert np.array_equal(cov, cov.T)
+        np.linalg.cholesky(cov)
 
 
 @settings(max_examples=30, deadline=None)

@@ -42,7 +42,7 @@ class TestAuc:
 def test_best_of_run_scans_whole_trace():
     trace = RunTrace()
     for v in [5.0, 1.0, 3.0]:
-        trace.append_generation(np.zeros((1, 2)), np.array([v]), np.array([0.5]))
+        trace.append_generation(np.zeros((1, 1, 2)), np.array([[v]]), np.array([[0.5]]))
     assert best_of_run(trace) == 1.0
     with pytest.raises(ValueError):
         best_of_run(RunTrace())
