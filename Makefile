@@ -1,10 +1,16 @@
-.PHONY: test test-fast bench bench-selftest paper-run
+.PHONY: test test-fast check bench bench-selftest paper-run
 
 test:
 	pytest -v
 
 test-fast:
 	pytest -v -m "not slow"
+
+# The tier-1 suite (ROADMAP.md), whose tests/test_trace_targets.py fails when a
+# function perfbench traces is gone, then the benchmark output-check self-test.
+check:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+	python3 perfbench/selftest.py
 
 # The three benchmark workloads, each timed end to end for 40 s (see perfbench/README.md).
 bench:

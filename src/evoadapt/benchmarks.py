@@ -437,14 +437,11 @@ def _build_registry() -> dict[tuple[str, int], BenchmarkFunction]:
 
 
 _REGISTRY = _build_registry()
-_ORDER = [(name, 10) for name, _ in _TEN_D_ONLY] + [
-    (name, d) for name, _ in _MULTI_DIM for d in (5, 10, 20)
-]
 
 
 def registry_list() -> list[tuple[str, int]]:
     """All 46 (name, dimension) pairs in registration order."""
-    return list(_ORDER)
+    return [(fn.name, fn.dimension) for fn in _REGISTRY.values()]
 
 
 def get_function(name: str, dimension: int) -> BenchmarkFunction:

@@ -12,9 +12,9 @@ from . import envloop
 from .artifacts import write_csv
 from .benchmarks import BudgetExhausted, get_function, registry_list
 from .config import (ConfigError, ExperimentConfig, load_config, save_config)
-from .envloop import (CsaController, EpisodeConfig, EvolutionEnv,
-                      FixedDeController, FixedSigmaController, IdeController,
-                      JdeController, PolicyController, run_test_protocol)
+from .envloop import (CsaController, EvolutionEnv, FixedDeController,
+                      FixedSigmaController, IdeController, JdeController, PolicyController,
+                      run_test_protocol)
 from .policy import action_spec, load_checkpoint, save_checkpoint
 from .ppo import TrainingInstability, train
 from .stats import build_comparison, export_comparison_csv, export_comparison_json
@@ -60,16 +60,9 @@ def run_training(cfg: ExperimentConfig, out_dir: str) -> str:
         for attempt in range(1, max_attempts + 1):
             seed = cfg.seed + (attempt - 1)
             env_seed, train_seed = np.random.SeedSequence(seed).spawn(2)
-            episode_cfg = EpisodeConfig(
-                algorithm=cfg.algorithm,
-                functions=cfg.function_set(),
-                obs_spec=cfg.observation,
-                action_spec=spec,
-                generations=cfg.test.generations,
-                population=cfg.test.population,
-                sigma0=cfg.sigma0,
-            )
-            env = EvolutionEnv(episode_cfg, np.random.default_rng(env_seed))
+            env = EvolutionEnv(cfg.function_set(), spec, cfg.observation,
+                               np.random.default_rng(env_seed), cfg.test.generations,
+                               cfg.test.population, cfg.sigma0)
 
             def checkpointer(iteration, policy, _value, _row):
                 if (iteration + 1) % cfg.ppo.checkpoint_every == 0:
@@ -110,40 +103,29 @@ def cmd_train(args) -> int:
 # evaluate / compare helpers
 
 def _load_policy(path: str):
-    """The algorithm a checkpoint was trained for, and the loaded checkpoint."""
+    """The algorithm a checkpoint's policy steers, and a constructor of
+    controllers that run it, one fresh controller per protocol."""
     try:
-        checkpoint = load_checkpoint(path)
+        policy, kind, obs_spec = load_checkpoint(path)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
-    return ("cmaes" if checkpoint[1] == "cma_sigma" else "de"), checkpoint
+    spec = action_spec(kind)
+    return spec.algorithm, lambda: PolicyController(policy, spec, obs_spec)
 
 
-def _controller_factory(algorithm: str, adaptation: str, checkpoint: tuple | None,
-                        fixed_f: float, fixed_cr: float, fixed_sigma: float):
-    """Controller constructor, one fresh controller per protocol. `checkpoint`
-    is what `load_checkpoint` returned, which `adaptation == "policy"` needs;
-    `algorithm` was read from that same checkpoint."""
-    if adaptation == "policy":
-        if checkpoint is None:
-            raise ConfigError("--adaptation policy requires --checkpoint")
-        policy, kind, obs_spec = checkpoint
-        spec = action_spec(kind)
-        return lambda: PolicyController(policy, spec, obs_spec)
-    if algorithm == "de":
-        if adaptation == "ide":
-            return IdeController
-        if adaptation == "jde":
-            return JdeController
-        if adaptation == "fixed":
-            return lambda: FixedDeController(fixed_f, fixed_cr)
-        raise ConfigError(f"adaptation {adaptation!r} is not available for de")
-    if algorithm == "cmaes":
-        if adaptation == "csa":
-            return CsaController
-        if adaptation == "fixed":
-            return lambda: FixedSigmaController(fixed_sigma)
-        raise ConfigError(f"adaptation {adaptation!r} is not available for cmaes")
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+def _controller_factory(algorithm: str, adaptation: str, fixed_f: float, fixed_cr: float,
+                        fixed_sigma: float):
+    """Baseline controller constructor, one fresh controller per protocol."""
+    factories = {
+        ("de", "ide"): IdeController,
+        ("de", "jde"): JdeController,
+        ("de", "fixed"): lambda: FixedDeController(fixed_f, fixed_cr),
+        ("cmaes", "csa"): CsaController,
+        ("cmaes", "fixed"): lambda: FixedSigmaController(fixed_sigma),
+    }
+    if (algorithm, adaptation) not in factories:
+        raise ConfigError(f"adaptation {adaptation!r} is not available for {algorithm}")
+    return factories[algorithm, adaptation]
 
 
 def _check_protocol_args(args) -> None:
@@ -158,20 +140,18 @@ def _check_protocol_args(args) -> None:
 
 def cmd_evaluate(args) -> int:
     _check_protocol_args(args)
-    adaptation = args.adaptation
-    if args.checkpoint and adaptation not in (None, "policy"):
+    if args.checkpoint and args.adaptation is not None:
         raise ConfigError("give either --checkpoint or a baseline --adaptation")
-    if adaptation is None:
-        adaptation = "policy" if args.checkpoint else "fixed"
-    algorithm, checkpoint = args.algorithm, None
     if args.checkpoint:
-        algorithm, checkpoint = _load_policy(args.checkpoint)
+        algorithm, factory = _load_policy(args.checkpoint)
+    else:
+        algorithm = args.algorithm
+        factory = _controller_factory(algorithm, args.adaptation or "fixed", args.fixed_f,
+                                      args.fixed_cr, args.fixed_sigma)
     try:
         fn = get_function(args.function, args.dimension)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from exc
-    factory = _controller_factory(algorithm, adaptation, checkpoint,
-                                  args.fixed_f, args.fixed_cr, args.fixed_sigma)
     result = run_test_protocol(factory, (fn.name, fn.dimension), args.seed, runs=args.runs,
                                algorithm=algorithm, sigma0=args.sigma0)
     out_dir = args.out
@@ -201,12 +181,12 @@ def cmd_compare(args) -> int:
     algorithm = None
     variants = []
     for path in args.checkpoint:
-        algo, checkpoint = _load_policy(path)
+        algo, factory = _load_policy(path)
         if algorithm is None:
             algorithm = algo
         elif algorithm != algo:
             raise ConfigError("all compare variants must target the same algorithm")
-        variants.append((os.path.splitext(os.path.basename(path))[0], checkpoint))
+        variants.append((os.path.splitext(os.path.basename(path))[0], factory))
 
     opponent = args.adaptation or ("csa" if algorithm == "cmaes" else "jde")
     if args.function:
@@ -214,10 +194,8 @@ def cmd_compare(args) -> int:
     else:
         functions = registry_list()
 
-    def metrics(adaptation, checkpoint=None):
+    def metrics(factory):
         """Each function's per-run metric under one controller factory."""
-        factory = _controller_factory(algorithm, adaptation, checkpoint,
-                                      args.fixed_f, args.fixed_cr, args.fixed_sigma)
         out = {}
         for fn_key in functions:
             result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
@@ -225,8 +203,9 @@ def cmd_compare(args) -> int:
             out[fn_key] = result.aucs if args.metric == "auc" else result.bests
         return out
 
-    opponent_metrics = metrics(opponent)
-    variant_metrics = {label: metrics("policy", checkpoint) for label, checkpoint in variants}
+    opponent_metrics = metrics(_controller_factory(algorithm, opponent, args.fixed_f,
+                                                   args.fixed_cr, args.fixed_sigma))
+    variant_metrics = {label: metrics(factory) for label, factory in variants}
 
     matrix = build_comparison(variant_metrics, opponent_metrics, functions)
     os.makedirs(args.out, exist_ok=True)
@@ -251,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_eval_args(p, checkpoint_action="store"):
         p.add_argument("--checkpoint", default=None, action=checkpoint_action)
-        p.add_argument("--adaptation", choices=["csa", "ide", "jde", "policy", "fixed"],
+        p.add_argument("--adaptation", choices=["csa", "ide", "jde", "fixed"],
                        default=None)
         p.add_argument("--algorithm", choices=["de", "cmaes"], default="de")
         p.add_argument("--seed", type=int, default=0)

@@ -161,4 +161,4 @@ def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, lam: int, rng,
     new_state = CmaState(mean=mean_new, cov=cov, path_c=path_c,
                          generation_index=state.generation_index + 1)
     return GenerationResult(state=new_state, samples=samples, genotypes=genotypes,
-                            fitnesses=fitnesses, mean_before=state.mean.copy(), sigma_used=sigma)
+                            fitnesses=fitnesses, mean_before=state.mean, sigma_used=sigma)

@@ -63,13 +63,12 @@ class ExperimentConfig:
         if self.algorithm not in ("de", "cmaes"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         try:
-            action_spec(self.action)
+            steers = action_spec(self.action).algorithm
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from exc
-        if self.algorithm == "cmaes" and self.action != "cma_sigma":
-            raise ConfigError("cmaes requires the cma_sigma action space")
-        if self.algorithm == "de" and self.action == "cma_sigma":
-            raise ConfigError("de requires a DE action space")
+        if steers != self.algorithm:
+            raise ConfigError(f"action space {self.action!r} steers {steers}, "
+                              f"not {self.algorithm}")
         if self.training.episodes <= 0:
             raise ConfigError(f"training.episodes must be positive, got {self.training.episodes}")
         steps = self.training.episodes * (self.test.generations - 1)
@@ -108,8 +107,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key in sections:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key!r} must be a mapping")
-            if key == "ppo" and "hidden" in value:
-                value = {**value, "hidden": tuple(value["hidden"])}
             kwargs[key] = _build(sections[key], value, key)
         else:
             kwargs[key] = value
@@ -119,9 +116,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc = asdict(cfg)
-    doc["ppo"]["hidden"] = list(doc["ppo"]["hidden"])
-    return doc
+    return asdict(cfg)
 
 
 def load_config(path) -> ExperimentConfig:

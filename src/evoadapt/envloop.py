@@ -20,25 +20,14 @@ import numpy as np
 from . import baselines, cmaes, de
 from .benchmarks import BenchmarkFunction, EvalBudget, get_function, per_run
 from .observe import ObservationSpec, RunTrace, build_observation, reward
-from .policy import (ActionSpec, PolicyNet, decode_de_params, decode_sigma,
-                     sample_action)
+from .policy import (SIGMA_MAX, SIGMA_MIN, ActionSpec, PolicyNet, decode_de_params,
+                     decode_sigma, sample_action)
 from .artifacts import write_csv
 from .stats import auc, best_of_run
 
 DEFAULT_GENERATIONS = 50
 DEFAULT_POPULATION = 10
 DEFAULT_SIGMA0 = 0.5
-
-
-@dataclass
-class EpisodeConfig:
-    algorithm: str                      # "de" | "cmaes"
-    functions: list                     # [(name, dimension), ...]
-    obs_spec: ObservationSpec
-    action_spec: ActionSpec
-    generations: int = DEFAULT_GENERATIONS
-    population: int = DEFAULT_POPULATION
-    sigma0: float = DEFAULT_SIGMA0
 
 
 def multi_function_sampler(function_set: list, rng: np.random.Generator):
@@ -61,8 +50,9 @@ class DeOutcome(NamedTuple):
 class Episode:
     """R runs (`runs`) of `algorithm` on `fn` in lockstep, one Generator per
     run in `rng`: every array has a leading run axis, and each generation is
-    one objective call. Construction evaluates generation 0: the DE
-    population, or the first CMA-ES sampling at `sigma0` (kept as `result`).
+    one objective call. `last` is the newest generation: the DE population,
+    or the CMA-ES `GenerationResult`. Construction evaluates generation 0,
+    the DE population or the first CMA-ES sampling at `sigma0`.
     `start(action)` records it; `apply(params, action)` runs one generation
     with F/CR or sigma, records its trace rows and rewards, and returns a
     `DeOutcome` or the CMA-ES `GenerationResult`."""
@@ -76,10 +66,10 @@ class Episode:
         self.budget = EvalBudget(generations * population * self.runs)
         self.trace = RunTrace()
         if algorithm == "de":
-            self.pop = de.init_population(fn, population, rng, self.budget)
+            self.last = de.init_population(fn, population, rng, self.budget)
         elif algorithm == "cmaes":
             state = cmaes.init_state(fn, rng)
-            self.result = cmaes.cma_generation(state, sigma0, fn, population, rng, self.budget)
+            self.last = cmaes.cma_generation(state, sigma0, fn, population, rng, self.budget)
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
 
@@ -93,21 +83,19 @@ class Episode:
         return np.broadcast_to(action, (self.runs,) + action.shape)
 
     def start(self, action) -> None:
-        last = self.pop if self.algorithm == "de" else self.result
-        self.trace.append_generation(last.genotypes, last.fitnesses, action)
+        self.trace.append_generation(self.last.genotypes, self.last.fitnesses, action)
         self.trace.rewards.append(np.zeros(self.runs))
 
     def apply(self, params, action):
         if self.algorithm == "de":
             F, CR = params
-            prev_best = self.pop.best_fitness
-            self.pop, replaced = de.de_generation(self.pop, F, CR, self.fn, self.rng, self.budget)
-            last = self.pop
-            outcome = DeOutcome(F, CR, replaced, self.pop.best_fitness < prev_best)
+            prev_best = self.last.best_fitness
+            self.last, replaced = de.de_generation(self.last, F, CR, self.fn, self.rng, self.budget)
+            outcome = DeOutcome(F, CR, replaced, self.last.best_fitness < prev_best)
         else:
-            last = outcome = self.result = cmaes.cma_generation(
-                self.result.state, params, self.fn, self.population, self.rng, self.budget)
-        self.trace.append_generation(last.genotypes, last.fitnesses, action)
+            outcome = self.last = cmaes.cma_generation(
+                self.last.state, params, self.fn, self.population, self.rng, self.budget)
+        self.trace.append_generation(self.last.genotypes, self.last.fitnesses, action)
         self.trace.rewards.append(reward(self.trace))
         return outcome
 
@@ -144,7 +132,7 @@ class IdeController(Controller):
         return np.stack([self.state.F.mean(axis=-1), self.state.CR.mean(axis=-1)], axis=-1)
 
     def propose(self, episode):
-        F, CR = baselines.ide_update(self.state, episode.pop.best_index, episode.rng)
+        F, CR = baselines.ide_update(self.state, episode.last.best_index, episode.rng)
         return (F, CR), np.stack([F.mean(axis=-1), CR.mean(axis=-1)], axis=-1)
 
     def feedback(self, outcome):
@@ -177,7 +165,8 @@ class FixedSigmaController(Controller):
 
 
 class CsaController(FixedSigmaController):
-    """CSA with its default constants for the episode's dimension."""
+    """CSA with its default constants for the episode's dimension, its sigma
+    clamped into the policy's box [SIGMA_MIN, SIGMA_MAX]."""
 
     def __init__(self):
         """No settings: `start` builds the CSA state, and its feedback on
@@ -185,13 +174,14 @@ class CsaController(FixedSigmaController):
 
     def start(self, episode):
         self.state = baselines.make_csa_state(episode.fn.dimension)
-        self.feedback(episode.result)
+        self.feedback(episode.last)
         return super().start(episode)
 
     def feedback(self, outcome: cmaes.GenerationResult):
         best = outcome.samples[np.arange(len(outcome.samples)), outcome.best_index]
         xi_star = (best - outcome.mean_before) / outcome.sigma_used[..., None]
-        self.state, self.sigma = baselines.csa_update(self.state, xi_star, outcome.sigma_used)
+        self.state, sigma = baselines.csa_update(self.state, xi_star, outcome.sigma_used)
+        self.sigma = np.clip(sigma, SIGMA_MIN, SIGMA_MAX)
 
 
 class PolicyController(Controller):
@@ -277,15 +267,18 @@ class EvolutionEnv:
     actions are clipped into the action space before decoding.
     """
 
-    def __init__(self, config: EpisodeConfig, rng: np.random.Generator):
-        self.config, self.rng, self.spec = config, rng, config.action_spec
+    def __init__(self, functions: list, spec: ActionSpec, obs_spec: ObservationSpec,
+                 rng: np.random.Generator, generations: int = DEFAULT_GENERATIONS,
+                 population: int = DEFAULT_POPULATION, sigma0: float = DEFAULT_SIGMA0):
+        self.functions, self.spec, self.obs_spec, self.rng = functions, spec, obs_spec, rng
+        self.generations, self.population, self.sigma0 = generations, population, sigma0
         self.episode_log: list[tuple] = []
         self.episode = None
-        self.decoder = PolicyController(None, config.action_spec, config.obs_spec)
+        self.decoder = PolicyController(None, spec, obs_spec)
 
     @property
     def observation_dim(self) -> int:
-        return self.config.obs_spec.length(self.spec.dim)
+        return self.obs_spec.length(self.spec.dim)
 
     @property
     def action_dim(self) -> int:
@@ -293,14 +286,13 @@ class EvolutionEnv:
 
     @property
     def steps_per_episode(self) -> int:
-        return self.config.generations - 1
+        return self.generations - 1
 
     def reset(self) -> np.ndarray:
-        cfg = self.config
-        function = multi_function_sampler(cfg.functions, self.rng)
+        function = multi_function_sampler(self.functions, self.rng)
         self.episode_log.append(function)
-        self.episode = Episode(get_function(*function), cfg.algorithm, [self.rng],
-                               cfg.generations, cfg.population, cfg.sigma0)
+        self.episode = Episode(get_function(*function), self.spec.algorithm, [self.rng],
+                               self.generations, self.population, self.sigma0)
         self.episode.start(self.decoder.start(self.episode))
         return self.decoder.observe(self.episode)[0]
 

@@ -25,7 +25,6 @@ class RunTrace:
     best_fitness: list = field(default_factory=list)
     best_genotype: list = field(default_factory=list)
     fitness_max: list = field(default_factory=list)
-    fitness_min: list = field(default_factory=list)
     genotype_max: list = field(default_factory=list)
     genotype_min: list = field(default_factory=list)
     actions: list = field(default_factory=list)
@@ -42,7 +41,6 @@ class RunTrace:
         self.best_fitness.append(fitnesses[rows])
         self.best_genotype.append(genotypes[rows])
         self.fitness_max.append(fitnesses.max(axis=1))
-        self.fitness_min.append(fitnesses.min(axis=1))
         self.genotype_max.append(genotypes.max(axis=1))
         self.genotype_min.append(genotypes.min(axis=1))
         self.actions.append(np.asarray(action, dtype=float))
@@ -101,8 +99,9 @@ def inter_delta_f(trace: RunTrace, g: int) -> np.ndarray:
 
 def intra_delta_f(trace: RunTrace, g: int) -> np.ndarray:
     """Normalized population fitness spread over the last g generations."""
-    spread = np.abs(_newest(trace, trace.fitness_max, g) - _newest(trace, trace.fitness_min, g))
-    return _padded(spread / (spread + np.abs(_newest(trace, trace.best_fitness, g)) + EPS), g)
+    best = _newest(trace, trace.best_fitness, g)
+    spread = np.abs(_newest(trace, trace.fitness_max, g) - best)
+    return _padded(spread / (spread + np.abs(best) + EPS), g)
 
 
 def inter_delta_x(trace: RunTrace, g: int, bounds_width: np.ndarray) -> np.ndarray:

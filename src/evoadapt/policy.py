@@ -36,6 +36,11 @@ class ActionSpec:
     def dim(self) -> int:
         return len(self.lower)
 
+    @property
+    def algorithm(self) -> str:
+        """The engine this action space steers: "cmaes" for sigma, else "de"."""
+        return "cmaes" if self.kind == "cma_sigma" else "de"
+
     def clip(self, values: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(values, dtype=float), self.lower, self.upper)
 

@@ -39,9 +39,13 @@ class PpoConfig:
     checkpoint_every: int = 10
 
     def __post_init__(self):
-        for name in ("epochs", "horizon", "minibatch"):
+        self.hidden = tuple(self.hidden)
+        for name in ("epochs", "horizon", "minibatch", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden must be at least 1 wide in every layer, "
+                             f"got {list(self.hidden)}")
         if self.minibatch > self.horizon:
             raise ValueError("minibatch size must be <= horizon")
         if self.learning_rate <= 0.0:

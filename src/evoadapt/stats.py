@@ -46,23 +46,13 @@ def win_probability(metrics_a, metrics_b) -> float:
 class ComparisonMatrix:
     variants: list            # row labels
     functions: list           # [(name, dimension), ...] column keys
-    cells: dict               # (variant, (name, dim)) -> float, absent = n/a
-
-    def cell(self, variant, function):
-        return self.cells.get((variant, tuple(function)))
+    cells: np.ndarray         # (variants, functions) win probabilities
 
     def row_ratio(self, variant) -> float | None:
         """wins / (wins + losses); exact-0.5 cells are excluded. None when
         no cell decides either way."""
-        wins = losses = 0
-        for function in self.functions:
-            p = self.cell(variant, function)
-            if p is None or p == 0.5:
-                continue
-            if p > 0.5:
-                wins += 1
-            else:
-                losses += 1
+        p = self.cells[self.variants.index(variant)]
+        wins, losses = int(np.sum(p > 0.5)), int(np.sum(p < 0.5))
         if wins + losses == 0:
             return None
         return wins / (wins + losses)
@@ -73,17 +63,11 @@ def build_comparison(variant_metrics: dict, opponent_metrics: dict,
     """Win probabilities of each variant against the opponent, per function.
 
     `variant_metrics[variant][(name, dim)]` and `opponent_metrics[(name, dim)]`
-    are per-run metric vectors; a missing vector leaves the cell absent.
+    are per-run metric vectors, one for every function.
     """
     functions = [tuple(f) for f in functions]
-    cells = {}
-    for variant, per_fn in variant_metrics.items():
-        for function in functions:
-            a = per_fn.get(function)
-            b = opponent_metrics.get(function)
-            if a is None or b is None:
-                continue
-            cells[(variant, function)] = win_probability(a, b)
+    cells = np.array([[win_probability(per_fn[f], opponent_metrics[f]) for f in functions]
+                      for per_fn in variant_metrics.values()])
     return ComparisonMatrix(variants=list(variant_metrics), functions=functions, cells=cells)
 
 
@@ -93,28 +77,24 @@ def _fn_label(function) -> str:
 
 def export_comparison_csv(matrix: ComparisonMatrix, path) -> None:
     rows = [["variant", "ratio"] + [_fn_label(f) for f in matrix.functions]]
-    for variant in matrix.variants:
+    for variant, cells in zip(matrix.variants, matrix.cells):
         ratio = matrix.row_ratio(variant)
-        row = [variant, "n/a" if ratio is None else f"{ratio:.6f}"]
-        for function in matrix.functions:
-            p = matrix.cell(variant, function)
-            row.append("n/a" if p is None else f"{p:.6f}")
-        rows.append(row)
+        rows.append([variant, "n/a" if ratio is None else f"{ratio:.6f}"]
+                    + [f"{p:.6f}" for p in cells])
     write_csv(path, rows)
 
 
 def export_comparison_json(matrix: ComparisonMatrix, path) -> None:
+    doc_functions = [_fn_label(f) for f in matrix.functions]
     doc = {
-        "functions": [_fn_label(f) for f in matrix.functions],
+        "functions": doc_functions,
         "rows": [
             {
                 "variant": variant,
                 "ratio": matrix.row_ratio(variant),
-                "cells": {
-                    _fn_label(f): matrix.cell(variant, f) for f in matrix.functions
-                },
+                "cells": dict(zip(doc_functions, cells.tolist())),
             }
-            for variant in matrix.variants
+            for variant, cells in zip(matrix.variants, matrix.cells)
         ],
     }
     with replace_atomically(path) as fh:

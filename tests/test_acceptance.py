@@ -13,7 +13,7 @@ import pytest
 from evoadapt import envloop
 from evoadapt.benchmarks import get_function
 from evoadapt.cli import main
-from evoadapt.envloop import (CsaController, EpisodeConfig, EvolutionEnv,
+from evoadapt.envloop import (CsaController, EvolutionEnv,
                               FixedDeController, FixedSigmaController,
                               PolicyController, run_de_episode,
                               run_test_protocol)
@@ -177,9 +177,7 @@ def test_criterion_7_training_smoke():
     for attempt in range(4):  # initial try plus 3 seeded retries
         seed = 123 + attempt
         env_rng, train_rng = np.random.SeedSequence(seed).spawn(2)
-        env = EvolutionEnv(EpisodeConfig(algorithm="de", functions=[("Sphere", 10)],
-                                         obs_spec=obs_spec, action_spec=spec),
-                           np.random.default_rng(env_rng))
+        env = EvolutionEnv([("Sphere", 10)], spec, obs_spec, np.random.default_rng(env_rng))
         policy, _value, _log = train(env, cfg, episodes_budget=500,
                                      rng=np.random.default_rng(train_rng))
         trained = run_test_protocol(

@@ -27,6 +27,18 @@ def test_registry_order_is_deterministic():
     assert registry_list() == registry_list()
 
 
+def test_registry_order_is_pinned():
+    """The order sets `list-functions`, the columns of `compare` and which
+    entry a multi-function training episode samples."""
+    ten_d_only = ["BentCigar", "Discus", "Ellipsoid", "Katsuura", "Rastrigin",
+                  "Rosenbrock", "Schaffers", "Schwefel", "Sphere", "Weierstrass"]
+    multi_dim = ["AttractiveSector", "BuecheRastrigin", "CompositeGR", "DifferentPowers",
+                 "LinearSlope", "SharpRidge", "StepEllipsoidal", "RosenbrockRotated",
+                 "SchaffersIllConditioned", "LunacekBiR", "GG101me", "GG21hi"]
+    assert registry_list() == ([(name, 10) for name in ten_d_only]
+                               + [(name, d) for name in multi_dim for d in (5, 10, 20)])
+
+
 def test_case_insensitive_lookup():
     assert get_function("sphere", 10) is get_function("Sphere", 10)
     with pytest.raises(KeyError):

@@ -120,10 +120,16 @@ CMA_CSA = ["--algorithm", "cmaes", "--adaptation", "csa"]
      "epochs must be at least 1"),
     ("train", {"training": {"mode": "single", "function": "Sphere", "dimension": 10,
                             "episodes": 3}}, [], "= 27 steps fill no ppo.horizon of 36"),
+    ("train", {"ppo": {"horizon": 36, "minibatch": 36, "epochs": 2, "checkpoint_every": 0}},
+     [], "checkpoint_every must be at least 1"),
+    ("train", {"ppo": {"horizon": 36, "minibatch": 36, "epochs": 2, "hidden": [0]}}, [],
+     "hidden must be at least 1"),
+    ("train", {"algorithm": "cmaes"}, [], "'de_uniform' steers de, not cmaes"),
 ], ids=["unknown-action", "unknown-training-function", "unknown-optimizer",
         "missing-checkpoint", "population-below-4", "test-runs-unknown", "no-runs", "compare-negative-runs",
         "sigma0-zero", "fixed-sigma-negative", "no-jobs", "minibatch-zero",
-        "minibatch-negative", "horizon-zero", "epochs-zero", "budget-fills-no-horizon"])
+        "minibatch-negative", "horizon-zero", "epochs-zero", "budget-fills-no-horizon",
+        "checkpoint-every-zero", "hidden-zero", "cmaes-with-de-action"])
 def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides, flags,
                                                  cause):
     cfg_path, _ = base_config(tmp_path, **overrides)
@@ -141,17 +147,26 @@ def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, over
 
 
 def test_diverging_cma_run_raises_a_named_error(tmp_path):
-    """CSA on LinearSlope-5, seed 49, drives the covariance to NaN; the error
-    names the function, the run seed and the generation instead of letting
-    `LinAlgError` escape from the covariance factorisation."""
+    """A fixed sigma of 1e308 on LinearSlope-5, seed 49, drives the covariance
+    to NaN; the error names the function, the run seed and the generation
+    instead of letting `LinAlgError` escape from the covariance factorisation."""
     out = tmp_path / "x"
-    argv = ["evaluate", "--algorithm", "cmaes", "--adaptation", "csa", "--function",
-            "LinearSlope", "--dimension", "5", "--seed", "49", "--runs", "1",
-            "--out", str(out)]
+    argv = ["evaluate", "--algorithm", "cmaes", "--adaptation", "fixed", "--fixed-sigma",
+            "1e308", "--function", "LinearSlope", "--dimension", "5", "--seed", "49",
+            "--runs", "1", "--out", str(out)]
     with pytest.raises(StateNotFinite, match=r"LinearSlope-5 is not finite at "
-                                             r"generation 40 \(run seeds \[49\]\)"):
+                                             r"generation 2 \(run seeds \[49\]\)"):
         main(argv)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_policy_is_not_an_adaptation_choice(tmp_path, command):
+    """`--checkpoint` alone selects the policy."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--adaptation", "policy", "--out", str(tmp_path / "x")]
+             + (["--function", "Sphere", "--dimension", "10"] if command == "evaluate" else []))
+    assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")

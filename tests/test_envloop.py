@@ -5,14 +5,14 @@ import pytest
 
 from evoadapt.benchmarks import get_function, registry_list
 from evoadapt.cmaes import StateNotFinite
-from evoadapt.envloop import (CsaController, Episode, EpisodeConfig, EvolutionEnv,
+from evoadapt.envloop import (CsaController, Episode, EvolutionEnv,
                               FixedDeController, FixedSigmaController,
                               IdeController, JdeController, PolicyController,
                               multi_function_sampler, run_cma_episode,
                               run_de_episode, run_episode, run_test_protocol,
                               export_trace_csv)
 from evoadapt.observe import ObservationSpec, reward
-from evoadapt.policy import PolicyNet, action_spec
+from evoadapt.policy import SIGMA_MAX, SIGMA_MIN, PolicyNet, action_spec
 
 
 def counted(fn):
@@ -57,7 +57,6 @@ class TestEpisodeTraces:
                 trace,
                 best_fitness=trace.best_fitness[: g + 1],
                 fitness_max=trace.fitness_max[: g + 1],
-                fitness_min=trace.fitness_min[: g + 1],
             )
             assert trace.rewards[g] == reward(sub)
 
@@ -123,10 +122,8 @@ class TestFunctionSampler:
 
 class TestEvolutionEnv:
     def make_env(self, seed=0, functions=None):
-        cfg = EpisodeConfig(algorithm="de", functions=functions or [("Sphere", 10)],
-                            obs_spec=ObservationSpec(history_length=40),
-                            action_spec=action_spec("de_direct"))
-        return EvolutionEnv(cfg, np.random.default_rng(seed))
+        return EvolutionEnv(functions or [("Sphere", 10)], action_spec("de_direct"),
+                            ObservationSpec(history_length=40), np.random.default_rng(seed))
 
     def test_dimensions(self):
         env = self.make_env()
@@ -162,9 +159,7 @@ class TestEvolutionEnv:
                            rng=np.random.default_rng(1))
         # a large last layer so the mean actions move F/CR or sigma around
         policy.mlp.weights[-1] *= 100.0
-        cfg = EpisodeConfig(algorithm=algorithm, functions=[("Rastrigin", 10)],
-                            obs_spec=obs_spec, action_spec=spec)
-        env = EvolutionEnv(cfg, np.random.default_rng(21))
+        env = EvolutionEnv([("Rastrigin", 10)], spec, obs_spec, np.random.default_rng(21))
         obs, done, rewards = env.reset(), False, []
         while not done:
             obs, r, done = env.step(policy.forward(obs)[0])
@@ -244,9 +239,26 @@ class TestProtocol:
             run_test_protocol(FixedDeController, ("Sphere", 10), 0, runs=0)
 
     def test_diverging_cma_run_names_function_seed_and_generation(self):
+        class OneRunDiverges(FixedSigmaController):
+            """Sigma 1e308 for run 2 (seed 49), the default for the others."""
+
+            def propose(self, episode):
+                sigma = np.where(np.arange(episode.runs) == 2, 1e308, self.sigma)
+                return sigma, sigma[..., None]
+
         with pytest.raises(StateNotFinite, match=r"LinearSlope-5 is not finite at "
-                                                 r"generation \d+ \(run seeds \[49\]\)"):
-            run_test_protocol(CsaController, ("LinearSlope", 5), 47, runs=4, algorithm="cmaes")
+                                                 r"generation 2 \(run seeds \[49\]\)"):
+            run_test_protocol(OneRunDiverges, ("LinearSlope", 5), 47, runs=4, algorithm="cmaes")
+
+    def test_csa_sigma_stays_in_the_policy_box(self):
+        """Unclamped, CSA's sigma grows without bound on LinearSlope-5, seed 49,
+        until the covariance turns NaN; clamped to SIGMA_MAX the run finishes."""
+        result = run_test_protocol(CsaController, ("LinearSlope", 5), 49, runs=1,
+                                   algorithm="cmaes")
+        assert np.isfinite(result.aucs).all()
+        sigmas = np.array(result.traces[0].actions)
+        assert ((SIGMA_MIN <= sigmas) & (sigmas <= SIGMA_MAX)).all()
+        assert sigmas.max() == SIGMA_MAX  # the clamp binds on this run
 
     def test_cma_protocol(self):
         result = run_test_protocol(CsaController, ("Sphere", 10), 3, runs=5, algorithm="cmaes")

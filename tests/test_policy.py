@@ -23,6 +23,11 @@ class TestActionSpec:
         with pytest.raises(KeyError):
             action_spec("nope")
 
+    @pytest.mark.parametrize("kind,algorithm", [("cma_sigma", "cmaes"), ("de_direct", "de"),
+                                                ("de_normal", "de"), ("de_uniform", "de")])
+    def test_algorithm_is_the_engine_steered(self, kind, algorithm):
+        assert action_spec(kind).algorithm == algorithm
+
 
 class TestForward:
     def test_zero_network_outputs_zeros(self):

@@ -149,7 +149,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("sizes", [{"minibatch": 0}, {"minibatch": -5},
                                        {"horizon": 0, "minibatch": 0}, {"epochs": 0},
-                                       {"epochs": -1}])
+                                       {"epochs": -1}, {"checkpoint_every": 0},
+                                       {"hidden": [50, 0]}])
     def test_sizes_below_one_rejected(self, sizes):
         with pytest.raises(ValueError, match=f"{next(iter(sizes))} must be at least 1"):
             PpoConfig(**sizes)

@@ -86,33 +86,23 @@ class TestWinProbability:
 
 
 class TestComparisonMatrix:
-    def make_matrix(self, cells, functions, variants=("v",)):
-        return ComparisonMatrix(variants=list(variants), functions=functions, cells=cells)
+    def make_matrix(self, row, functions):
+        return ComparisonMatrix(variants=["v"], functions=functions, cells=np.array([row]))
 
     def test_row_ratio_arithmetic(self):
         functions = [("F", d) for d in range(46)]
-        cells = {}
-        for i, f in enumerate(functions):
-            cells[("v", f)] = 0.9 if i < 28 else 0.1
-        matrix = self.make_matrix(cells, functions)
+        row = [0.9 if i < 28 else 0.1 for i in range(46)]
+        matrix = self.make_matrix(row, functions)
         assert matrix.row_ratio("v") == pytest.approx(28 / 46)
 
     def test_exact_half_cells_excluded(self):
         functions = [("A", 5), ("B", 5), ("C", 5)]
-        cells = {("v", ("A", 5)): 0.5, ("v", ("B", 5)): 0.5, ("v", ("C", 5)): 0.8}
-        matrix = self.make_matrix(cells, functions)
+        matrix = self.make_matrix([0.5, 0.5, 0.8], functions)
         assert matrix.row_ratio("v") == 1.0
 
     def test_all_undecided_gives_none(self):
-        functions = [("A", 5)]
-        matrix = self.make_matrix({("v", ("A", 5)): 0.5}, functions)
+        matrix = self.make_matrix([0.5], [("A", 5)])
         assert matrix.row_ratio("v") is None
-
-    def test_missing_cells_skipped(self):
-        functions = [("A", 5), ("B", 5)]
-        matrix = self.make_matrix({("v", ("A", 5)): 0.2}, functions)
-        assert matrix.cell("v", ("B", 5)) is None
-        assert matrix.row_ratio("v") == 0.0
 
 
 class TestBuildAndExport:
@@ -123,13 +113,8 @@ class TestBuildAndExport:
         self.matrix = build_comparison(variant, opponent, self.functions)
 
     def test_cell_values(self):
-        assert self.matrix.cell("policy", ("Sphere", 10)) == 1.0
-        assert self.matrix.cell("policy", ("Rastrigin", 10)) == 0.0
+        assert self.matrix.cells.tolist() == [[1.0, 0.0]]
         assert self.matrix.row_ratio("policy") == 0.5
-
-    def test_missing_opponent_vector_leaves_cell_absent(self):
-        matrix = build_comparison({"p": {("Sphere", 10): [1.0]}}, {}, self.functions)
-        assert matrix.cell("p", ("Sphere", 10)) is None
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "cmp.csv"
