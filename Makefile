@@ -1,4 +1,4 @@
-.PHONY: test test-fast check bench bench-selftest paper-run
+.PHONY: test test-fast check bench bench-pairs bench-selftest paper-run
 
 test:
 	pytest -v
@@ -17,6 +17,13 @@ bench:
 	for workload in de-protocol cmaes-protocol ppo-train; do \
 	  python3 perfbench/run.py --workload $$workload --seed 1 --seconds 40 --trace 0 || exit 1; \
 	done
+
+# Alternated perfbench runs of a parent revision and the working tree, e.g.
+# make bench-pairs PARENT=HEAD WORKLOAD=ppo-train PAIRS=5 (see scripts/bench_pairs.py).
+PARENT ?= HEAD
+PAIRS ?= 3
+bench-pairs:
+	python3 scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Show that every benchmark output check fails on a corrupted output.
 bench-selftest:

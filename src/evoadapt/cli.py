@@ -174,19 +174,34 @@ def _parse_function_arg(value: str) -> tuple:
     return (fn.name, fn.dimension)
 
 
+def _variant_labels(paths: list[str]) -> list[str]:
+    """Each checkpoint's label: the shortest trailing run of its path's
+    components, extension dropped, that no other checkpoint's path ends in."""
+    parts = [os.path.abspath(os.path.splitext(path)[0]).split(os.sep) for path in paths]
+    labels = []
+    for i, own in enumerate(parts):
+        others = parts[:i] + parts[i + 1:]
+        k = next((k for k in range(1, len(own) + 1)
+                  if all(other[-k:] != own[-k:] for other in others)), None)
+        if k is None:
+            raise ConfigError(f"checkpoint {paths[i]} is given twice")
+        labels.append("/".join(own[-k:]))
+    return labels
+
+
 def cmd_compare(args) -> int:
     _check_protocol_args(args)
     if not args.checkpoint:
         raise ConfigError("compare requires at least one --checkpoint variant")
     algorithm = None
     variants = []
-    for path in args.checkpoint:
+    for label, path in zip(_variant_labels(args.checkpoint), args.checkpoint):
         algo, factory = _load_policy(path)
         if algorithm is None:
             algorithm = algo
         elif algorithm != algo:
             raise ConfigError("all compare variants must target the same algorithm")
-        variants.append((os.path.splitext(os.path.basename(path))[0], factory))
+        variants.append((label, factory))
 
     opponent = args.adaptation or ("csa" if algorithm == "cmaes" else "jde")
     if args.function:

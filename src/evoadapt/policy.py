@@ -3,8 +3,7 @@
 The network is a plain fully connected net (default in -> 50 -> 50 -> out)
 with a state-independent log-std head for the Gaussian policy. Forward and
 backward passes are implemented directly on numpy arrays; `ppo.ppo_loss`
-runs both nets' first layer itself and the rest through `Mlp.forward_cache`
-and `Mlp.backward`.
+runs each net through one `Mlp.forward_cache` and one `Mlp.backward`.
 """
 
 from __future__ import annotations
@@ -99,33 +98,32 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         single = np.ndim(x) == 1
-        a = np.atleast_2d(np.asarray(x, dtype=float)) @ self.weights[0].T + self.biases[0]
-        out, _ = self.forward_cache(self.activate(a) if len(self.weights) > 1 else a)
+        out, _ = self.forward_cache(np.atleast_2d(np.asarray(x, dtype=float)))
         return out[0] if single else out
 
-    def forward_cache(self, a0: np.ndarray):
-        """Layers 1.. on layer 0's (activated) output `a0`: the net's output
-        and the cache `backward` reads, every hidden layer's output."""
-        outs, a = [a0], a0
-        for li in range(1, len(self.weights)):
-            a = a @ self.weights[li].T
-            a += self.biases[li]
+    def forward_cache(self, x: np.ndarray):
+        """The output on input rows `x`, and every layer's input for `backward`."""
+        ins, a = [], x
+        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
+            ins.append(a)
+            a = a @ w.T
+            a += b
             if li < len(self.weights) - 1:  # linear output layer
-                outs.append(self.activate(a))
-        return a, outs
+                self.activate(a)
+        return a, ins
 
-    def backward(self, outs: list, delta: np.ndarray, grads: "Mlp", d0: np.ndarray) -> None:
-        """Backprop `delta` (dLoss/dOutput) through layers n-1..1 into the
-        arrays of `grads`, a net of the same sizes, and dLoss/d(layer-0
-        output) into `d0`; layer 0's own gradients are the caller's."""
-        for li in range(len(self.weights) - 1, 0, -1):
-            np.matmul(delta.T, outs[li - 1], out=grads.weights[li])
+    def backward(self, ins: list, delta: np.ndarray, grads: "Mlp") -> None:
+        """Backprop `delta` (dLoss/dOutput) through every layer into the
+        arrays of `grads`, a net of the same sizes. Overwrites each hidden
+        layer's input in `ins` with its gradient: fresh arrays there made
+        malloc trim its heap and fault the pages in again every minibatch."""
+        for li in range(len(self.weights) - 1, -1, -1):
+            np.matmul(delta.T, ins[li], out=grads.weights[li])
             np.add.reduce(delta, axis=0, out=grads.biases[li])
-            delta = np.matmul(delta, self.weights[li], out=d0 if li == 1 else None)
-            if li > 1:
-                delta *= self.activation_grad(outs[li - 1])
-        if delta is not d0:  # a net without hidden layers
-            d0[...] = delta
+            if li > 0:
+                slope = self.activation_grad(ins[li])
+                delta = np.matmul(delta, self.weights[li], out=ins[li])
+                delta *= slope
 
     def params(self) -> list[np.ndarray]:
         return self.weights + self.biases
@@ -228,6 +226,9 @@ def load_checkpoint(path) -> tuple[PolicyNet, str, ObservationSpec]:
         obs_spec = ObservationSpec(**{f.name: obs[f.name] for f in fields(ObservationSpec)})
         policy = PolicyNet(sizes[0], sizes[-1], hidden=tuple(sizes[1:-1]), activation=activation)
         policy.log_std = np.array(doc["log_std"], dtype=float)
+        if policy.log_std.shape != (sizes[-1],) or len(doc["layers"]) != len(sizes) - 1:
+            raise ValueError(f"architecture {sizes} needs {len(sizes) - 1} layers and {sizes[-1]} "
+                             f"log_std entries, got {len(doc['layers'])} and {policy.log_std.size}")
         for li, layer in enumerate(doc["layers"]):
             w = np.array(layer["weights"], dtype=float)
             b = np.array(layer["bias"], dtype=float)

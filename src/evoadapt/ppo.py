@@ -100,7 +100,6 @@ class ActorCritic:
         self.grad = _bind(self.grad_policy, self.grad_value)
         split = sum(p.size for p in policy.params())
         self.grad_slices = (self.grad[:split], self.grad[split:])
-        self.work = np.empty((2, 0, 0))  # ppo_loss's first-layer arrays, kept between calls
 
 
 def _bind(policy: PolicyNet, value: Mlp) -> np.ndarray:
@@ -127,21 +126,9 @@ def ppo_loss(obs, raw_actions, old_log_probs, advantages, returns, net: ActorCri
     Loss = -(clipped surrogate) + c_v * value MSE - c_e * entropy.
     """
     p, v = net.policy.mlp, net.value
-    gp, gv = net.grad_policy, net.grad_value
-    B, h = len(obs), p.sizes[1]
-
-    # both first layers share one output array; their products stay per net,
-    # since OpenBLAS runs the stacked ones on two spinning threads
-    if net.work.shape[1] < B:  # reused: fresh ~100 kB arrays each minibatch page-fault
-        net.work = np.empty((2, B, h + v.sizes[1]))
-    first, d0 = net.work[:, :B]
-    np.matmul(obs, p.weights[0].T, out=first[:, :h])
-    np.matmul(obs, v.weights[0].T, out=first[:, h:])
-    first += np.concatenate((p.biases[0], v.biases[0]))
-    if len(p.weights) > 1:
-        p.activate(first)
-    mean, outs_p = p.forward_cache(first[:, :h])
-    v_out, outs_v = v.forward_cache(first[:, h:])
+    B = len(obs)
+    mean, ins_p = p.forward_cache(obs)
+    v_out, ins_v = v.forward_cache(obs)
 
     log_std = net.policy.log_std
     std = np.exp(log_std)
@@ -164,17 +151,11 @@ def ppo_loss(obs, raw_actions, old_log_probs, advantages, returns, net: ActorCri
     # gradient flows through the unclipped branch only where it is the minimum
     active = surr1 <= surr2
     d_logp = -(active * surr1) / B
-    np.add.reduce(d_logp[:, None] * (z2 - 1.0), axis=0, out=gp.log_std)
-    gp.log_std -= cfg.entropy_coef
+    np.add.reduce(d_logp[:, None] * (z2 - 1.0), axis=0, out=net.grad_policy.log_std)
+    net.grad_policy.log_std -= cfg.entropy_coef
 
-    p.backward(outs_p, d_logp[:, None] * (diff / std ** 2), gp.mlp, d0[:, :h])
-    v.backward(outs_v, (cfg.value_coef * 2.0 * v_err / B)[:, None], gv, d0[:, h:])
-    if len(p.weights) > 1:
-        d0 *= p.activation_grad(first)
-    np.matmul(d0[:, :h].T, obs, out=gp.mlp.weights[0])
-    np.matmul(d0[:, h:].T, obs, out=gv.weights[0])
-    np.add.reduce(d0[:, :h], axis=0, out=gp.mlp.biases[0])
-    np.add.reduce(d0[:, h:], axis=0, out=gv.biases[0])
+    p.backward(ins_p, d_logp[:, None] * (diff / std ** 2), net.grad_policy.mlp)
+    v.backward(ins_v, (cfg.value_coef * 2.0 * v_err / B)[:, None], net.grad_value)
 
     return {"loss": float(loss), "policy_loss": policy_loss, "value_loss": value_loss,
             "entropy": entropy, "clip_fraction": 1.0 - np.count_nonzero(active) / B}

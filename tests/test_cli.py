@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 
 import pytest
 
@@ -225,6 +227,20 @@ class TestEvaluate:
         assert code == 2
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("layers,log_std", [(1, 4), (2, 1), (1, 1)])
+    def test_truncated_checkpoint_exits_config(self, trained_checkpoint, tmp_path, capsys,
+                                               layers, log_std):
+        with open(trained_checkpoint) as fh:
+            doc = json.load(fh)  # 2 layers, 4 actions
+        doc["layers"], doc["log_std"] = doc["layers"][:layers], doc["log_std"][:log_std]
+        cut = tmp_path / "cut.json"
+        cut.write_text(json.dumps(doc))
+        code = main(["evaluate", "--checkpoint", str(cut), "--function", "Sphere",
+                     "--dimension", "10", "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert (f"needs 2 layers and 4 log_std entries, got {layers} and {log_std}"
+                in capsys.readouterr().err)
+
     def test_unknown_function_exits_config(self, tmp_path):
         code = main(["evaluate", "--adaptation", "jde", "--function", "NoSuch",
                      "--dimension", "10", "--out", str(tmp_path / "x")])
@@ -253,15 +269,41 @@ class TestCompare:
         assert doc["functions"] == ["Sphere_10"]
 
     def test_two_variants_two_functions(self, trained_checkpoint, tmp_path):
+        # two checkpoints that share a basename keep one row each
+        paths = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            paths.append(str(shutil.copy(trained_checkpoint, tmp_path / name / "checkpoint.json")))
         out = tmp_path / "cmp"
-        code = main(["compare", "--checkpoint", trained_checkpoint,
-                     "--checkpoint", trained_checkpoint,
+        code = main(["compare", "--checkpoint", paths[0], "--checkpoint", paths[1],
                      "--function", "Sphere:10", "--function", "Rastrigin:10",
                      "--runs", "3", "--metric", "auc", "--out", str(out)])
         assert code == 0
         rows = (out / "comparison_auc.csv").read_text().strip().splitlines()
-        assert len(rows) == 2  # identical basenames collapse to one variant label
-        assert len(rows[1].split(",")) == 4
+        assert [row.split(",")[0] for row in rows] == ["variant", "a/checkpoint",
+                                                        "b/checkpoint"]
+        assert all(len(row.split(",")) == 4 for row in rows)
+        assert rows[1].split(",")[1:] == rows[2].split(",")[1:]  # the same policy
+
+    def test_only_colliding_stems_get_longer_labels(self, trained_checkpoint, tmp_path):
+        paths = []
+        for name in ("a/checkpoint.json", "b/checkpoint.json", "a/de_uniform.json"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            paths.append(str(shutil.copy(trained_checkpoint, tmp_path / name)))
+        assert cli._variant_labels(paths) == ["a/checkpoint", "b/checkpoint", "de_uniform"]
+
+    @pytest.mark.parametrize("spelling", [
+        lambda path: path,
+        os.path.relpath,
+        lambda path: os.path.join(os.path.dirname(path), "x", "..", os.path.basename(path)),
+    ], ids=["same", "relative", "dotdot"])
+    def test_repeated_checkpoint_exits_config(self, trained_checkpoint, tmp_path, spelling):
+        out = tmp_path / "cmp"
+        code = main(["compare", "--checkpoint", trained_checkpoint,
+                     "--checkpoint", spelling(trained_checkpoint),
+                     "--function", "Sphere:10", "--runs", "2", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_missing_checkpoint_rejected(self, tmp_path):
         assert main(["compare", "--out", str(tmp_path / "x")]) == 2

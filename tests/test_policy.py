@@ -60,9 +60,9 @@ class TestForward:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_output_gradients_match_finite_differences(self, activation):
-        # ppo_loss runs the backward pass (layer 0 itself, the rest through
-        # Mlp.backward): with value_coef 0.5, one row and a return one below
-        # the output, dLoss/dWeights of the value net is dOutput/dWeights
+        # ppo_loss runs the backward pass through Mlp.backward: with
+        # value_coef 0.5, one row and a return one below the output,
+        # dLoss/dWeights of the value net is dOutput/dWeights
         rng = np.random.default_rng(0)
         net = Mlp([3, 4, 1], activation=activation, rng=rng, last_layer_scale=1.0)
         x = rng.standard_normal((1, 3)) + 0.1

@@ -354,11 +354,11 @@ def reference_iteration(env, cfg, rng, flat_norm=False):
     return policy.params() + value.params()
 
 
-def one_iteration(optimizer, grad_clip, flat_norm=False):
+def one_iteration(optimizer, grad_clip, flat_norm=False, hidden=(50, 50)):
     # 160 steps: minibatches of 128 and 32 rows, as in a default 4000-step
     # horizon; 4 episodes of 49 steps fill it once
     cfg = PpoConfig(horizon=160, minibatch=128, epochs=3, optimizer=optimizer,
-                    learning_rate=1e-3, grad_clip=grad_clip)
+                    learning_rate=1e-3, grad_clip=grad_clip, hidden=hidden)
     policy, value, log = train(RandomObsEnv(), cfg, episodes_budget=4,
                                rng=np.random.default_rng(5))
     assert len(log) == 1
@@ -366,9 +366,12 @@ def one_iteration(optimizer, grad_clip, flat_norm=False):
     return policy.params() + value.params(), reference
 
 
+@pytest.mark.parametrize("hidden", [(), (1,), (2,), (3,), (2, 2), (50, 50)],
+                         ids=lambda hidden: "x".join(map(str, hidden)) or "linear")
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_flat_update_equals_per_array_update_bit_for_bit(optimizer):
-    flat, reference = one_iteration(optimizer, grad_clip=1e6)  # clipping never binds
+def test_flat_update_equals_per_array_update_bit_for_bit(optimizer, hidden):
+    # clipping never binds
+    flat, reference = one_iteration(optimizer, grad_clip=1e6, hidden=hidden)
     for a, b in zip(flat, reference):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
