@@ -33,14 +33,10 @@ class CsaState:
     expected_norm: float
 
 
-def make_csa_state(dim: int, c: float | None = None, d_sigma: float = 1.0) -> CsaState:
-    if c is None:
-        c = 4.0 / (dim + 4.0)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"cumulation factor must lie in [0, 1], got {c}")
-    if d_sigma <= 0.0:
-        raise ValueError(f"damping must be positive, got {d_sigma}")
-    return CsaState(path=np.zeros(dim), c=c, d_sigma=d_sigma,
+def make_csa_state(dim: int) -> CsaState:
+    """CSA with cumulation c = 4/(d+4) and damping d_sigma = 1 (Hansen's
+    CMA-ES tutorial, arXiv 1604.00772)."""
+    return CsaState(path=np.zeros(dim), c=4.0 / (dim + 4.0), d_sigma=1.0,
                     expected_norm=expected_chi_norm(dim))
 
 

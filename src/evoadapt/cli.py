@@ -140,12 +140,12 @@ def _check_protocol_args(args) -> None:
 
 def cmd_evaluate(args) -> int:
     _check_protocol_args(args)
-    if args.checkpoint and args.adaptation is not None:
-        raise ConfigError("give either --checkpoint or a baseline --adaptation")
+    if args.checkpoint and (args.algorithm, args.adaptation) != (None, None):
+        raise ConfigError("give either --checkpoint or the baseline --algorithm/--adaptation")
     if args.checkpoint:
         algorithm, factory = _load_policy(args.checkpoint)
     else:
-        algorithm = args.algorithm
+        algorithm = args.algorithm or "de"
         factory = _controller_factory(algorithm, args.adaptation or "fixed", args.fixed_f,
                                       args.fixed_cr, args.fixed_sigma)
     try:
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint", default=None, action=checkpoint_action)
         p.add_argument("--adaptation", choices=["csa", "ide", "jde", "fixed"],
                        default=None)
-        p.add_argument("--algorithm", choices=["de", "cmaes"], default="de")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted and ignored: a protocol's runs step in lockstep "
@@ -261,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="run the 50-run test protocol on one function")
     add_eval_args(p_eval)
+    p_eval.add_argument("--algorithm", choices=["de", "cmaes"], default=None)
     p_eval.add_argument("--function", required=True)
     p_eval.add_argument("--dimension", type=int, required=True)
 

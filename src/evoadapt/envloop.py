@@ -21,7 +21,7 @@ from . import baselines, cmaes, de
 from .benchmarks import BenchmarkFunction, EvalBudget, get_function, per_run
 from .observe import ObservationSpec, RunTrace, build_observation, reward
 from .policy import (SIGMA_MAX, SIGMA_MIN, ActionSpec, PolicyNet, decode_de_params,
-                     decode_sigma, sample_action)
+                     decode_sigma)
 from .artifacts import write_csv
 from .stats import auc, best_of_run
 
@@ -187,16 +187,14 @@ class CsaController(FixedSigmaController):
 class PolicyController(Controller):
     """A policy sets F/CR (`decode_de_params`) or sigma (`decode_sigma`).
 
-    The test-time action is the deterministic mean unless `stochastic`.
-    With `policy=None` it only observes and decodes actions chosen
+    The test-time action is the policy's mean, clipped into the action
+    space. With `policy=None` it only observes and decodes actions chosen
     elsewhere, which is how `EvolutionEnv` applies PPO's actions. The
     forward pass runs once per run: a batched `(R, obs) @ W.T` rounds some
     rows unlike the one-row product, so actions would depend on R."""
 
-    def __init__(self, policy: PolicyNet | None, spec: ActionSpec, obs_spec: ObservationSpec,
-                 stochastic: bool = False):
+    def __init__(self, policy: PolicyNet | None, spec: ActionSpec, obs_spec: ObservationSpec):
         self.policy, self.spec, self.obs_spec = policy, spec, obs_spec
-        self.stochastic = stochastic
 
     def start(self, episode):
         neutral = self.spec.neutral()
@@ -207,12 +205,11 @@ class PolicyController(Controller):
         return build_observation(episode.trace, self.obs_spec, self.prev_action_norm,
                                  episode.fn.bounds_width)
 
-    def act(self, rng, obs):
-        mean, log_std = self.policy.forward(np.array(obs))
-        return sample_action(mean, log_std, self.spec, rng, stochastic=self.stochastic)[0]
+    def act(self, obs):
+        return self.spec.clip(self.policy.forward(obs)[0])
 
     def propose(self, episode):
-        action = per_run(episode.rng, self.act, self.observe(episode))
+        action = np.array([self.act(row) for row in self.observe(episode)])
         return self.decode(episode, action), action
 
     def decode(self, episode, action: np.ndarray):
@@ -315,19 +312,17 @@ class ProtocolResult:
 
 
 def run_test_protocol(controller_factory, function: tuple, seed_base: int,
-                      runs: int = 50, generations: int = DEFAULT_GENERATIONS,
-                      population: int = DEFAULT_POPULATION, algorithm: str = "de",
+                      runs: int = 50, algorithm: str = "de",
                       sigma0: float = DEFAULT_SIGMA0) -> ProtocolResult:
-    """Seeded runs seed_base..seed_base+runs-1 stepped in lockstep under one
-    controller; run i draws only from `default_rng(seed_base + i)`, so it
-    gives the bytes of a one-run batch of that seed. Results are ordered by
-    run index."""
+    """Seeded runs seed_base..seed_base+runs-1 of the paper's protocol (50
+    generations of population 10) stepped in lockstep under one controller;
+    run i draws only from `default_rng(seed_base + i)`, so it gives the bytes
+    of a one-run batch of that seed. Results are ordered by run index."""
     if runs < 1:
         raise ValueError(f"a protocol needs at least one run, got {runs}")
     fn = get_function(*function)
     seeds = [seed_base + i for i in range(runs)]
-    episode = Episode(fn, algorithm, [np.random.default_rng(s) for s in seeds],
-                      generations, population, sigma0)
+    episode = Episode(fn, algorithm, [np.random.default_rng(s) for s in seeds], sigma0=sigma0)
     try:
         traces = run_episode(episode, controller_factory()).split_runs()
     except cmaes.StateNotFinite as exc:

@@ -117,14 +117,12 @@ def intra_delta_x(trace: RunTrace, g: int, bounds_width: np.ndarray) -> np.ndarr
 
 
 def build_observation(trace: RunTrace, spec: ObservationSpec, previous_action: np.ndarray,
-                      bounds_width: np.ndarray | None = None) -> np.ndarray:
+                      bounds_width: np.ndarray) -> np.ndarray:
     """Flattened policy input: [inter df | previous action | optional blocks]."""
     g = spec.history_length
     parts = [inter_delta_f(trace, g), np.asarray(previous_action, dtype=float).T]
     if spec.include_intra_df:
         parts.append(intra_delta_f(trace, g))
-    if (spec.include_inter_dx or spec.include_intra_dx) and bounds_width is None:
-        raise ValueError("bounds_width is required for genotype-delta blocks")
     if spec.include_inter_dx:
         parts.append(inter_delta_x(trace, g, bounds_width))
     if spec.include_intra_dx:

@@ -133,9 +133,9 @@ class PolicyNet:
     """Gaussian policy: MLP mean head plus state-independent log-std."""
 
     def __init__(self, in_dim: int, action_dim: int, hidden=(50, 50), activation: str = "relu",
-                 rng: np.random.Generator | None = None, log_std_init: float = 0.0):
+                 rng: np.random.Generator | None = None):
         self.mlp = Mlp([in_dim, *hidden, action_dim], activation=activation, rng=rng)
-        self.log_std = np.full(action_dim, float(log_std_init))
+        self.log_std = np.zeros(action_dim)
 
     @property
     def in_dim(self) -> int:
@@ -156,23 +156,13 @@ class PolicyNet:
 
 
 # ---------------------------------------------------------------------------
-# Sampling and decoding
+# Log-probability and decoding
 
 def gaussian_log_prob(raw: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
     std = np.exp(log_std)
     z = (raw - mean) / std
     return np.sum(-0.5 * z ** 2 - log_std - 0.5 * LOG_2PI, axis=-1)
-
-
-def sample_action(mean: np.ndarray, log_std: np.ndarray, spec: ActionSpec,
-                  rng: np.random.Generator, stochastic: bool = True):
-    """Draw (or take) the raw action; return it clipped into bounds, and raw."""
-    if stochastic:
-        raw = mean + np.exp(log_std) * rng.standard_normal(spec.dim)
-    else:
-        raw = np.asarray(mean, dtype=float).copy()
-    return spec.clip(raw), raw
 
 
 def decode_de_params(action: np.ndarray, spec: ActionSpec, np_: int,
@@ -236,6 +226,9 @@ def load_checkpoint(path) -> tuple[PolicyNet, str, ObservationSpec]:
                 raise ValueError("layer shape mismatch")
             policy.mlp.weights[li] = w
             policy.mlp.biases[li] = b
+        if obs_spec.length(sizes[-1]) != sizes[0]:
+            raise ValueError(f"input size {sizes[0]} does not match the observation "
+                             f"length {obs_spec.length(sizes[-1])}")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"corrupted or incompatible checkpoint {path}: {exc}") from exc
     if action_spec(kind).dim != policy.action_dim:

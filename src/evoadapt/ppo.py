@@ -30,12 +30,10 @@ class PpoConfig:
     gae_lambda: float = 1.0
     learning_rate: float = 5e-5
     value_coef: float = 1.0
-    entropy_coef: float = 0.0
     optimizer: str = "sgd"  # "sgd" | "adam"
     grad_clip: float = 40.0
     hidden: tuple = (50, 50)
     activation: str = "relu"
-    log_std_init: float = 0.0
     checkpoint_every: int = 10
 
     def __post_init__(self):
@@ -123,7 +121,7 @@ def ppo_loss(obs, raw_actions, old_log_probs, advantages, returns, net: ActorCri
     """Loss and statistics of one minibatch; writes the analytic gradient of
     the loss into `net.grad`.
 
-    Loss = -(clipped surrogate) + c_v * value MSE - c_e * entropy.
+    Loss = -(clipped surrogate) + c_v * value MSE; the entropy is only reported.
     """
     p, v = net.policy.mlp, net.value
     B = len(obs)
@@ -146,13 +144,12 @@ def ppo_loss(obs, raw_actions, old_log_probs, advantages, returns, net: ActorCri
     v_err = v_out[:, 0] - returns
     value_loss = float(np.add.reduce(v_err ** 2)) / B
 
-    loss = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
+    loss = policy_loss + cfg.value_coef * value_loss
 
     # gradient flows through the unclipped branch only where it is the minimum
     active = surr1 <= surr2
     d_logp = -(active * surr1) / B
     np.add.reduce(d_logp[:, None] * (z2 - 1.0), axis=0, out=net.grad_policy.log_std)
-    net.grad_policy.log_std -= cfg.entropy_coef
 
     p.backward(ins_p, d_logp[:, None] * (diff / std ** 2), net.grad_policy.mlp)
     v.backward(ins_v, (cfg.value_coef * 2.0 * v_err / B)[:, None], net.grad_value)
@@ -201,8 +198,7 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
     """Iterate collect-T-steps / K-epoch optimization until the episode budget
     cannot fill another horizon. Returns (policy, value_net, log_rows)."""
     in_dim, a_dim = env.observation_dim, env.action_dim
-    policy = PolicyNet(in_dim, a_dim, hidden=config.hidden, activation=config.activation,
-                       rng=rng, log_std_init=config.log_std_init)
+    policy = PolicyNet(in_dim, a_dim, config.hidden, config.activation, rng)
     value = Mlp([in_dim, *config.hidden, 1], activation=config.activation, rng=rng,
                 last_layer_scale=1.0)
     net = ActorCritic(policy, value)

@@ -17,8 +17,6 @@ def auc(best_fitness_curve) -> float:
     curve = np.asarray(best_fitness_curve, dtype=float)
     if curve.size == 0:
         raise ValueError("curve is empty")
-    if curve.size == 1:
-        return 0.0
     return float(np.sum((curve[1:] + curve[:-1]) / 2.0))
 
 

@@ -7,9 +7,21 @@ from evoadapt.baselines import (CsaState, JdeState, csa_update, expected_chi_nor
                                 jde_update, make_csa_state, make_ide_state)
 
 
+def csa_state(dim, c, d_sigma=1.0):
+    """A fresh CSA state with cumulation `c` and damping `d_sigma`."""
+    return CsaState(path=np.zeros(dim), c=c, d_sigma=d_sigma,
+                    expected_norm=expected_chi_norm(dim))
+
+
 class TestCsa:
+    def test_default_constants(self):
+        state = make_csa_state(6)
+        assert (state.c, state.d_sigma) == (0.4, 1.0)
+        assert state.expected_norm == expected_chi_norm(6)
+        assert np.array_equal(state.path, np.zeros(6))
+
     def test_neutral_path_length_keeps_sigma(self):
-        state = make_csa_state(10, c=0.5)
+        state = csa_state(10, c=0.5)
         # choose xi* so that ||p_new|| equals the expected norm exactly
         direction = np.zeros((1, 10))
         direction[0, 0] = state.expected_norm / math.sqrt(0.5 * 1.5)
@@ -18,7 +30,7 @@ class TestCsa:
         assert sigma[0] == 0.7
 
     def test_path_recurrence_from_zero(self):
-        state = make_csa_state(4, c=0.5)
+        state = csa_state(4, c=0.5)
         v = np.array([1.0, -2.0, 0.5, 3.0])
         new, _sigma = csa_update(state, v[None], 1.0)
         assert new.path.shape == (1, 4)
@@ -26,7 +38,7 @@ class TestCsa:
         assert np.allclose(new.path[0], 0.8660254037844386 * v)
 
     def test_double_length_path_scales_sigma_by_exp_half(self):
-        state = make_csa_state(6, c=0.5, d_sigma=1.0)
+        state = csa_state(6, c=0.5, d_sigma=1.0)
         direction = np.zeros((1, 6))
         direction[0, 0] = 2.0 * state.expected_norm / math.sqrt(0.5 * 1.5)
         _new, sigma = csa_update(state, direction, 1.0)
@@ -37,7 +49,7 @@ class TestCsa:
         for sigma0 in (0.3, 1.7):
             mults = []
             for d in (5, 20):
-                state = make_csa_state(d, c=0.25, d_sigma=1.5)
+                state = csa_state(d, c=0.25, d_sigma=1.5)
                 direction = np.zeros((1, d))
                 direction[0, 0] = 1.4 * state.expected_norm / math.sqrt(0.25 * 1.75)
                 _new, sigma = csa_update(state, direction, sigma0)
@@ -48,7 +60,7 @@ class TestCsa:
         """Each run of a stacked update equals the one-vector formula bit for
         bit; a stacked norm or `np.exp` would round some runs differently."""
         rng = np.random.default_rng(4)
-        state = make_csa_state(7, c=0.3)
+        state = csa_state(7, c=0.3)
         xi = rng.normal(size=(6, 7)) * 3.0
         sigma = rng.uniform(0.1, 2.0, 6)
         new, stacked = csa_update(state, xi, sigma)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -10,6 +11,10 @@ from evoadapt.cli import main
 from evoadapt.cmaes import StateNotFinite
 from evoadapt.config import (ConfigError, config_from_dict, config_to_dict,
                              load_config)
+from evoadapt.observe import ObservationSpec
+from evoadapt.policy import PolicyNet, save_checkpoint
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def base_config(tmp_path, **overrides):
@@ -162,6 +167,28 @@ def test_diverging_cma_run_raises_a_named_error(tmp_path):
     assert not out.exists()
 
 
+def test_compare_has_no_algorithm_flag(tmp_path):
+    """A compare's engine is the one its checkpoints steer."""
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--algorithm", "de", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_wrong_input_size_checkpoint_exits_config(tmp_path, capsys, command):
+    """A policy whose input size is not its observation length (44 for the
+    default spec and 4 actions) is rejected on loading, before any run."""
+    path = tmp_path / "de_uniform.json"
+    save_checkpoint(path, PolicyNet(7, 4), "de_uniform", ObservationSpec())
+    out = tmp_path / "x"
+    argv = [command, "--checkpoint", str(path), "--runs", "2", "--out", str(out)]
+    argv += (["--function", "Sphere", "--dimension", "10"] if command == "evaluate"
+             else ["--function", "Sphere:10"])
+    assert main(argv) == 2
+    assert "input size 7 does not match the observation length 44" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
 def test_policy_is_not_an_adaptation_choice(tmp_path, command):
     """`--checkpoint` alone selects the policy."""
@@ -246,11 +273,13 @@ class TestEvaluate:
                      "--dimension", "10", "--out", str(tmp_path / "x")])
         assert code == 2
 
-    def test_checkpoint_plus_baseline_flag_rejected(self, trained_checkpoint, tmp_path):
-        code = main(["evaluate", "--checkpoint", trained_checkpoint,
-                     "--adaptation", "jde", "--function", "Sphere",
-                     "--dimension", "10", "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize("flag", [["--adaptation", "jde"], ["--algorithm", "cmaes"],
+                                      ["--algorithm", "de"]])
+    def test_checkpoint_plus_baseline_flag_rejected(self, trained_checkpoint, tmp_path, flag):
+        code = main(["evaluate", "--checkpoint", trained_checkpoint, *flag,
+                     "--function", "Sphere", "--dimension", "10", "--out", str(tmp_path / "x")])
         assert code == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestCompare:
@@ -305,6 +334,18 @@ class TestCompare:
         assert code == 2
         assert not out.exists()
 
+    def test_trained_sigma_policy_against_csa(self, tmp_path):
+        """Train a `cma_sigma` policy end to end, then compare it with CSA."""
+        cfg_path, _ = base_config(tmp_path, algorithm="cmaes", action="cma_sigma")
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "cmp"
+        code = main(["compare", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--function", "Sphere:10", "--runs", "2", "--out", str(out)])
+        assert code == 0
+        rows = (out / "comparison_best.csv").read_text().strip().splitlines()
+        assert rows[0] == "variant,ratio,Sphere_10" and len(rows) == 2
+        assert 0.0 <= float(rows[1].split(",")[2]) <= 1.0
+
     def test_missing_checkpoint_rejected(self, tmp_path):
         assert main(["compare", "--out", str(tmp_path / "x")]) == 2
 
@@ -352,6 +393,22 @@ class TestConfigRoundTrip:
             config_from_dict({"algorithm": "de", "bogus": 1})
         with pytest.raises(ConfigError):
             config_from_dict({"training": {"nope": 2}})
+        for key in ("actors", "entropy_coef", "log_std_init"):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({"ppo": {key: 0}})
+
+    def test_documented_configs_load(self):
+        """README's `experiment.json` and the Makefile's `paper-run` config
+        hold only keys the schema knows."""
+        with open(os.path.join(ROOT, "README.md")) as fh:
+            readme = re.search(r"cat > experiment.json <<'EOF'\n(.*?)\nEOF\n", fh.read(),
+                               re.S).group(1)
+        with open(os.path.join(ROOT, "Makefile")) as fh:
+            recipe = re.search(r"\npaper-run:\n\tprintf '%s\\n' \\\n(.*?)> ", fh.read(),
+                               re.S).group(1)
+        paper_run = "\n".join(re.findall(r"'([^']*)'", recipe))
+        for text in (readme, paper_run):
+            config_from_dict(json.loads(text))
 
     def test_algorithm_action_mismatch_rejected(self):
         with pytest.raises(ConfigError):

@@ -197,12 +197,12 @@ class TestProtocol:
         assert result.seeds == list(range(100, 150))
         assert np.all(result.aucs > 0) and np.all(result.bests >= 0)
 
-    @pytest.mark.parametrize("algorithm,kind,stochastic", [
-        ("de", "fixed", False), ("de", "ide", False), ("de", "jde", False),
-        ("de", "de_direct", False), ("de", "de_normal", True), ("de", "de_uniform", False),
-        ("cmaes", "fixed", False), ("cmaes", "csa", False), ("cmaes", "cma_sigma", True),
+    @pytest.mark.parametrize("algorithm,kind", [
+        ("de", "fixed"), ("de", "ide"), ("de", "jde"),
+        ("de", "de_direct"), ("de", "de_normal"), ("de", "de_uniform"),
+        ("cmaes", "fixed"), ("cmaes", "csa"), ("cmaes", "cma_sigma"),
     ])
-    def test_lockstep_run_equals_the_same_seed_run_alone(self, algorithm, kind, stochastic):
+    def test_lockstep_run_equals_the_same_seed_run_alone(self, algorithm, kind):
         """Run i of an R-run protocol gives the bytes of a one-run batch of
         seed_base + i, field for field, so results do not depend on the
         batch size."""
@@ -217,8 +217,7 @@ class TestProtocol:
             policy = PolicyNet(obs_spec.length(spec.dim), spec.dim, hidden=(8,),
                                rng=np.random.default_rng(3))
             policy.mlp.weights[-1] *= 100.0
-            factory = lambda: PolicyController(policy, spec, obs_spec,  # noqa: E731
-                                               stochastic=stochastic)
+            factory = lambda: PolicyController(policy, spec, obs_spec)  # noqa: E731
         fn = get_function("Rastrigin", 10)
         protocol = run_test_protocol(factory, ("Rastrigin", 10), 40, runs=4,
                                      algorithm=algorithm)

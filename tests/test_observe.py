@@ -108,19 +108,19 @@ class TestBuildObservation:
     def test_base_length(self, rng):
         trace = random_trace(rng, 3)
         spec = ObservationSpec(history_length=40)
-        obs = build_observation(trace, spec, np.zeros((1, 4)))
+        obs = build_observation(trace, spec, np.zeros((1, 4)), np.full(3, 10.0))
         assert obs.shape == (1, 44)
 
     def test_with_intra_df_length(self, rng):
         trace = random_trace(rng, 3)
         spec = ObservationSpec(history_length=40, include_intra_df=True)
-        obs = build_observation(trace, spec, np.zeros((1, 4)))
+        obs = build_observation(trace, spec, np.zeros((1, 4)), np.full(3, 10.0))
         assert obs.shape == (1, 84)
 
     def test_generation_zero_inter_block_is_zero(self, rng):
         trace = random_trace(rng, 1)
         spec = ObservationSpec(history_length=10)
-        obs = build_observation(trace, spec, np.full((1, 2), 0.5))
+        obs = build_observation(trace, spec, np.full((1, 2), 0.5), np.full(3, 10.0))
         assert np.all(obs[0, :10] == 0.0)
 
     @given(intra_df=st.booleans(), inter_dx=st.booleans(), intra_dx=st.booleans(),

@@ -1,12 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
+from evoadapt.envloop import PolicyController
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import (Mlp, PolicyNet, action_spec, decode_de_params,
                              decode_sigma, gaussian_log_prob, load_checkpoint,
-                             sample_action, save_checkpoint)
+                             save_checkpoint)
 from evoadapt.ppo import ActorCritic, PpoConfig, ppo_loss
 
 
@@ -87,26 +86,13 @@ class TestForward:
                 assert abs(fd - g[ix]) <= 1e-4 * max(abs(fd), abs(g[ix]), 1e-6)
 
 
-class TestSampleAction:
-    def test_degenerate_gaussian_returns_clipped_mean(self, rng):
-        spec = action_spec("de_direct")
-        action, raw = sample_action(np.array([0.5, 0.5]), np.full(2, -745.0),
-                                       spec, rng, stochastic=True)
-        assert np.allclose(action, [0.5, 0.5], atol=1e-300)
-
-    def test_mean_outside_bounds_lands_on_boundary(self, rng):
-        spec = action_spec("de_direct")
-        action, _ = sample_action(np.array([5.0, -3.0]), np.zeros(2), spec, rng,
-                                     stochastic=False)
+class TestGaussianPolicy:
+    def test_mean_outside_bounds_lands_on_boundary(self):
+        spec, obs_spec = action_spec("de_direct"), ObservationSpec(history_length=2)
+        policy = PolicyNet(obs_spec.length(spec.dim), spec.dim)  # zero weights
+        policy.mlp.biases[-1][:] = [5.0, -3.0]
+        action = PolicyController(policy, spec, obs_spec).act(np.zeros(4))
         assert np.array_equal(action, [2.0, 0.0])
-
-    def test_empirical_std_matches_log_std(self):
-        rng = np.random.default_rng(0)
-        spec = action_spec("cma_sigma")
-        log_std = np.array([math.log(0.7)])
-        raws = [sample_action(np.array([1.0]), log_std, spec, rng)[1][0]
-                for _ in range(100_000)]
-        assert abs(np.std(raws) - 0.7) / 0.7 < 0.02
 
     def test_log_prob_integrates_to_one(self):
         mean, log_std = np.array([0.3]), np.array([-0.2])
@@ -159,9 +145,9 @@ class TestDecode:
 
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path, rng):
-        policy = PolicyNet(44, 4, rng=rng)
-        policy.log_std = rng.standard_normal(4)
         spec = ObservationSpec(history_length=40, include_intra_df=True)
+        policy = PolicyNet(spec.length(4), 4, rng=rng)
+        policy.log_std = rng.standard_normal(4)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, policy, "de_uniform", spec)
         loaded, kind, obs_spec = load_checkpoint(path)

@@ -284,7 +284,7 @@ def reference_grads(obs, raw, old_logp, adv, ret, policy, value, cfg):
     surr1 = ratio * adv
     surr2 = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv
     d_logp = -((surr1 <= surr2).astype(float) * ratio * adv) / B
-    grad_log_std = np.sum(d_logp[:, None] * (z ** 2 - 1.0), axis=0) - cfg.entropy_coef
+    grad_log_std = np.sum(d_logp[:, None] * (z ** 2 - 1.0), axis=0)
     policy_grads = backward(policy.mlp, post_p, d_logp[:, None] * (diff / std ** 2))
     v_err = post_v[-1][:, 0] - ret
     value_grads = backward(value, post_v, (cfg.value_coef * 2.0 * v_err / B)[:, None])
@@ -307,8 +307,7 @@ def reference_iteration(env, cfg, rng, flat_norm=False):
     per-array sums of squares, or with `flat_norm` all squares in the flat
     layout's order."""
     in_dim, a_dim, T = env.observation_dim, env.action_dim, cfg.horizon
-    policy = PolicyNet(in_dim, a_dim, hidden=cfg.hidden, activation=cfg.activation, rng=rng,
-                       log_std_init=cfg.log_std_init)
+    policy = PolicyNet(in_dim, a_dim, hidden=cfg.hidden, activation=cfg.activation, rng=rng)
     value = Mlp([in_dim, *cfg.hidden, 1], activation=cfg.activation, rng=rng,
                 last_layer_scale=1.0)
     obs_buf, act_buf = np.empty((T, in_dim)), np.empty((T, a_dim))
