@@ -61,8 +61,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str) -> str:
             seed = cfg.seed + (attempt - 1)
             env_seed, train_seed = np.random.SeedSequence(seed).spawn(2)
             env = EvolutionEnv(cfg.function_set(), spec, cfg.observation,
-                               np.random.default_rng(env_seed), cfg.test.generations,
-                               cfg.test.population, cfg.sigma0)
+                               np.random.default_rng(env_seed))
 
             def checkpointer(iteration, policy, _value, _row):
                 if (iteration + 1) % cfg.ppo.checkpoint_every == 0:
@@ -113,19 +112,20 @@ def _load_policy(path: str):
     return spec.algorithm, lambda: PolicyController(policy, spec, obs_spec)
 
 
-def _controller_factory(algorithm: str, adaptation: str, fixed_f: float, fixed_cr: float,
-                        fixed_sigma: float):
-    """Baseline controller constructor, one fresh controller per protocol."""
-    factories = {
-        ("de", "ide"): IdeController,
-        ("de", "jde"): JdeController,
-        ("de", "fixed"): lambda: FixedDeController(fixed_f, fixed_cr),
-        ("cmaes", "csa"): CsaController,
-        ("cmaes", "fixed"): lambda: FixedSigmaController(fixed_sigma),
-    }
-    if (algorithm, adaptation) not in factories:
+BASELINES = {
+    ("de", "ide"): IdeController,
+    ("de", "jde"): JdeController,
+    ("de", "fixed"): FixedDeController,
+    ("cmaes", "csa"): CsaController,
+    ("cmaes", "fixed"): FixedSigmaController,
+}
+
+
+def _controller_factory(algorithm: str, adaptation: str):
+    """Baseline controller class, one fresh controller per protocol."""
+    if (algorithm, adaptation) not in BASELINES:
         raise ConfigError(f"adaptation {adaptation!r} is not available for {algorithm}")
-    return factories[algorithm, adaptation]
+    return BASELINES[algorithm, adaptation]
 
 
 def _check_protocol_args(args) -> None:
@@ -133,9 +133,6 @@ def _check_protocol_args(args) -> None:
     for flag, value in (("--runs", args.runs), ("--jobs", args.jobs)):
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
-    for flag, value in (("--sigma0", args.sigma0), ("--fixed-sigma", args.fixed_sigma)):
-        if not value > 0.0:
-            raise ConfigError(f"{flag} must be positive, got {value}")
 
 
 def cmd_evaluate(args) -> int:
@@ -146,14 +143,13 @@ def cmd_evaluate(args) -> int:
         algorithm, factory = _load_policy(args.checkpoint)
     else:
         algorithm = args.algorithm or "de"
-        factory = _controller_factory(algorithm, args.adaptation or "fixed", args.fixed_f,
-                                      args.fixed_cr, args.fixed_sigma)
+        factory = _controller_factory(algorithm, args.adaptation or "fixed")
     try:
         fn = get_function(args.function, args.dimension)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from exc
     result = run_test_protocol(factory, (fn.name, fn.dimension), args.seed, runs=args.runs,
-                               algorithm=algorithm, sigma0=args.sigma0)
+                               algorithm=algorithm)
     out_dir = args.out
     write_csv(os.path.join(out_dir, "metrics.csv"),
               [["run", "auc", "best_of_run"]]
@@ -193,6 +189,14 @@ def cmd_compare(args) -> int:
     _check_protocol_args(args)
     if not args.checkpoint:
         raise ConfigError("compare requires at least one --checkpoint variant")
+    functions = []
+    for value in args.function or []:
+        fn_key = _parse_function_arg(value)
+        if fn_key in functions:
+            raise ConfigError(f"function {fn_key[0]}:{fn_key[1]} is given twice "
+                              f"(--function {value})")
+        functions.append(fn_key)
+    functions = functions or registry_list()
     algorithm = None
     variants = []
     for label, path in zip(_variant_labels(args.checkpoint), args.checkpoint):
@@ -204,22 +208,17 @@ def cmd_compare(args) -> int:
         variants.append((label, factory))
 
     opponent = args.adaptation or ("csa" if algorithm == "cmaes" else "jde")
-    if args.function:
-        functions = [_parse_function_arg(v) for v in args.function]
-    else:
-        functions = registry_list()
 
     def metrics(factory):
         """Each function's per-run metric under one controller factory."""
         out = {}
         for fn_key in functions:
             result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
-                                       algorithm=algorithm, sigma0=args.sigma0)
+                                       algorithm=algorithm)
             out[fn_key] = result.aucs if args.metric == "auc" else result.bests
         return out
 
-    opponent_metrics = metrics(_controller_factory(algorithm, opponent, args.fixed_f,
-                                                   args.fixed_cr, args.fixed_sigma))
+    opponent_metrics = metrics(_controller_factory(algorithm, opponent))
     variant_metrics = {label: metrics(factory) for label, factory in variants}
 
     matrix = build_comparison(variant_metrics, opponent_metrics, functions)
@@ -252,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted and ignored: a protocol's runs step in lockstep "
                             "in one process")
         p.add_argument("--runs", type=int, default=50)
-        p.add_argument("--fixed-f", type=float, default=0.5)
-        p.add_argument("--fixed-cr", type=float, default=0.9)
-        p.add_argument("--fixed-sigma", type=float, default=0.5)
-        p.add_argument("--sigma0", type=float, default=0.5)
         p.add_argument("--out", default="results/evaluation")
 
     p_eval = sub.add_parser("evaluate", help="run the 50-run test protocol on one function")

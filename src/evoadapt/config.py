@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 from .artifacts import replace_atomically
 from .benchmarks import get_function, registry_list
-from .de import MIN_POPULATION
+from .envloop import EvolutionEnv
 from .observe import ObservationSpec
 from .policy import action_spec
 from .ppo import PpoConfig
@@ -31,20 +31,12 @@ class TrainingSection:
 
 
 @dataclass
-class TestSection:
-    generations: int = 50
-    population: int = 10
-
-
-@dataclass
 class ExperimentConfig:
     algorithm: str = "de"           # "de" | "cmaes"
     action: str = "de_uniform"
     observation: ObservationSpec = field(default_factory=ObservationSpec)
     ppo: PpoConfig = field(default_factory=PpoConfig)
     training: TrainingSection = field(default_factory=TrainingSection)
-    test: TestSection = field(default_factory=TestSection)
-    sigma0: float = 0.5
     seed: int = 0
     out: str = "results/experiment"
 
@@ -69,26 +61,31 @@ class ExperimentConfig:
         if steers != self.algorithm:
             raise ConfigError(f"action space {self.action!r} steers {steers}, "
                               f"not {self.algorithm}")
+        if self.training.mode not in ("single", "multi"):
+            raise ConfigError(f"unknown training.mode {self.training.mode!r}")
         if self.training.episodes <= 0:
             raise ConfigError(f"training.episodes must be positive, got {self.training.episodes}")
-        steps = self.training.episodes * (self.test.generations - 1)
+        steps = self.training.episodes * EvolutionEnv.steps_per_episode
         if steps < self.ppo.horizon:
-            raise ConfigError(f"training.episodes x (test.generations - 1) = {steps} steps "
-                              f"fill no ppo.horizon of {self.ppo.horizon} steps")
-        if self.test.population < MIN_POPULATION:
-            raise ConfigError(f"test.population must be >= {MIN_POPULATION}, "
-                              f"got {self.test.population}")
-        if self.sigma0 <= 0.0:
-            raise ConfigError(f"sigma0 must be positive, got {self.sigma0}")
+            raise ConfigError(f"training.episodes x {EvolutionEnv.steps_per_episode} = {steps} "
+                              f"steps fill no ppo.horizon of {self.ppo.horizon} steps")
         self.function_set()  # resolves against the registry
 
 
+# The JSON values a field of each annotated type accepts.
+JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
 def _build(cls, data: dict, label: str):
-    fields = {f.name for f in cls.__dataclass_fields__.values()}
-    unknown = set(data) - fields
+    fields = cls.__dataclass_fields__
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown keys in {label}: {sorted(unknown)}")
     try:
+        for key, value in data.items():
+            allowed = JSON_TYPES.get(fields[key].type)
+            if allowed and type(value) not in allowed:
+                raise TypeError(f"{key} must be of type {fields[key].type}, got {value!r}")
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {label} section: {exc}") from exc
@@ -100,7 +97,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         "observation": ObservationSpec,
         "ppo": PpoConfig,
         "training": TrainingSection,
-        "test": TestSection,
     }
     kwargs = {}
     for key, value in data.items():

@@ -1,9 +1,9 @@
 """Episode orchestration: one episode = one full evolutionary run.
 
-With the defaults (50 generations, population 10) an episode consumes
-exactly 500 evaluations: generation 0 is the evaluated initial population
-(DE) or the first sampling at the initial step size (CMA-ES), followed by
-49 controller-driven generations.
+Every episode is the paper's protocol shape, `GENERATIONS` generations of
+`POPULATION` individuals, so it consumes exactly 500 evaluations: generation
+0 is the evaluated initial population (DE) or the first sampling at step
+size `SIGMA0` (CMA-ES), followed by 49 controller-driven generations.
 
 `Episode` steps every run as a lockstep batch of R >= 1 runs, for the test
 protocol (`run_episode` with a `Controller`, R runs) and for PPO
@@ -25,9 +25,9 @@ from .policy import (SIGMA_MAX, SIGMA_MIN, ActionSpec, PolicyNet, decode_de_para
 from .artifacts import write_csv
 from .stats import auc, best_of_run
 
-DEFAULT_GENERATIONS = 50
-DEFAULT_POPULATION = 10
-DEFAULT_SIGMA0 = 0.5
+GENERATIONS = 50
+POPULATION = 10
+SIGMA0 = 0.5
 
 
 def multi_function_sampler(function_set: list, rng: np.random.Generator):
@@ -52,30 +52,27 @@ class Episode:
     run in `rng`: every array has a leading run axis, and each generation is
     one objective call. `last` is the newest generation: the DE population,
     or the CMA-ES `GenerationResult`. Construction evaluates generation 0,
-    the DE population or the first CMA-ES sampling at `sigma0`.
+    the DE population or the first CMA-ES sampling at `SIGMA0`.
     `start(action)` records it; `apply(params, action)` runs one generation
     with F/CR or sigma, records its trace rows and rewards, and returns a
     `DeOutcome` or the CMA-ES `GenerationResult`."""
 
-    def __init__(self, fn: BenchmarkFunction, algorithm: str, rng: list,
-                 generations: int = DEFAULT_GENERATIONS,
-                 population: int = DEFAULT_POPULATION, sigma0: float = DEFAULT_SIGMA0):
+    def __init__(self, fn: BenchmarkFunction, algorithm: str, rng: list):
         self.fn, self.algorithm, self.rng = fn, algorithm, rng
-        self.generations, self.population, self.sigma0 = generations, population, sigma0
         self.runs = len(rng)
-        self.budget = EvalBudget(generations * population * self.runs)
+        self.budget = EvalBudget(GENERATIONS * POPULATION * self.runs)
         self.trace = RunTrace()
         if algorithm == "de":
-            self.last = de.init_population(fn, population, rng, self.budget)
+            self.last = de.init_population(fn, POPULATION, rng, self.budget)
         elif algorithm == "cmaes":
             state = cmaes.init_state(fn, rng)
-            self.last = cmaes.cma_generation(state, sigma0, fn, population, rng, self.budget)
+            self.last = cmaes.cma_generation(state, SIGMA0, fn, POPULATION, rng, self.budget)
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
 
     @property
     def done(self) -> bool:
-        return len(self.trace) >= self.generations
+        return len(self.trace) >= GENERATIONS
 
     def each(self, action) -> np.ndarray:
         """The same action for every run."""
@@ -94,7 +91,7 @@ class Episode:
             outcome = DeOutcome(F, CR, replaced, self.last.best_fitness < prev_best)
         else:
             outcome = self.last = cmaes.cma_generation(
-                self.last.state, params, self.fn, self.population, self.rng, self.budget)
+                self.last.state, params, self.fn, POPULATION, self.rng, self.budget)
         self.trace.append_generation(self.last.genotypes, self.last.fitnesses, action)
         self.trace.rewards.append(reward(self.trace))
         return outcome
@@ -128,7 +125,7 @@ class FixedDeController(Controller):
 
 class IdeController(Controller):
     def start(self, episode):
-        self.state = baselines.make_ide_state(episode.population, episode.rng)
+        self.state = baselines.make_ide_state(POPULATION, episode.rng)
         return np.stack([self.state.F.mean(axis=-1), self.state.CR.mean(axis=-1)], axis=-1)
 
     def propose(self, episode):
@@ -153,11 +150,11 @@ class JdeController(Controller):
 
 
 class FixedSigmaController(Controller):
-    def __init__(self, sigma: float = DEFAULT_SIGMA0):
+    def __init__(self, sigma: float = SIGMA0):
         self.sigma = float(sigma)
 
     def start(self, episode):
-        return episode.each([episode.sigma0])  # generation 0 ran at sigma0
+        return episode.each([SIGMA0])  # generation 0 ran at SIGMA0
 
     def propose(self, episode):
         sigma = np.broadcast_to(self.sigma, episode.runs)
@@ -170,7 +167,7 @@ class CsaController(FixedSigmaController):
 
     def __init__(self):
         """No settings: `start` builds the CSA state, and its feedback on
-        generation 0's sampling at `sigma0` sets the first sigmas."""
+        generation 0's sampling at `SIGMA0` sets the first sigmas."""
 
     def start(self, episode):
         self.state = baselines.make_csa_state(episode.fn.dimension)
@@ -199,7 +196,7 @@ class PolicyController(Controller):
     def start(self, episode):
         neutral = self.spec.neutral()
         self.prev_action_norm = episode.each(self.spec.normalize(neutral))
-        return episode.each([episode.sigma0] if episode.algorithm == "cmaes" else neutral)
+        return episode.each([SIGMA0] if episode.algorithm == "cmaes" else neutral)
 
     def observe(self, episode) -> np.ndarray:
         return build_observation(episode.trace, self.obs_spec, self.prev_action_norm,
@@ -219,7 +216,7 @@ class PolicyController(Controller):
         if episode.algorithm == "cmaes":
             return decode_sigma(action)
         params = per_run(episode.rng, lambda r, a: decode_de_params(
-            a, self.spec, episode.population, r), action)
+            a, self.spec, POPULATION, r), action)
         return params[..., 0, :], params[..., 1, :]
 
 
@@ -234,21 +231,14 @@ def run_episode(episode: Episode, controller) -> RunTrace:
     return episode.trace
 
 
-def run_de_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator,
-                   generations: int = DEFAULT_GENERATIONS,
-                   population: int = DEFAULT_POPULATION) -> RunTrace:
+def run_de_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator) -> RunTrace:
     """The trace of one DE run drawing from `rng`: a one-run `Episode`."""
-    episode = Episode(fn, "de", [rng], generations, population)
-    return run_episode(episode, controller).split_runs()[0]
+    return run_episode(Episode(fn, "de", [rng]), controller).split_runs()[0]
 
 
-def run_cma_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator,
-                    generations: int = DEFAULT_GENERATIONS,
-                    population: int = DEFAULT_POPULATION,
-                    sigma0: float = DEFAULT_SIGMA0) -> RunTrace:
+def run_cma_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator) -> RunTrace:
     """The trace of one CMA-ES run drawing from `rng`: a one-run `Episode`."""
-    episode = Episode(fn, "cmaes", [rng], generations, population, sigma0)
-    return run_episode(episode, controller).split_runs()[0]
+    return run_episode(Episode(fn, "cmaes", [rng]), controller).split_runs()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +254,11 @@ class EvolutionEnv:
     actions are clipped into the action space before decoding.
     """
 
+    steps_per_episode = GENERATIONS - 1
+
     def __init__(self, functions: list, spec: ActionSpec, obs_spec: ObservationSpec,
-                 rng: np.random.Generator, generations: int = DEFAULT_GENERATIONS,
-                 population: int = DEFAULT_POPULATION, sigma0: float = DEFAULT_SIGMA0):
+                 rng: np.random.Generator):
         self.functions, self.spec, self.obs_spec, self.rng = functions, spec, obs_spec, rng
-        self.generations, self.population, self.sigma0 = generations, population, sigma0
         self.episode_log: list[tuple] = []
         self.episode = None
         self.decoder = PolicyController(None, spec, obs_spec)
@@ -281,15 +271,10 @@ class EvolutionEnv:
     def action_dim(self) -> int:
         return self.spec.dim
 
-    @property
-    def steps_per_episode(self) -> int:
-        return self.generations - 1
-
     def reset(self) -> np.ndarray:
         function = multi_function_sampler(self.functions, self.rng)
         self.episode_log.append(function)
-        self.episode = Episode(get_function(*function), self.spec.algorithm, [self.rng],
-                               self.generations, self.population, self.sigma0)
+        self.episode = Episode(get_function(*function), self.spec.algorithm, [self.rng])
         self.episode.start(self.decoder.start(self.episode))
         return self.decoder.observe(self.episode)[0]
 
@@ -312,17 +297,16 @@ class ProtocolResult:
 
 
 def run_test_protocol(controller_factory, function: tuple, seed_base: int,
-                      runs: int = 50, algorithm: str = "de",
-                      sigma0: float = DEFAULT_SIGMA0) -> ProtocolResult:
-    """Seeded runs seed_base..seed_base+runs-1 of the paper's protocol (50
-    generations of population 10) stepped in lockstep under one controller;
-    run i draws only from `default_rng(seed_base + i)`, so it gives the bytes
-    of a one-run batch of that seed. Results are ordered by run index."""
+                      runs: int = 50, algorithm: str = "de") -> ProtocolResult:
+    """Seeded runs seed_base..seed_base+runs-1 of the paper's protocol stepped
+    in lockstep under one controller; run i draws only from
+    `default_rng(seed_base + i)`, so it gives the bytes of a one-run batch of
+    that seed. Results are ordered by run index."""
     if runs < 1:
         raise ValueError(f"a protocol needs at least one run, got {runs}")
     fn = get_function(*function)
     seeds = [seed_base + i for i in range(runs)]
-    episode = Episode(fn, algorithm, [np.random.default_rng(s) for s in seeds], sigma0=sigma0)
+    episode = Episode(fn, algorithm, [np.random.default_rng(s) for s in seeds])
     try:
         traces = run_episode(episode, controller_factory()).split_runs()
     except cmaes.StateNotFinite as exc:

@@ -59,6 +59,11 @@ class ObservationSpec:
     include_inter_dx: bool = False
     include_intra_dx: bool = False
 
+    def __post_init__(self):
+        if type(self.history_length) is not int or self.history_length < 0:
+            raise ValueError(f"history_length must be a non-negative integer, "
+                             f"got {self.history_length!r}")
+
     def length(self, action_dim: int) -> int:
         g = self.history_length
         return (g + action_dim + g * self.include_intra_df

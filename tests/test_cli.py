@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -8,7 +9,6 @@ import pytest
 from evoadapt.benchmarks import registry_list
 from evoadapt import cli
 from evoadapt.cli import main
-from evoadapt.cmaes import StateNotFinite
 from evoadapt.config import (ConfigError, config_from_dict, config_to_dict,
                              load_config)
 from evoadapt.observe import ObservationSpec
@@ -18,14 +18,13 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def base_config(tmp_path, **overrides):
-    """Small training setup: 10-generation episodes, 4 episodes per rollout."""
+    """Small training setup: 49-step episodes, 4 episodes per rollout."""
     doc = {
         "algorithm": "de",
         "action": "de_uniform",
         "training": {"mode": "single", "function": "Sphere", "dimension": 10,
                      "episodes": 8, "retries": 3},
-        "test": {"generations": 10, "population": 6},
-        "ppo": {"horizon": 36, "minibatch": 36, "epochs": 2, "hidden": [4],
+        "ppo": {"horizon": 196, "minibatch": 196, "epochs": 2, "hidden": [4],
                 "optimizer": "adam", "learning_rate": 1e-3, "checkpoint_every": 1},
         "seed": 1,
         "out": str(tmp_path / "run"),
@@ -51,7 +50,7 @@ class TestTrain:
         assert (out / "checkpoint.json").exists()
         assert (out / "config.json").exists()
         log = (out / "training_log.csv").read_text().strip().splitlines()
-        # floor(8 episodes * 9 steps / horizon 36) = 2 iterations
+        # floor(8 episodes * 49 steps / horizon 196) = 2 iterations
         assert log[0] == "iteration,episodes_done,mean_return,policy_loss,value_loss,entropy"
         assert len(log) == 3
         episodes = (out / "episodes.csv").read_text().strip().splitlines()
@@ -76,7 +75,7 @@ class TestTrain:
         assert len(seen) > 1  # 8 draws from 46 functions repeat one only rarely
 
     def test_instability_triggers_retry_with_next_seed(self, tmp_path, nan_gradient_once):
-        ppo = {"horizon": 36, "minibatch": 36, "epochs": 2, "hidden": [4],
+        ppo = {"horizon": 196, "minibatch": 196, "epochs": 2, "hidden": [4],
                "optimizer": "adam", "learning_rate": 1e-3}
         cfg_path, _ = base_config(tmp_path, ppo=ppo)
         assert main(["train", "--config", str(cfg_path)]) == 0
@@ -86,7 +85,7 @@ class TestTrain:
         assert (tmp_path / "run" / "checkpoint.json").exists()
 
     def test_exhausted_retries_exit_unstable(self, tmp_path, capsys, nan_gradient_once):
-        ppo = {"horizon": 36, "minibatch": 36, "epochs": 2, "hidden": [4]}
+        ppo = {"horizon": 196, "minibatch": 196, "epochs": 2, "hidden": [4]}
         cfg_path, _ = base_config(tmp_path, ppo=ppo,
                                   training={"mode": "single", "function": "Sphere",
                                             "dimension": 10, "episodes": 8, "retries": 0})
@@ -101,24 +100,14 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 2
 
 
-CMA_CSA = ["--algorithm", "cmaes", "--adaptation", "csa"]
-
-
 @pytest.mark.parametrize("command,overrides,flags,cause", [
     ("train", {"action": "de_bogus"}, [], "de_bogus"),
     ("train", {"training": {"mode": "single", "function": "NoSuch", "dimension": 10}}, [],
      "NoSuch"),
     ("train", {"ppo": {"optimizer": "rmsprop"}}, [], "rmsprop"),
     ("evaluate", {}, ["--checkpoint", "{tmp}/absent.json"], "absent.json"),
-    ("train", {"test": {"generations": 10, "population": 3}}, [],
-     "test.population"),
-    ("train", {"test": {"runs": 5, "generations": 10, "population": 6}}, [],
-     "unknown keys in test: ['runs']"),
     ("evaluate", {}, ["--adaptation", "fixed", "--runs", "0"], "--runs"),
     ("compare", {}, ["--checkpoint", "{tmp}/absent.json", "--runs", "-1"], "--runs"),
-    ("evaluate", {}, CMA_CSA + ["--sigma0", "0"], "--sigma0"),
-    ("evaluate", {}, ["--algorithm", "cmaes", "--adaptation", "fixed", "--fixed-sigma", "-0.5"],
-     "--fixed-sigma"),
     ("evaluate", {}, ["--adaptation", "jde", "--jobs", "0"], "--jobs"),
     ("train", {"ppo": {"horizon": 100, "minibatch": 0}}, [], "minibatch must be at least 1"),
     ("train", {"ppo": {"horizon": 100, "minibatch": -5}}, [], "minibatch must be at least 1"),
@@ -126,17 +115,29 @@ CMA_CSA = ["--algorithm", "cmaes", "--adaptation", "csa"]
     ("train", {"ppo": {"horizon": 36, "minibatch": 36, "epochs": 0}}, [],
      "epochs must be at least 1"),
     ("train", {"training": {"mode": "single", "function": "Sphere", "dimension": 10,
-                            "episodes": 3}}, [], "= 27 steps fill no ppo.horizon of 36"),
+                            "episodes": 3}}, [], "x 49 = 147 steps fill no ppo.horizon of 196"),
     ("train", {"ppo": {"horizon": 36, "minibatch": 36, "epochs": 2, "checkpoint_every": 0}},
      [], "checkpoint_every must be at least 1"),
     ("train", {"ppo": {"horizon": 36, "minibatch": 36, "epochs": 2, "hidden": [0]}}, [],
      "hidden must be at least 1"),
     ("train", {"algorithm": "cmaes"}, [], "'de_uniform' steers de, not cmaes"),
+    ("train", {"training": {"mode": "mutli"}}, [], "unknown training.mode 'mutli'"),
+    ("train", {"observation": {"history_length": -3}}, [],
+     "history_length must be a non-negative integer, got -3"),
+    ("train", {"observation": {"history_length": "x"}}, [],
+     "history_length must be of type int, got 'x'"),
+    ("train", {"seed": "1"}, [], "seed must be of type int, got '1'"),
+    ("train", {"training": {"episodes": "8"}}, [], "episodes must be of type int, got '8'"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "clip": "0.3"}}, [],
+     "clip must be of type float, got '0.3'"),
+    ("compare", {}, ["--checkpoint", "{tmp}/absent.json", "--function", "sphere:10"],
+     "function Sphere:10 is given twice (--function Sphere:10)"),
 ], ids=["unknown-action", "unknown-training-function", "unknown-optimizer",
-        "missing-checkpoint", "population-below-4", "test-runs-unknown", "no-runs", "compare-negative-runs",
-        "sigma0-zero", "fixed-sigma-negative", "no-jobs", "minibatch-zero",
+        "missing-checkpoint", "no-runs", "compare-negative-runs", "no-jobs", "minibatch-zero",
         "minibatch-negative", "horizon-zero", "epochs-zero", "budget-fills-no-horizon",
-        "checkpoint-every-zero", "hidden-zero", "cmaes-with-de-action"])
+        "checkpoint-every-zero", "hidden-zero", "cmaes-with-de-action", "training-mode-unknown",
+        "history-length-negative", "history-length-not-int", "seed-not-int",
+        "episodes-not-int", "clip-not-float", "compare-function-twice"])
 def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides, flags,
                                                  cause):
     cfg_path, _ = base_config(tmp_path, **overrides)
@@ -153,25 +154,37 @@ def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, over
     assert not (tmp_path / "run").exists() and not (tmp_path / "x").exists()
 
 
-def test_diverging_cma_run_raises_a_named_error(tmp_path):
-    """A fixed sigma of 1e308 on LinearSlope-5, seed 49, drives the covariance
-    to NaN; the error names the function, the run seed and the generation
-    instead of letting `LinAlgError` escape from the covariance factorisation."""
-    out = tmp_path / "x"
-    argv = ["evaluate", "--algorithm", "cmaes", "--adaptation", "fixed", "--fixed-sigma",
-            "1e308", "--function", "LinearSlope", "--dimension", "5", "--seed", "49",
-            "--runs", "1", "--out", str(out)]
-    with pytest.raises(StateNotFinite, match=r"LinearSlope-5 is not finite at "
-                                             r"generation 2 \(run seeds \[49\]\)"):
-        main(argv)
-    assert not out.exists()
-
-
-def test_compare_has_no_algorithm_flag(tmp_path):
-    """A compare's engine is the one its checkpoints steer."""
+@pytest.mark.parametrize("argv", [
+    [command, flag, value]
+    for command in ("evaluate", "compare")
+    for flag, value in (("--sigma0", "0.5"), ("--fixed-f", "0.5"), ("--fixed-cr", "0.9"),
+                        ("--fixed-sigma", "0.5"))
+] + [
+    ["compare", "--algorithm", "de"],
+    ["evaluate", "--checkpoint", "ck.json", "--fixed-f", "1.9"],
+], ids=" ".join)
+def test_deleted_flags_are_refused(tmp_path, capsys, argv):
+    """The protocol shape and the fixed baselines' values are constants, and a
+    compare's engine is the one its checkpoints steer: argparse rejects the
+    flags that once set them."""
+    required = ["--function", "Sphere", "--dimension", "10"] if argv[0] == "evaluate" else []
     with pytest.raises(SystemExit) as exc:
-        main(["compare", "--algorithm", "de", "--out", str(tmp_path / "x")])
+        main(argv + required + ["--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_readme_names_only_registered_flags():
+    """Every `--flag` README.md names, less those of its `pip install` and
+    `perfbench/run.py` commands, is an option of some `evoadapt` subcommand."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = re.sub(r"(pip install|perfbench/run\.py)[^`\n]*", "", fh.read())
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    registered = {option for parser in subparsers.choices.values()
+                  for action in parser._actions for option in action.option_strings}
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", text)) - registered == set()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
@@ -186,6 +199,23 @@ def test_wrong_input_size_checkpoint_exits_config(tmp_path, capsys, command):
              else ["--function", "Sphere:10"])
     assert main(argv) == 2
     assert "input size 7 does not match the observation length 44" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("history_length,inputs", [(-3, 1), ("x", 44)])
+def test_bad_history_length_checkpoint_exits_config(tmp_path, capsys, history_length, inputs):
+    """A history length of -3 gives the observation length -3 + 4 = 1, which a
+    1-input net matches; the spec itself is rejected on loading."""
+    path = tmp_path / "de_uniform.json"
+    save_checkpoint(path, PolicyNet(inputs, 4), "de_uniform", ObservationSpec())
+    doc = json.loads(path.read_text())
+    doc["observation"]["history_length"] = history_length
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x"
+    assert main(["evaluate", "--checkpoint", str(path), "--function", "Sphere", "--dimension",
+                 "10", "--runs", "2", "--out", str(out)]) == 2
+    assert (f"history_length must be a non-negative integer, got {history_length!r}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -396,6 +426,9 @@ class TestConfigRoundTrip:
         for key in ("actors", "entropy_coef", "log_std_init"):
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({"ppo": {key: 0}})
+        for key, value in (("test", {"generations": 50, "population": 10}), ("sigma0", 0.5)):
+            with pytest.raises(ConfigError, match=f"unknown keys in experiment: \\['{key}'\\]"):
+                config_from_dict({key: value})
 
     def test_documented_configs_load(self):
         """README's `experiment.json` and the Makefile's `paper-run` config

@@ -39,13 +39,6 @@ class TestEpisodeBudget:
         assert calls[0] == 500
         assert len(trace) == 50
 
-    def test_custom_sizes(self):
-        fn, calls = counted(get_function("DifferentPowers", 5))
-        trace = run_de_episode(fn, FixedDeController(), np.random.default_rng(1),
-                               generations=20, population=8)
-        assert calls[0] == 160
-        assert len(trace) == 20
-
 
 class TestEpisodeTraces:
     def test_reward_sequence_matches_recomputation(self):
@@ -272,13 +265,12 @@ class TestProtocol:
 
 def test_export_trace_csv_round_trip(tmp_path):
     fn = get_function("Sphere", 10)
-    trace = run_de_episode(fn, FixedDeController(), np.random.default_rng(0),
-                           generations=10, population=6)
+    trace = run_de_episode(fn, FixedDeController(), np.random.default_rng(0))
     path = tmp_path / "trace.csv"
     export_trace_csv(trace, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "generation,best_fitness,reward,action_0,action_1"
-    assert len(lines) == 11
+    assert len(lines) == 51
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[1]) == trace.best_fitness[0]  # repr round-trips exactly
