@@ -1,7 +1,9 @@
 """Handcrafted adaptation baselines: CSA (step size), iDE and jDE (F, CR).
 
 Each works on R >= 1 runs in lockstep: state arrays hold a leading run
-axis, and `rng` holds one Generator per run.
+axis. `make_ide_state` draws from `rng`, one Generator per run; the iDE and
+jDE updates take one generation's random numbers as `(R, ...)` arrays, which
+their controllers draw for the whole episode when it starts.
 """
 
 from __future__ import annotations
@@ -64,55 +66,71 @@ def csa_update(state: CsaState, xi_star: np.ndarray, sigma) -> tuple[CsaState, n
 class IdeState:
     F: np.ndarray                       # per-individual scale factors, (R, NP)
     CR: np.ndarray                      # per-individual crossover rates, (R, NP)
-    f_archive: list                     # one list of floats per run
-    cr_archive: list
+    archive: np.ndarray                 # (R, 2, capacity): F (row 0) and CR (row 1) values
+    filled: np.ndarray                  # (R,) archive entries in use, the oldest first
 
 
-def make_ide_state(np_: int, rng) -> IdeState:
+def make_ide_state(np_: int, generations: int, rng) -> IdeState:
+    """Each run's F ~ U(0.1, 1) and CR ~ U(0, 1) per individual, which also
+    start the archive; it has room for every success of `generations`
+    generations."""
     F = per_run(rng, lambda r: r.uniform(0.1, 1.0, size=np_))
     CR = per_run(rng, lambda r: r.uniform(0.0, 1.0, size=np_))
-    return IdeState(F=F, CR=CR, f_archive=F.tolist(), cr_archive=CR.tolist())
+    archive = np.zeros((len(F), 2, np_ * generations))
+    archive[:, 0, :np_], archive[:, 1, :np_] = F, CR
+    return IdeState(F=F, CR=CR, archive=archive, filled=np.full(len(F), np_))
 
 
-def archive_differences(archive: list[float], n: int, rng: np.random.Generator) -> np.ndarray:
-    """`n` differences archive[i] - archive[j] of distinct entries i != j
-    (zeros when the archive holds fewer than two entries)."""
-    m = len(archive)
-    if m < 2:
-        return np.zeros(n)
-    i = rng.integers(m, size=n)
-    j = rng.integers(m - 1, size=n)
+def draw_ide(rng, generations: int, np_: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random numbers of `generations` calls of `ide_update`, drawn from
+    each run's generator in two blocks: the `noise`, N(0, 0.5^2) of shape
+    `(R, generations, 2, NP)`, then the archive `picks`, uniforms of shape
+    `(R, generations, 2, 2, NP)`."""
+    noise = per_run(rng, lambda r: r.normal(0.0, 0.5, (generations, 2, np_)))
+    return noise, per_run(rng, lambda r: r.random((generations, 2, 2, np_)))
+
+
+def archive_differences(archive: np.ndarray, filled, u_i: np.ndarray,
+                        u_j: np.ndarray) -> np.ndarray:
+    """Differences archive[i] - archive[j] of distinct entries i != j < m of
+    each row of `archive` (`(..., capacity)`), where m >= 2 is `filled`
+    broadcast against the leading axes (an iDE archive starts with NP >= 4
+    entries). The uniforms `u_i` and `u_j` (`(..., n)`, in [0, 1)) give
+    i = floor(u_i m) and j = floor(u_j (m - 1)), j shifted past i. No clamp
+    is needed: for u < 1 and an integer m < 2**53, u m lies at least half an
+    ulp of m below m, so it never rounds up to m."""
+    m = np.asarray(filled)[..., None]
+    i = (u_i * m).astype(np.intp)
+    j = (u_j * (m - 1)).astype(np.intp)
     j += j >= i
-    values = np.asarray(archive, dtype=float)
-    return values[i] - values[j]
+    return np.take_along_axis(archive, i, axis=-1) - np.take_along_axis(archive, j, axis=-1)
 
 
-def ide_update(state: IdeState, best_index, rng) -> tuple[np.ndarray, np.ndarray]:
+def ide_update(state: IdeState, best_index, noise: np.ndarray,
+               picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-individual (F, CR) perturbed around each run's best individual's
-    values (`best_index` holds one index per run)."""
-    if not all(state.f_archive) or not all(state.cr_archive):
-        raise ValueError("iDE archives must be non-empty")
-    np_ = state.F.shape[1]
-
-    def noise(r, f_archive, cr_archive):
-        return (r.normal(0.0, 0.5, np_) * archive_differences(f_archive, np_, r),
-                r.normal(0.0, 0.5, np_) * archive_differences(cr_archive, np_, r))
-
-    noises = per_run(rng, noise, state.f_archive, state.cr_archive)
+    values (`best_index` holds one index per run) by N(0, 0.5^2) `noise`
+    times an archive difference. `noise` is `(R, 2, NP)`, for F then CR;
+    `picks` holds the uniforms of the differences' entries, `(R, 2, 2, NP)`:
+    `picks[:, 0]` for i and `picks[:, 1]` for j."""
+    diffs = archive_differences(state.archive, state.filled[:, None], picks[:, 0], picks[:, 1])
     best = np.asarray(best_index)[:, None]
-    F = np.take_along_axis(state.F, best, axis=1) + noises[:, 0]
-    CR = np.take_along_axis(state.CR, best, axis=1) + noises[:, 1]
+    F = np.take_along_axis(state.F, best, axis=1) + noise[:, 0] * diffs[:, 0]
+    CR = np.take_along_axis(state.CR, best, axis=1) + noise[:, 1] * diffs[:, 1]
     return np.clip(F, F_LOW, F_HIGH), np.clip(CR, CR_LOW, CR_HIGH)
 
 
 def ide_record_success(state: IdeState, F: np.ndarray, CR: np.ndarray, replaced: np.ndarray) -> None:
-    """Adopt trial parameters for winning individuals and archive them."""
+    """Adopt trial parameters for winning individuals and append them to
+    their run's archive, in individual order."""
     won = np.asarray(replaced, dtype=bool)
     state.F[won] = F[won]
     state.CR[won] = CR[won]
-    for f_archive, cr_archive, f, cr, w in zip(state.f_archive, state.cr_archive, F, CR, won):
-        f_archive.extend(f[w].tolist())
-        cr_archive.extend(cr[w].tolist())
+    run, _ = np.nonzero(won)
+    slot = state.filled[run] + (np.cumsum(won, axis=1) - 1)[won]
+    state.archive[run, 0, slot] = F[won]
+    state.archive[run, 1, slot] = CR[won]
+    state.filled += won.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +143,20 @@ class JdeState:
     p: float = 0.1
 
 
-def jde_update(state: JdeState, rng) -> tuple[np.ndarray, np.ndarray]:
-    """With probability p resample F ~ U(0.1, 1) (CR ~ U(0, 1)), else keep the best."""
-    def draw(r, best_F, best_CR):
-        F = r.uniform(0.1, 1.0) if r.random() < state.p else best_F
-        CR = r.uniform(0.0, 1.0) if r.random() < state.p else best_CR
-        return F, CR
+def draw_jde(rng, generations: int) -> np.ndarray:
+    """The four uniforms per run of `generations` calls of `jde_update`,
+    one `(R, generations, 4)` block from each run's generator."""
+    return per_run(rng, lambda r: r.random((generations, 4)))
 
-    drawn = per_run(rng, draw, state.best_F, state.best_CR)
-    return drawn[:, 0], drawn[:, 1]
+
+def jde_update(state: JdeState, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """With probability p resample F ~ U(0.1, 1) (CR ~ U(0, 1)), else keep
+    the best. `u` holds four uniforms per run, `(R, 4)`: F is resampled
+    where u[:, 0] < p, to 0.1 + 0.9 u[:, 1]; CR likewise from u[:, 2] and
+    u[:, 3]."""
+    F = np.where(u[:, 0] < state.p, 0.1 + (1.0 - 0.1) * u[:, 1], state.best_F)
+    CR = np.where(u[:, 2] < state.p, u[:, 3], state.best_CR)
+    return F, CR
 
 
 def jde_record(state: JdeState, F, CR, improved) -> None:

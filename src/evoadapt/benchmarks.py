@@ -89,14 +89,14 @@ def evaluate_runs(fn: BenchmarkFunction, X: np.ndarray,
     return evaluate_population(fn, X.reshape(-1, fn.dimension), budget).reshape(X.shape[:-1])
 
 
-def per_run(rng, draw: Callable, *args) -> np.ndarray:
-    """`draw(generator, *args)` stacked over runs in lockstep.
+def per_run(rng, draw: Callable) -> np.ndarray:
+    """`draw(generator)` stacked over the runs' generators in `rng`.
 
-    `rng` holds one Generator per run, and each of `args` one entry per run.
-    Only the random draws loop over runs, so each run's generator is used
-    exactly as a one-run batch would use it.
+    Episodes call it only when they start, once per block of random numbers
+    (a whole episode's worth), so each run's generator is used exactly as a
+    one-run batch would use it and no generation loops over runs.
     """
-    return np.array([draw(r, *row) for r, *row in zip(rng, *args)])
+    return np.array([draw(r) for r in rng])
 
 
 def _batched(body: Callable[[np.ndarray], np.ndarray]) -> Callable:

@@ -3,7 +3,9 @@
 Mean and covariance updates follow Hansen's canonical recombination weights
 and learning rates; only sigma control is delegated to the caller (learned
 policy, CSA baseline or a fixed value). Every array holds R >= 1 runs in
-lockstep on a leading axis, and `rng` holds one Generator per run.
+lockstep on a leading axis. `init_state` draws from `rng`, one Generator per
+run; a generation takes its standard normals as an `(R, lam, d)` array,
+which an episode draws for all its generations when it starts.
 """
 
 from __future__ import annotations
@@ -111,27 +113,28 @@ def _repaired_root(cov: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(vals)
 
 
-def sample_offspring(mean: np.ndarray, cov: np.ndarray, sigma, lam: int, rng) -> np.ndarray:
-    """`lam` offspring per run, `(R, lam, d)`, around the `(R, d)` means."""
+def sample_offspring(mean: np.ndarray, cov: np.ndarray, sigma, z: np.ndarray) -> np.ndarray:
+    """Offspring `(R, lam, d)` around the `(R, d)` means, from the standard
+    normals `z` (`(R, lam, d)`)."""
     root = _square_root(cov)
-    z = per_run(rng, lambda r: r.standard_normal((lam, mean.shape[1])))
     sigma = np.asarray(sigma, dtype=float)[..., None, None]
     return mean[:, None, :] + sigma * (z @ root.swapaxes(-1, -2))
 
 
-def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, lam: int, rng,
+def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, z: np.ndarray,
                    budget: EvalBudget | None = None) -> GenerationResult:
     """One generation of R runs in lockstep at the given step size (a scalar
-    or one value per run); consumes `lam` evaluations per run, in one
-    objective call."""
+    or one value per run), sampling lam = `z.shape[1]` offspring per run
+    from the standard normals `z`; consumes `lam` evaluations per run, in
+    one objective call."""
     sigma = np.asarray(sigma, dtype=float)
     if (sigma <= 0.0).any():
         raise ValueError(f"sigma must be positive, got {sigma}")
+    R, lam = z.shape[:2]
     if lam < 2:
         raise ValueError(f"lambda must be >= 2, got {lam}")
-    needed = lam * len(state.mean)
-    if budget is not None and budget.remaining < needed:
-        raise BudgetExhausted(f"generation needs {needed} evaluations, {budget.remaining} left")
+    if budget is not None and budget.remaining < lam * R:
+        raise BudgetExhausted(f"generation needs {lam * R} evaluations, {budget.remaining} left")
     broken = ~np.isfinite(state.cov).all(axis=(1, 2))
     if broken.any():
         raise StateNotFinite(f"CMA-ES covariance on {fn.name}-{fn.dimension} is not finite "
@@ -141,12 +144,12 @@ def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, lam: int, rng,
     d = fn.dimension
     mu, weights, mu_eff, c_c, c_1, c_mu = _recombination(lam, d)
 
-    samples = sample_offspring(state.mean, state.cov, sigma, lam, rng)
+    samples = sample_offspring(state.mean, state.cov, sigma, z)
     genotypes = np.clip(samples, fn.lower, fn.upper)
     fitnesses = evaluate_runs(fn, genotypes, budget)
 
     order = np.argsort(fitnesses, axis=1)
-    elite = np.take_along_axis(samples, order[:, :mu, None], axis=1)  # unclipped samples
+    elite = samples[np.arange(R)[:, None], order[:, :mu]]  # unclipped samples
     mean_new = weights @ elite
     step = sigma[..., None]
     y_w = (mean_new - state.mean) / step

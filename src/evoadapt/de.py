@@ -3,7 +3,9 @@
 Scale factor and crossover rate are stored per individual so that a single
 global pair (broadcast), per-individual baselines (iDE) and policy-sampled
 values all go through the same generation step. Every array holds R >= 1
-runs in lockstep on a leading axis, and `rng` holds one Generator per run.
+runs in lockstep on a leading axis. `init_population` draws from `rng`, one
+Generator per run; a generation takes its random numbers as `(R, ...)`
+arrays, which an episode draws for all its generations when it starts.
 """
 
 from __future__ import annotations
@@ -44,34 +46,47 @@ def init_population(fn: BenchmarkFunction, np_: int, rng,
     return Population(genotypes, evaluate_runs(fn, genotypes, budget))
 
 
+def draw_generations(rng, generations: int, np_: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random numbers of `generations` calls of `de_generation`, drawn
+    from each run's generator in two blocks: the `uniforms`, `(R,
+    generations, NP, NP + d)`, then `j_rand`, `(R, generations, NP)`."""
+    uniforms = per_run(rng, lambda r: r.random((generations, np_, np_ + d)))
+    return uniforms, per_run(rng, lambda r: r.integers(d, size=(generations, np_)))
+
+
 def mutate_best1(best: np.ndarray, a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
     """best + f (a - b); `f` is a scalar or broadcasts against the rows of `a`."""
     return best + f * (a - b)
 
 
-def pick_pairs(np_: int, best: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+def pick_pairs(keys: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Difference indices (a[r, i], b[r, i]) for every individual i of every
     run r: distinct from each other, from i and from the run's `best[r]`.
-    Each row ranks random `(R, NP, NP)` keys with i and `best` masked out
-    and keeps the two smallest."""
-    keys = per_run(rng, lambda r: r.random((np_, np_)))
-    rows = np.arange(np_)
-    masked = (rows[:, None] == rows) | (rows == np.asarray(best)[:, None, None])
-    pair = np.argpartition(np.where(masked, np.inf, keys), 1, axis=-1)
+    Each row ranks the random `(R, NP, NP)` keys with i and `best` masked
+    out and keeps the two smallest."""
+    keys = keys.copy()
+    rows = np.arange(keys.shape[-1])
+    keys[:, rows, rows] = np.inf
+    keys[np.arange(len(keys)), :, best] = np.inf
+    pair = np.argpartition(keys, 1, axis=-1)
     return pair[..., 0], pair[..., 1]
 
 
-def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, rng,
-                  budget: EvalBudget | None = None) -> tuple[Population, np.ndarray]:
+def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, uniforms: np.ndarray,
+                  j_rand: np.ndarray, budget: EvalBudget | None = None
+                  ) -> tuple[Population, np.ndarray]:
     """One best/1/bin generation of R runs in lockstep.
 
     `F` and `CR` broadcast against the `(R, NP)` fitnesses: a scalar, one
-    value per individual, or `(R, 1)` for one value per run. Returns the
-    next population and the `(R, NP)` mask of parents that were replaced by
-    their trial (child fitness <= parent fitness). Consumes exactly NP
-    evaluations per run, all runs' children in one objective call; if the
-    budget cannot cover them, the generation is aborted before consuming
-    anything.
+    value per individual, or `(R, 1)` for one value per run. `uniforms`
+    holds the generation's `(R, NP, NP + d)` numbers in [0, 1): the first NP
+    of each row are the keys `pick_pairs` ranks, the other d the crossover
+    draws. `j_rand` (`(R, NP)`, in [0, d)) is the coordinate each child
+    takes from its mutant whatever CR is. Returns the next population and
+    the `(R, NP)` mask of parents that were replaced by their trial (child
+    fitness <= parent fitness). Consumes exactly NP evaluations per run, all
+    runs' children in one objective call; if the budget cannot cover them,
+    the generation is aborted before consuming anything.
     """
     X, fit = pop.genotypes, pop.fitnesses
     R, np_, d = X.shape
@@ -82,10 +97,10 @@ def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, rng,
 
     run = np.arange(R)[:, None]
     best = fit.argmin(axis=1)
-    a, b = pick_pairs(np_, best, rng)
+    a, b = pick_pairs(uniforms[..., :np_], best)
     mutants = mutate_best1(X[run, best[:, None]], X[run, a], X[run, b], F)
-    cross = per_run(rng, lambda r: r.random((np_, d))) < CR
-    cross |= np.arange(d) == per_run(rng, lambda r: r.integers(d, size=np_))[..., None]  # j_rand
+    cross = uniforms[..., np_:] < CR
+    cross |= np.arange(d) == np.asarray(j_rand)[..., None]
     children = np.clip(np.where(cross, mutants, X), fn.lower, fn.upper)
 
     child_fit = evaluate_runs(fn, children, budget)

@@ -7,7 +7,10 @@ size `SIGMA0` (CMA-ES), followed by 49 controller-driven generations.
 
 `Episode` steps every run as a lockstep batch of R >= 1 runs, for the test
 protocol (`run_episode` with a `Controller`, R runs) and for PPO
-(`EvolutionEnv`, one run) alike.
+(`EvolutionEnv`, one run) alike. Each run draws its whole episode's random
+numbers from its own generator when the episode starts: the engine's when
+the `Episode` is built, a controller's in its `start`. A generation then
+takes its `(R, ...)` slice of those blocks, so it draws nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import baselines, cmaes, de
 from .benchmarks import BenchmarkFunction, EvalBudget, get_function, per_run
 from .observe import ObservationSpec, RunTrace, build_observation, reward
 from .policy import (SIGMA_MAX, SIGMA_MIN, ActionSpec, PolicyNet, decode_de_params,
-                     decode_sigma)
+                     decode_sigma, draw_decode_noise)
 from .artifacts import write_csv
 from .stats import auc, best_of_run
 
@@ -51,11 +54,14 @@ class Episode:
     """R runs (`runs`) of `algorithm` on `fn` in lockstep, one Generator per
     run in `rng`: every array has a leading run axis, and each generation is
     one objective call. `last` is the newest generation: the DE population,
-    or the CMA-ES `GenerationResult`. Construction evaluates generation 0,
-    the DE population or the first CMA-ES sampling at `SIGMA0`.
-    `start(action)` records it; `apply(params, action)` runs one generation
-    with F/CR or sigma, records its trace rows and rewards, and returns a
-    `DeOutcome` or the CMA-ES `GenerationResult`."""
+    or the CMA-ES `GenerationResult`. Construction draws the engine's random
+    numbers for the whole episode and evaluates generation 0, the DE
+    population or the first CMA-ES sampling at `SIGMA0`. Per run, DE draws
+    the population, then its `de.draw_generations` blocks; CMA-ES draws the
+    mean, then one `(GENERATIONS, POPULATION, d)` block of standard normals.
+    `start(action)` records generation 0; `apply(params, action)` runs one
+    generation with F/CR or sigma, records its trace rows and rewards, and
+    returns a `DeOutcome` or the CMA-ES `GenerationResult`."""
 
     def __init__(self, fn: BenchmarkFunction, algorithm: str, rng: list):
         self.fn, self.algorithm, self.rng = fn, algorithm, rng
@@ -64,15 +70,25 @@ class Episode:
         self.trace = RunTrace()
         if algorithm == "de":
             self.last = de.init_population(fn, POPULATION, rng, self.budget)
+            self.uniforms, self.j_rand = de.draw_generations(rng, GENERATIONS - 1, POPULATION,
+                                                             fn.dimension)
         elif algorithm == "cmaes":
             state = cmaes.init_state(fn, rng)
-            self.last = cmaes.cma_generation(state, SIGMA0, fn, POPULATION, rng, self.budget)
+            self.z = per_run(rng, lambda r: r.standard_normal(
+                (GENERATIONS, POPULATION, fn.dimension)))
+            self.last = cmaes.cma_generation(state, SIGMA0, fn, self.z[:, 0], self.budget)
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
 
     @property
     def done(self) -> bool:
         return len(self.trace) >= GENERATIONS
+
+    @property
+    def step(self) -> int:
+        """The next controlled generation's index into the blocks drawn for
+        generations 1 to GENERATIONS - 1: 0 right after `start`."""
+        return len(self.trace) - 1
 
     def each(self, action) -> np.ndarray:
         """The same action for every run."""
@@ -87,11 +103,13 @@ class Episode:
         if self.algorithm == "de":
             F, CR = params
             prev_best = self.last.best_fitness
-            self.last, replaced = de.de_generation(self.last, F, CR, self.fn, self.rng, self.budget)
+            self.last, replaced = de.de_generation(self.last, F, CR, self.fn,
+                                                   self.uniforms[:, self.step],
+                                                   self.j_rand[:, self.step], self.budget)
             outcome = DeOutcome(F, CR, replaced, self.last.best_fitness < prev_best)
         else:
             outcome = self.last = cmaes.cma_generation(
-                self.last.state, params, self.fn, POPULATION, self.rng, self.budget)
+                self.last.state, params, self.fn, self.z[:, self.step + 1], self.budget)
         self.trace.append_generation(self.last.genotypes, self.last.fitnesses, action)
         self.trace.rewards.append(reward(self.trace))
         return outcome
@@ -101,9 +119,10 @@ class Episode:
 # Controllers
 
 class Controller:
-    """Steers all runs of an episode. `start(episode)` returns the action
-    recorded for generation 0, `propose(episode)` the next engine parameters
-    and the action to record, and `feedback(outcome)` gets what
+    """Steers all runs of an episode. `start(episode)` draws the random
+    numbers the controller needs for the whole episode and returns the
+    action recorded for generation 0, `propose(episode)` the next engine
+    parameters and the action to record, and `feedback(outcome)` gets what
     `Episode.apply` returned (ignored unless overridden)."""
 
     def feedback(self, outcome):
@@ -124,12 +143,17 @@ class FixedDeController(Controller):
 
 
 class IdeController(Controller):
+    """iDE. Per run, `start` draws the initial F/CR, then the `draw_ide`
+    blocks."""
+
     def start(self, episode):
-        self.state = baselines.make_ide_state(POPULATION, episode.rng)
+        self.state = baselines.make_ide_state(POPULATION, GENERATIONS, episode.rng)
+        self.noise, self.picks = baselines.draw_ide(episode.rng, GENERATIONS - 1, POPULATION)
         return np.stack([self.state.F.mean(axis=-1), self.state.CR.mean(axis=-1)], axis=-1)
 
     def propose(self, episode):
-        F, CR = baselines.ide_update(self.state, episode.last.best_index, episode.rng)
+        F, CR = baselines.ide_update(self.state, episode.last.best_index,
+                                     self.noise[:, episode.step], self.picks[:, episode.step])
         return (F, CR), np.stack([F.mean(axis=-1), CR.mean(axis=-1)], axis=-1)
 
     def feedback(self, outcome):
@@ -137,12 +161,15 @@ class IdeController(Controller):
 
 
 class JdeController(Controller):
+    """jDE. Per run, `start` draws the `draw_jde` block."""
+
     def start(self, episode):
         self.state = baselines.JdeState(np.full(episode.runs, 0.5), np.full(episode.runs, 0.9))
+        self.uniforms = baselines.draw_jde(episode.rng, GENERATIONS - 1)
         return np.stack([self.state.best_F, self.state.best_CR], axis=-1)
 
     def propose(self, episode):
-        F, CR = baselines.jde_update(self.state, episode.rng)
+        F, CR = baselines.jde_update(self.state, self.uniforms[:, episode.step])
         return (F[..., None], CR[..., None]), np.stack([F, CR], axis=-1)
 
     def feedback(self, outcome):
@@ -186,14 +213,15 @@ class PolicyController(Controller):
 
     The test-time action is the policy's mean, clipped into the action
     space. With `policy=None` it only observes and decodes actions chosen
-    elsewhere, which is how `EvolutionEnv` applies PPO's actions. The
-    forward pass runs once per run: a batched `(R, obs) @ W.T` rounds some
-    rows unlike the one-row product, so actions would depend on R."""
+    elsewhere, which is how `EvolutionEnv` applies PPO's actions. `start`
+    draws the decoding noise of the whole episode (`draw_decode_noise`:
+    none for de_direct and cma_sigma)."""
 
     def __init__(self, policy: PolicyNet | None, spec: ActionSpec, obs_spec: ObservationSpec):
         self.policy, self.spec, self.obs_spec = policy, spec, obs_spec
 
     def start(self, episode):
+        self.noise = draw_decode_noise(self.spec.kind, episode.rng, GENERATIONS - 1, POPULATION)
         neutral = self.spec.neutral()
         self.prev_action_norm = episode.each(self.spec.normalize(neutral))
         return episode.each([SIGMA0] if episode.algorithm == "cmaes" else neutral)
@@ -202,11 +230,17 @@ class PolicyController(Controller):
         return build_observation(episode.trace, self.obs_spec, self.prev_action_norm,
                                  episode.fn.bounds_width)
 
-    def act(self, obs):
-        return self.spec.clip(self.policy.forward(obs)[0])
+    def act(self, obs: np.ndarray) -> np.ndarray:
+        """Clipped mean actions `(R, k)` of observation rows `(R, obs)`.
+
+        The forward pass takes the rows as a stack of one-row matrices,
+        `(R, 1, obs)`, so one matmul call runs each run's one-row product: a
+        plain `(R, obs) @ W.T` rounds some rows unlike the one-row product,
+        so actions would depend on R."""
+        return self.spec.clip(self.policy.forward(obs[:, None, :])[0][:, 0])
 
     def propose(self, episode):
-        action = np.array([self.act(row) for row in self.observe(episode)])
+        action = self.act(self.observe(episode))
         return self.decode(episode, action), action
 
     def decode(self, episode, action: np.ndarray):
@@ -215,9 +249,8 @@ class PolicyController(Controller):
         self.prev_action_norm = self.spec.normalize(action)
         if episode.algorithm == "cmaes":
             return decode_sigma(action)
-        params = per_run(episode.rng, lambda r, a: decode_de_params(
-            a, self.spec, POPULATION, r), action)
-        return params[..., 0, :], params[..., 1, :]
+        noise = None if self.noise is None else self.noise[:, episode.step]
+        return decode_de_params(action, self.spec, POPULATION, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +281,10 @@ class EvolutionEnv:
     """Step interface over evolutionary runs for the PPO trainer.
 
     One reset/step cycle covers one episode, a one-run `Episode` drawing
-    from the env's generator: reset samples the function, runs generation 0
-    and returns the observation, each step applies one controlled
-    generation. PPO sees run 0's observation and reward. Policy-emitted raw
+    from the env's generator: reset samples the function, draws the
+    episode's random numbers, runs generation 0 and returns the
+    observation; each step applies one controlled generation and draws
+    nothing. PPO sees run 0's observation and reward. Policy-emitted raw
     actions are clipped into the action space before decoding.
     """
 

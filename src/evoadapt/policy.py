@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .artifacts import replace_atomically
+from .benchmarks import per_run
 from .observe import ObservationSpec
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -165,20 +166,35 @@ def gaussian_log_prob(raw: np.ndarray, mean: np.ndarray, log_std: np.ndarray) ->
     return np.sum(-0.5 * z ** 2 - log_std - 0.5 * LOG_2PI, axis=-1)
 
 
+def draw_decode_noise(kind: str, rng, generations: int, np_: int):
+    """The noise of `generations` calls of `decode_de_params` under action
+    space `kind`, one `(R, generations, 2, NP)` block from each run's
+    generator: uniforms for de_uniform, standard normals for de_normal, and
+    None for a space that draws nothing."""
+    shape = (generations, 2, np_)
+    if kind == "de_uniform":
+        return per_run(rng, lambda r: r.random(shape))
+    if kind == "de_normal":
+        return per_run(rng, lambda r: r.standard_normal(shape))
+    return None
+
+
 def decode_de_params(action: np.ndarray, spec: ActionSpec, np_: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-individual (F, CR) from a clipped action vector."""
-    action = np.asarray(action, dtype=float)
+                     noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-individual (F, CR), `(R, NP)`, from clipped actions `(R, k)` and
+    the generation's `(R, 2, NP)` noise (rows for F and CR) of
+    `draw_decode_noise`."""
+    a = np.asarray(action, dtype=float)[..., None]  # a[:, i] is (R, 1)
     if spec.kind == "de_direct":
-        return np.full(np_, action[0]), np.full(np_, action[1])
+        return np.repeat(a[:, 0], np_, axis=1), np.repeat(a[:, 1], np_, axis=1)
     if spec.kind == "de_normal":
-        F = rng.normal(action[0], action[1], size=np_)
-        CR = rng.normal(action[2], action[3], size=np_)
+        F = a[:, 0] + a[:, 1] * noise[:, 0]
+        CR = a[:, 2] + a[:, 3] * noise[:, 1]
         return np.clip(F, 0.0, 2.0), np.clip(CR, 0.0, 1.0)
     if spec.kind == "de_uniform":
-        f_lo, f_hi = sorted((action[0], action[1]))
-        cr_lo, cr_hi = sorted((action[2], action[3]))
-        return rng.uniform(f_lo, f_hi, size=np_), rng.uniform(cr_lo, cr_hi, size=np_)
+        f_lo, f_hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
+        cr_lo, cr_hi = np.minimum(a[:, 2], a[:, 3]), np.maximum(a[:, 2], a[:, 3])
+        return f_lo + (f_hi - f_lo) * noise[:, 0], cr_lo + (cr_hi - cr_lo) * noise[:, 1]
     raise ValueError(f"action space {spec.kind!r} does not parameterize DE")
 
 

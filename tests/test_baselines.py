@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 
-from evoadapt.baselines import (CsaState, JdeState, csa_update, expected_chi_norm,
-                                ide_update, ide_record_success, jde_record,
-                                jde_update, make_csa_state, make_ide_state)
+from evoadapt.baselines import (CsaState, JdeState, archive_differences, csa_update,
+                                draw_ide, draw_jde, expected_chi_norm, ide_record_success,
+                                ide_update, jde_record, jde_update, make_csa_state,
+                                make_ide_state)
 
 
 def csa_state(dim, c, d_sigma=1.0):
@@ -75,33 +76,41 @@ class TestCsa:
         assert abs(expected_chi_norm(10) - sample.mean()) < 0.01
 
 
+def ide_draws(rng, np_):
+    """One generation of one run's iDE noise and archive picks."""
+    noise, picks = draw_ide([rng], 1, np_)
+    return noise[:, 0], picks[:, 0]
+
+
 class TestIde:
     def test_equal_archive_draws_give_best_value(self, rng):
-        state = make_ide_state(6, [rng])
-        state.f_archive = [[0.7, 0.7, 0.7]]
-        state.cr_archive = [[0.3, 0.3, 0.3]]
-        F, CR = ide_update(state, [2], [rng])
+        state = make_ide_state(6, 2, [rng])
+        state.archive[0, 0, :3] = 0.7
+        state.archive[0, 1, :3] = 0.3
+        state.filled[:] = 3
+        F, CR = ide_update(state, [2], *ide_draws(rng, 6))
         assert F.shape == CR.shape == (1, 6)
         assert np.allclose(F, state.F[0, 2])
         assert np.allclose(CR, state.CR[0, 2])
 
     def test_outputs_always_clipped(self, rng):
-        state = make_ide_state(8, [rng])
-        state.f_archive = [[0.0, 2.0] * 5]
-        state.cr_archive = [[0.0, 1.0] * 5]
+        state = make_ide_state(8, 2, [rng])
+        state.archive[0, 0, :10] = [0.0, 2.0] * 5
+        state.archive[0, 1, :10] = [0.0, 1.0] * 5
+        state.filled[:] = 10
         for _ in range(200):
-            F, CR = ide_update(state, [0], [rng])
+            F, CR = ide_update(state, [0], *ide_draws(rng, 8))
             assert np.all((F >= 0) & (F <= 2))
             assert np.all((CR >= 0) & (CR <= 1))
 
     def test_monte_carlo_mean_is_best(self):
-        rng = [np.random.default_rng(1)]
-        state = make_ide_state(4, rng)
+        rng = np.random.default_rng(1)
+        state = make_ide_state(4, 1, [rng])
         state.F[:] = [0.9, 1.0, 1.1, 1.05]
-        state.f_archive = [[0.8, 0.9, 1.0, 1.1]]
+        state.archive[0, 0, :4] = [0.8, 0.9, 1.0, 1.1]
         draws = []
         for _ in range(25_000):
-            F, _ = ide_update(state, [1], rng)
+            F, _ = ide_update(state, [1], *ide_draws(rng, 4))
             draws.extend(F[0])
         draws = np.array(draws)
         # noise term has zero mean; 3 standard errors around F_best = 1.0
@@ -109,42 +118,55 @@ class TestIde:
         assert abs(draws.mean() - 1.0) < 3 * stderr + 1e-3
 
     def test_success_recording_updates_state_and_archives(self, rng):
-        state = make_ide_state(4, [rng])
-        n0 = len(state.f_archive[0])
+        state = make_ide_state(4, 3, [rng, rng])
+        n0 = state.filled.copy()
         before = state.F.copy()
-        F = np.array([[0.2, 0.4, 0.6, 0.8]])
-        CR = np.array([[0.1, 0.3, 0.5, 0.7]])
-        ide_record_success(state, F, CR, np.array([[True, False, True, False]]))
-        assert len(state.f_archive[0]) == n0 + 2
-        assert state.f_archive[0][n0:] == [0.2, 0.6]
+        F = np.array([[0.2, 0.4, 0.6, 0.8], [1.2, 1.4, 1.6, 1.8]])
+        CR = np.array([[0.1, 0.3, 0.5, 0.7], [0.15, 0.35, 0.55, 0.75]])
+        won = np.array([[True, False, True, False], [False, True, True, True]])
+        ide_record_success(state, F, CR, won)
+        assert state.filled.tolist() == [n0[0] + 2, n0[1] + 3]
+        assert state.archive[0, :, n0[0]:n0[0] + 2].tolist() == [[0.2, 0.6], [0.1, 0.5]]
+        assert state.archive[1, :, n0[1]:n0[1] + 3].tolist() == [[1.4, 1.6, 1.8],
+                                                                 [0.35, 0.55, 0.75]]
         assert state.F[0, 0] == 0.2 and state.F[0, 2] == 0.6
         assert state.F[0, 1] == before[0, 1] and state.F[0, 3] == before[0, 3]
+        assert state.F[1].tolist() == [before[1, 0], 1.4, 1.6, 1.8]
+        ide_record_success(state, F, CR, won)
+        assert state.archive[0, 0, n0[0]:n0[0] + 4].tolist() == [0.2, 0.6, 0.2, 0.6]
+
+    def test_archive_index_of_the_largest_uniform_stays_in_the_filled_part(self):
+        """u one ulp below 1 picks entries below the fill count m, and i != j,
+        for every m in 2..500; entries past m are NaN, so a pick there shows."""
+        top = np.full(1, np.nextafter(1.0, 0.0))
+        for m in range(2, 501):
+            archive = np.full(600, np.nan)
+            archive[:m] = np.arange(m)
+            for u_i, u_j in ((top, top), (top, 0 * top), (0 * top, top)):
+                diff = archive_differences(archive, m, u_i, u_j)
+                assert np.isfinite(diff).all() and (diff != 0.0).all(), (m, u_i, u_j)
 
 
 class TestJde:
     def test_resample_branch_bounds(self):
         # sentinels outside the sample range
-        state = JdeState(best_F=np.array([5.0]), best_CR=np.array([5.0]))
-        rng = [np.random.default_rng(0)]
-        for _ in range(2000):
-            F, CR = jde_update(state, rng)
-            F, CR = F[0], CR[0]
-            if F != 5.0:
-                assert 0.1 <= F < 1.0
-            if CR != 5.0:
-                assert 0.0 <= CR < 1.0
+        state = JdeState(best_F=np.full(2000, 5.0), best_CR=np.full(2000, 5.0))
+        F, CR = jde_update(state, draw_jde([np.random.default_rng(0)], 2000)[0])
+        assert (F != 5.0).any() and (CR != 5.0).any()
+        assert np.all((F == 5.0) | ((0.1 <= F) & (F < 1.0)))
+        assert np.all((CR == 5.0) | ((0.0 <= CR) & (CR < 1.0)))
 
     def test_keep_branch_returns_best(self):
         state = JdeState(best_F=np.array([0.42]), best_CR=np.array([0.77]), p=0.0)
-        F, CR = jde_update(state, [np.random.default_rng(0)])
+        F, CR = jde_update(state, draw_jde([np.random.default_rng(0)], 1)[:, 0])
         assert F.shape == CR.shape == (1,)
         assert F[0] == 0.42 and CR[0] == 0.77
 
     def test_resample_frequency(self):
-        state = JdeState(best_F=np.array([-1.0]), best_CR=np.array([-1.0]))
-        rng = [np.random.default_rng(2)]
-        hits = sum(jde_update(state, rng)[0][0] != -1.0 for _ in range(100_000))
-        assert abs(hits / 100_000 - 0.1) < 0.01
+        state = JdeState(best_F=np.full(100_000, -1.0), best_CR=np.full(100_000, -1.0))
+        F, CR = jde_update(state, draw_jde([np.random.default_rng(2)], 100_000)[0])
+        assert abs(np.mean(F != -1.0) - 0.1) < 0.01
+        assert abs(np.mean(CR != -1.0) - 0.1) < 0.01
 
     def test_record_on_improvement_only(self):
         state = JdeState(np.array([0.5, 0.5]), np.array([0.9, 0.9]))
@@ -159,13 +181,13 @@ class TestJde:
 
 def test_baselines_deterministic_under_fixed_seed():
     def traj(seed):
-        rng = [np.random.default_rng(seed)]
-        ide = make_ide_state(6, rng)
+        rng = np.random.default_rng(seed)
+        ide = make_ide_state(6, 21, [rng])
         jde = JdeState(np.array([0.5]), np.array([0.9]))
         out = []
         for _ in range(20):
-            F, CR = ide_update(ide, [0], rng)
-            out.append((F.copy(), CR.copy(), np.stack(jde_update(jde, rng))))
+            F, CR = ide_update(ide, [0], *ide_draws(rng, 6))
+            out.append((F.copy(), CR.copy(), np.stack(jde_update(jde, draw_jde([rng], 1)[:, 0]))))
         return out
 
     for (f1, c1, j1), (f2, c2, j2) in zip(traj(9), traj(9)):

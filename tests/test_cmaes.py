@@ -13,16 +13,17 @@ SPHERE = get_function("Sphere", 10)
 def test_generation_advances_eval_counter(rng):
     state = init_state(SPHERE, [rng])
     budget = EvalBudget(500)
-    cma_generation(state, 0.5, SPHERE, 10, [rng], budget)
+    cma_generation(state, 0.5, SPHERE, rng.standard_normal((1, 10, 10)), budget)
     assert budget.used == 10
 
 
 def test_determinism():
     def run(seed):
-        rng = [np.random.default_rng(seed)]
-        state = init_state(SPHERE, rng)
-        for sigma in (0.5, 0.4, 0.3):
-            result = cma_generation(state, sigma, SPHERE, 10, rng)
+        rng = np.random.default_rng(seed)
+        state = init_state(SPHERE, [rng])
+        z = rng.standard_normal((1, 3, 10, 10))
+        for g, sigma in enumerate((0.5, 0.4, 0.3)):
+            result = cma_generation(state, sigma, SPHERE, z[:, g])
             state = result.state
         return state
 
@@ -33,8 +34,9 @@ def test_determinism():
 
 def test_covariance_stays_positive_definite(rng):
     state = init_state(SPHERE, [rng])
-    for _ in range(30):
-        result = cma_generation(state, 0.5, SPHERE, 10, [rng])
+    z = rng.standard_normal((1, 30, 10, 10))
+    for g in range(30):
+        result = cma_generation(state, 0.5, SPHERE, z[:, g])
         state = result.state
         cov = state.cov[0]
         vals = np.linalg.eigvalsh((cov + cov.T) / 2)
@@ -49,7 +51,8 @@ def test_eigenvalue_floor_repair():
 
 
 def test_sampling_distribution(rng):
-    X = sample_offspring(np.zeros((1, 5)), np.eye(5)[None], 1.0, 100_000, [rng])[0]
+    X = sample_offspring(np.zeros((1, 5)), np.eye(5)[None], 1.0,
+                         rng.standard_normal((1, 100_000, 5)))[0]
     assert np.all(np.abs(X.mean(axis=0)) < 0.02)
     assert np.all(np.abs(X.std(axis=0) - 1.0) < 0.02)
 
@@ -64,7 +67,7 @@ def test_sampling_distribution_rotated_ill_conditioned():
     C = (rotation * np.logspace(-2, 2, 5)) @ rotation.T
     C = (C + C.T) / 2.0
     mean, sigma, n = np.array([1.0, -2.0, 0.5, 3.0, -0.25]), 0.3, 200_000
-    X = sample_offspring(mean[None], C[None], sigma, n, [rng])[0]
+    X = sample_offspring(mean[None], C[None], sigma, rng.standard_normal((1, n, 5)))[0]
     target = sigma ** 2 * C
     sd = np.sqrt(np.diag(target))
     assert np.all(np.abs(X.mean(axis=0) - mean) < 5.0 * sd / np.sqrt(n))
@@ -78,26 +81,26 @@ def test_one_broken_run_takes_the_repair_and_the_others_keep_their_bytes(caplog)
     M = rng.standard_normal((3, 5, 5))
     cov = M @ M.swapaxes(-1, -2) + 0.1 * np.eye(5)
     cov[1] = np.diag([-1.0, 1.0, 2.0, 3.0, 4.0])
-    mean, sigma, lam = rng.standard_normal((3, 5)), np.array([0.5, 1.0, 2.0]), 8
+    mean, sigma = rng.standard_normal((3, 5)), np.array([0.5, 1.0, 2.0])
+    z = rng.standard_normal((3, 8, 5))
 
     with caplog.at_level(logging.WARNING, logger="evoadapt.cmaes"):
-        stacked = sample_offspring(mean, cov, sigma, lam,
-                                   [np.random.default_rng(s) for s in range(3)])
+        stacked = sample_offspring(mean, cov, sigma, z)
     assert "flooring" in caplog.text
     vals, vecs = _decompose(cov[1])
     assert np.array_equal(_square_root(cov)[1], vecs * np.sqrt(vals))
     assert np.isfinite(stacked).all()
     for i in range(3):
-        alone = sample_offspring(mean[i:i + 1], cov[i:i + 1], sigma[i:i + 1], lam,
-                                 [np.random.default_rng(i)])
+        alone = sample_offspring(mean[i:i + 1], cov[i:i + 1], sigma[i:i + 1], z[i:i + 1])
         assert stacked[i].tobytes() == alone[0].tobytes(), i
 
 
 def test_best_so_far_envelope_non_increasing(rng):
     state = init_state(SPHERE, [rng])
+    z = rng.standard_normal((1, 50, 10, 10))
     bests = []
-    for _ in range(50):
-        result = cma_generation(state, 0.5, SPHERE, 10, [rng])
+    for g in range(50):
+        result = cma_generation(state, 0.5, SPHERE, z[:, g])
         state = result.state
         bests.append(result.fitnesses.min())
     envelope = np.minimum.accumulate(bests)
@@ -106,14 +109,15 @@ def test_best_so_far_envelope_non_increasing(rng):
 
 def test_small_sigma_near_optimum_improves(rng):
     state = CmaState(mean=np.zeros((1, 10)), cov=np.eye(10)[None], path_c=np.zeros((1, 10)))
-    wide = cma_generation(state, 1.0, SPHERE, 20, [np.random.default_rng(0)])
-    narrow = cma_generation(state, 1e-3, SPHERE, 20, [np.random.default_rng(0)])
+    z = np.random.default_rng(0).standard_normal((1, 20, 10))
+    wide = cma_generation(state, 1.0, SPHERE, z)
+    narrow = cma_generation(state, 1e-3, SPHERE, z)
     assert narrow.fitnesses.min() < wide.fitnesses.min()
 
 
 def test_invalid_inputs_rejected(rng):
     state = init_state(SPHERE, [rng])
     with pytest.raises(ValueError):
-        cma_generation(state, -1.0, SPHERE, 10, [rng])
+        cma_generation(state, -1.0, SPHERE, rng.standard_normal((1, 10, 10)))
     with pytest.raises(ValueError):
-        cma_generation(state, 0.5, SPHERE, 1, [rng])
+        cma_generation(state, 0.5, SPHERE, rng.standard_normal((1, 1, 10)))

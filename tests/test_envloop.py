@@ -263,6 +263,66 @@ class TestProtocol:
         assert all(len(t) == 50 for t in result.traces)
 
 
+class CountingGenerator:
+    """A run's generator that counts every method looked up on it."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def __getattr__(self, name):
+        self.draws += 1
+        return getattr(self.rng, name)
+
+
+def make_controller(algorithm, kind):
+    baseline = {("de", "fixed"): FixedDeController, ("de", "ide"): IdeController,
+                ("de", "jde"): JdeController, ("cmaes", "fixed"): FixedSigmaController,
+                ("cmaes", "csa"): CsaController}.get((algorithm, kind))
+    if baseline is not None:
+        return baseline()
+    spec, obs_spec = action_spec(kind), ObservationSpec(history_length=6)
+    policy = PolicyNet(obs_spec.length(spec.dim), spec.dim, hidden=(8,),
+                       rng=np.random.default_rng(3))
+    policy.mlp.weights[-1] *= 100.0
+    return PolicyController(policy, spec, obs_spec)
+
+
+class TestDrawsOncePerEpisode:
+    """Every random number of an episode is drawn when it starts: after
+    `Episode(...)` and the controller's `start`, no run's generator is
+    touched again."""
+
+    @pytest.mark.parametrize("algorithm,kind", [
+        ("de", "fixed"), ("de", "ide"), ("de", "jde"),
+        ("de", "de_direct"), ("de", "de_normal"), ("de", "de_uniform"),
+        ("cmaes", "fixed"), ("cmaes", "csa"), ("cmaes", "cma_sigma"),
+    ])
+    def test_no_draw_after_start(self, algorithm, kind):
+        rng = [CountingGenerator(np.random.default_rng(seed)) for seed in range(3)]
+        episode = Episode(get_function("Rastrigin", 10), algorithm, rng)
+        controller = make_controller(algorithm, kind)
+        episode.start(controller.start(episode))
+        drawn = [r.draws for r in rng]
+        assert min(drawn) > 0
+        while not episode.done:
+            controller.feedback(episode.apply(*controller.propose(episode)))
+        assert len(episode.trace) == 50
+        assert [r.draws for r in rng] == drawn
+
+    @pytest.mark.parametrize("kind", ["de_direct", "de_normal", "de_uniform", "cma_sigma"])
+    def test_env_steps_draw_nothing(self, kind):
+        spec = action_spec(kind)
+        rng = CountingGenerator(np.random.default_rng(4))
+        env = EvolutionEnv([("Sphere", 10), ("Rastrigin", 10)], spec,
+                           ObservationSpec(history_length=6), rng)
+        for _ in range(2):
+            env.reset()
+            drawn, done = rng.draws, False
+            while not done:
+                _obs, _r, done = env.step(spec.neutral())
+            assert rng.draws == drawn
+
+
 def test_export_trace_csv_round_trip(tmp_path):
     fn = get_function("Sphere", 10)
     trace = run_de_episode(fn, FixedDeController(), np.random.default_rng(0))

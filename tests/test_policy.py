@@ -4,8 +4,8 @@ import pytest
 from evoadapt.envloop import PolicyController
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import (Mlp, PolicyNet, action_spec, decode_de_params,
-                             decode_sigma, gaussian_log_prob, load_checkpoint,
-                             save_checkpoint)
+                             decode_sigma, draw_decode_noise, gaussian_log_prob,
+                             load_checkpoint, save_checkpoint)
 from evoadapt.ppo import ActorCritic, PpoConfig, ppo_loss
 
 
@@ -91,8 +91,8 @@ class TestGaussianPolicy:
         spec, obs_spec = action_spec("de_direct"), ObservationSpec(history_length=2)
         policy = PolicyNet(obs_spec.length(spec.dim), spec.dim)  # zero weights
         policy.mlp.biases[-1][:] = [5.0, -3.0]
-        action = PolicyController(policy, spec, obs_spec).act(np.zeros(4))
-        assert np.array_equal(action, [2.0, 0.0])
+        action = PolicyController(policy, spec, obs_spec).act(np.zeros((1, 4)))
+        assert np.array_equal(action, [[2.0, 0.0]])
 
     def test_log_prob_integrates_to_one(self):
         mean, log_std = np.array([0.3]), np.array([-0.2])
@@ -102,38 +102,53 @@ class TestGaussianPolicy:
         assert abs(integral - 1.0) < 1e-3
 
 
+def decode(kind, action, np_, rng):
+    """F and CR of one run's action, with one generation of decoding noise."""
+    noise = draw_decode_noise(kind, [rng], 1, np_)
+    noise = None if noise is None else noise[:, 0]
+    return [x[0] for x in decode_de_params(np.array([action]), action_spec(kind), np_, noise)]
+
+
 class TestDecode:
     def test_direct_broadcast(self, rng):
-        spec = action_spec("de_direct")
-        F, CR = decode_de_params(np.array([1.2, 0.3]), spec, 10, rng)
+        F, CR = decode("de_direct", [1.2, 0.3], 10, rng)
         assert np.all(F == 1.2) and np.all(CR == 0.3)
+        assert F.shape == CR.shape == (10,)
 
     def test_normal_zero_variance(self, rng):
-        spec = action_spec("de_normal")
-        F, CR = decode_de_params(np.array([1.5, 0.0, 0.25, 0.0]), spec, 10, rng)
+        F, CR = decode("de_normal", [1.5, 0.0, 0.25, 0.0], 10, rng)
         assert np.all(F == 1.5) and np.all(CR == 0.25)
 
     def test_uniform_swaps_inverted_bounds(self):
         rng = np.random.default_rng(0)
-        spec = action_spec("de_uniform")
-        draws = np.concatenate([
-            decode_de_params(np.array([1.5, 0.5, 0.0, 1.0]), spec, 100, rng)[0]
-            for _ in range(100)
-        ])
+        draws = np.concatenate([decode("de_uniform", [1.5, 0.5, 0.0, 1.0], 100, rng)[0]
+                                for _ in range(100)])
         assert draws.min() >= 0.5 and draws.max() <= 1.5
         assert draws.min() < 0.6 and draws.max() > 1.4  # spans the interval
 
     def test_uniform_degenerate_interval(self, rng):
-        spec = action_spec("de_uniform")
-        F, _ = decode_de_params(np.array([0.7, 0.7, 0.0, 1.0]), spec, 10, rng)
+        F, _ = decode("de_uniform", [0.7, 0.7, 0.0, 1.0], 10, rng)
         assert np.all(F == 0.7)
+
+    def test_runs_decode_their_own_action_and_noise(self, rng):
+        """A stack of runs decodes as each run alone."""
+        for kind in ("de_direct", "de_normal", "de_uniform"):
+            spec = action_spec(kind)
+            actions = spec.clip(rng.uniform(-0.5, 2.5, size=(5, spec.dim)))
+            noise = draw_decode_noise(kind, [rng] * 5, 1, 10)
+            noise = None if noise is None else noise[:, 0]
+            stacked = decode_de_params(actions, spec, 10, noise)
+            for i in range(5):
+                alone = decode_de_params(actions[i:i + 1], spec, 10,
+                                         None if noise is None else noise[i:i + 1])
+                assert all(np.array_equal(s[i], a[0]) for s, a in zip(stacked, alone))
 
     def test_decoded_params_always_in_range_under_extreme_actions(self, rng):
         for kind in ("de_direct", "de_normal", "de_uniform"):
             spec = action_spec(kind)
             for _ in range(200):
                 raw = rng.standard_normal(spec.dim) * 1e6
-                F, CR = decode_de_params(spec.clip(raw), spec, 10, rng)
+                F, CR = decode(kind, spec.clip(raw), 10, rng)
                 assert np.all((F >= 0) & (F <= 2))
                 assert np.all((CR >= 0) & (CR <= 1))
 

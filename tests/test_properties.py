@@ -16,7 +16,7 @@ from evoadapt.baselines import archive_differences
 from evoadapt.benchmarks import (EvalBudget, evaluate, evaluate_population,
                                  get_function, registry_list)
 from evoadapt.cmaes import cma_generation, init_state
-from evoadapt.de import de_generation, init_population, pick_pairs
+from evoadapt.de import de_generation, draw_generations, init_population, pick_pairs
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import action_spec, load_checkpoint, save_checkpoint
 from evoadapt.ppo import PpoConfig, train
@@ -96,7 +96,7 @@ def test_evaluate_population_rejects_wrong_width():
 @given(np_=st.integers(min_value=4, max_value=40), data=st.data(), seed=SEEDS)
 def test_mutation_pairs_are_distinct(np_, data, seed):
     best = data.draw(st.integers(min_value=0, max_value=np_ - 1), label="best")
-    a, b = pick_pairs(np_, np.array([best]), [np.random.default_rng(seed)])
+    a, b = pick_pairs(np.random.default_rng(seed).random((1, np_, np_)), np.array([best]))
     assert a.shape == b.shape == (1, np_)
     a, b, rows = a[0], b[0], np.arange(np_)
     assert np.all((a >= 0) & (a < np_) & (b >= 0) & (b < np_))
@@ -106,11 +106,8 @@ def test_mutation_pairs_are_distinct(np_, data, seed):
 
 
 def test_mutation_pairs_reach_every_ordered_pair():
-    rng = [np.random.default_rng(0)]
-    seen = set()
-    for _ in range(300):
-        a, b = pick_pairs(5, np.array([0]), rng)
-        seen.add((int(a[0, 1]), int(b[0, 1])))
+    a, b = pick_pairs(np.random.default_rng(0).random((300, 5, 5)), np.zeros(300, dtype=int))
+    seen = set(zip(a[:, 1].tolist(), b[:, 1].tolist()))
     # individual 1 with best 0 draws from {2, 3, 4}: six ordered pairs
     assert seen == {(p, q) for p in (2, 3, 4) for q in (2, 3, 4) if p != q}
 
@@ -124,9 +121,11 @@ def test_de_generation_spends_np_evaluations_and_keeps_the_best(entry, np_, F, C
     rng = [np.random.default_rng(seed)]
     budget = EvalBudget(6 * np_)
     pop = init_population(fn, np_, rng, budget)
+    uniforms, j_rand = draw_generations(rng, 5, np_, fn.dimension)
     best = pop.best_fitness[0]
     for generation in range(1, 6):
-        pop, replaced = de_generation(pop, F, CR, fn, rng, budget)
+        pop, replaced = de_generation(pop, F, CR, fn, uniforms[:, generation - 1],
+                                      j_rand[:, generation - 1], budget)
         assert budget.used == (generation + 1) * np_
         assert replaced.shape == (1, np_)
         assert pop.best_fitness[0] <= best
@@ -142,27 +141,28 @@ def test_cma_covariance_stays_symmetric_positive_definite(entry, sigma, seed):
     symmetric and has a Cholesky factor, so sampling never needs the
     eigenvalue repair."""
     fn = get_function(*entry)
-    rng = [np.random.default_rng(seed)]
-    state = init_state(fn, rng)
-    for _ in range(30):
-        state = cma_generation(state, sigma, fn, 10, rng).state
+    rng = np.random.default_rng(seed)
+    state = init_state(fn, [rng])
+    z = rng.standard_normal((1, 30, 10, fn.dimension))
+    for g in range(30):
+        state = cma_generation(state, sigma, fn, z[:, g]).state
         cov = state.cov[0]
         assert np.array_equal(cov, cov.T)
         np.linalg.cholesky(cov)
 
 
 @settings(max_examples=30, deadline=None)
-@given(m=st.integers(min_value=1, max_value=60), n=st.integers(min_value=0, max_value=30),
+@given(m=st.integers(min_value=2, max_value=60), n=st.integers(min_value=0, max_value=30),
        seed=SEEDS)
 def test_ide_archive_pairs_are_distinct_entries(m, n, seed):
-    # entries 0, 1, ..., m-1: a difference is 0 exactly when i == j
-    diffs = archive_differences(list(np.arange(m, dtype=float)), n, np.random.default_rng(seed))
+    # entries 0, 1, ..., m-1 then NaN: a difference is 0 exactly when i == j,
+    # and NaN when an index reaches past the fill count
+    archive = np.concatenate([np.arange(m, dtype=float), np.full(5, np.nan)])
+    u = np.random.default_rng(seed).random((2, n))
+    diffs = archive_differences(archive, m, u[0], u[1])
     assert diffs.shape == (n,)
-    if m < 2:
-        assert np.all(diffs == 0.0)
-    else:
-        assert np.all(diffs != 0.0)
-        assert np.all(np.abs(diffs) <= m - 1)
+    assert np.all(diffs != 0.0)
+    assert np.all(np.abs(diffs) <= m - 1)
 
 
 class OneStepEnv:
