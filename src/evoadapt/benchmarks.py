@@ -94,9 +94,16 @@ def per_run(rng, draw: Callable) -> np.ndarray:
 
     Episodes call it only when they start, once per block of random numbers
     (a whole episode's worth), so each run's generator is used exactly as a
-    one-run batch would use it and no generation loops over runs.
+    one-run batch would use it and no generation loops over runs. Each
+    run's draw is copied into the stack as it comes, so a block costs its
+    stack plus one run's draw, not twice the stack.
     """
-    return np.array([draw(r) for r in rng])
+    first = np.asarray(draw(rng[0]))
+    stack = np.empty((len(rng),) + first.shape, first.dtype)
+    stack[0] = first
+    for i, r in enumerate(rng[1:], 1):
+        stack[i] = draw(r)
+    return stack
 
 
 def _batched(body: Callable[[np.ndarray], np.ndarray]) -> Callable:

@@ -60,6 +60,14 @@ class GenerationResult:
         return np.argmin(self.fitnesses, axis=1)
 
 
+def draw_generations(rng, generations: int, lam: int, d: int) -> np.ndarray:
+    """The standard normals of `generations` calls of `cma_generation`, one
+    `(R, generations, lam, d)` block from each run's generator; slice `g`
+    samples generation `g`, so slice 0 is the first sampling. One block
+    holds the bytes of `generations` consecutive `(lam, d)` draws."""
+    return per_run(rng, lambda r: r.standard_normal((generations, lam, d)))
+
+
 def init_state(fn: BenchmarkFunction, rng) -> CmaState:
     """Each run's mean uniform in the box, identity covariance, zero path."""
     mean = per_run(rng, lambda r: r.uniform(fn.lower, fn.upper))

@@ -11,6 +11,7 @@ arrays, which an episode draws for all its generations when it starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,12 +47,43 @@ def init_population(fn: BenchmarkFunction, np_: int, rng,
     return Population(genotypes, evaluate_runs(fn, genotypes, budget))
 
 
-def draw_generations(rng, generations: int, np_: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The random numbers of `generations` calls of `de_generation`, drawn
-    from each run's generator in two blocks: the `uniforms`, `(R,
-    generations, NP, NP + d)`, then `j_rand`, `(R, generations, NP)`."""
-    uniforms = per_run(rng, lambda r: r.random((generations, np_, np_ + d)))
-    return uniforms, per_run(rng, lambda r: r.integers(d, size=(generations, np_)))
+class DeDraws(NamedTuple):
+    """The random numbers of DE generations, each array `(R, generations,
+    ...)`, or `(R, ...)` for one generation (`at`)."""
+    ranked: np.ndarray      # (..., NP, 3): each row's three best-ranked difference candidates
+    crossover: np.ndarray   # (..., NP, d): crossover uniforms
+    j_rand: np.ndarray      # (..., NP): the coordinate each child takes from its mutant
+
+    def at(self, generation: int) -> "DeDraws":
+        return DeDraws(*(a[:, generation] for a in self))
+
+
+def rank_candidates(keys: np.ndarray) -> np.ndarray:
+    """Row i of the `(..., NP, NP)` random `keys` ranks the individuals as
+    difference candidates for individual i; returns the indices of each
+    row's three smallest keys, i left out, smallest first. Best/1 excludes
+    at most one more individual, the best, so its pair is among these."""
+    keys = keys.copy()
+    rows = np.arange(keys.shape[-1])
+    keys[..., rows, rows] = np.inf
+    return np.argsort(keys, axis=-1)[..., :3]
+
+
+def draw_generations(rng, generations: int, np_: int, d: int) -> DeDraws:
+    """The random numbers of `generations` calls of `de_generation`. Each
+    run draws one `random((generations, NP, NP + d))` block, whose rows are
+    NP pair keys (kept only as `rank_candidates`) and then d crossover
+    uniforms, then one `integers(d, size=(generations, NP))` block of
+    `j_rand`."""
+    draws = DeDraws(np.empty((len(rng), generations, np_, 3), np.intp),
+                    np.empty((len(rng), generations, np_, d)),
+                    np.empty((len(rng), generations, np_), np.intp))
+    for run, r in enumerate(rng):
+        block = r.random((generations, np_, np_ + d))
+        draws.ranked[run] = rank_candidates(block[..., :np_])
+        draws.crossover[run] = block[..., np_:]
+        draws.j_rand[run] = r.integers(d, size=(generations, np_))
+    return draws
 
 
 def mutate_best1(best: np.ndarray, a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
@@ -59,37 +91,34 @@ def mutate_best1(best: np.ndarray, a: np.ndarray, b: np.ndarray, f) -> np.ndarra
     return best + f * (a - b)
 
 
-def pick_pairs(keys: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pick_pairs(ranked: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Difference indices (a[r, i], b[r, i]) for every individual i of every
     run r: distinct from each other, from i and from the run's `best[r]`.
-    Each row ranks the random `(R, NP, NP)` keys with i and `best` masked
-    out and keeps the two smallest."""
-    keys = keys.copy()
-    rows = np.arange(keys.shape[-1])
-    keys[:, rows, rows] = np.inf
-    keys[np.arange(len(keys)), :, best] = np.inf
-    pair = np.argpartition(keys, 1, axis=-1)
-    return pair[..., 0], pair[..., 1]
+    They are the first two of row i's `rank_candidates` (`(R, NP, 3)`) that
+    are not `best[r]`."""
+    skip = ranked == np.asarray(best)[:, None, None]
+    a = np.where(skip[..., 0], ranked[..., 1], ranked[..., 0])
+    b = np.where(skip[..., 0] | skip[..., 1], ranked[..., 2], ranked[..., 1])
+    return a, b
 
 
-def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, uniforms: np.ndarray,
-                  j_rand: np.ndarray, budget: EvalBudget | None = None
-                  ) -> tuple[Population, np.ndarray]:
+def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, draws: DeDraws,
+                  budget: EvalBudget | None = None) -> tuple[Population, np.ndarray]:
     """One best/1/bin generation of R runs in lockstep.
 
     `F` and `CR` broadcast against the `(R, NP)` fitnesses: a scalar, one
-    value per individual, or `(R, 1)` for one value per run. `uniforms`
-    holds the generation's `(R, NP, NP + d)` numbers in [0, 1): the first NP
-    of each row are the keys `pick_pairs` ranks, the other d the crossover
-    draws. `j_rand` (`(R, NP)`, in [0, d)) is the coordinate each child
-    takes from its mutant whatever CR is. Returns the next population and
-    the `(R, NP)` mask of parents that were replaced by their trial (child
-    fitness <= parent fitness). Consumes exactly NP evaluations per run, all
-    runs' children in one objective call; if the budget cannot cover them,
-    the generation is aborted before consuming anything.
+    value per individual, or `(R, 1)` for one value per run. `draws` holds
+    the generation's `(R, ...)` random numbers (`DeDraws.at`): the ranked
+    difference candidates `pick_pairs` chooses from, the crossover
+    uniforms, and `j_rand` (in [0, d)), the coordinate each child takes from
+    its mutant whatever CR is. Returns the next population and the `(R,
+    NP)` mask of parents that were replaced by their trial (child fitness
+    <= parent fitness). Consumes exactly NP evaluations per run, all runs'
+    children in one objective call; if the budget cannot cover them, the
+    generation is aborted before consuming anything.
     """
     X, fit = pop.genotypes, pop.fitnesses
-    R, np_, d = X.shape
+    R, _, d = X.shape
     F = np.asarray(F, dtype=float)[..., None]    # broadcasts against (R, NP, d)
     CR = np.asarray(CR, dtype=float)[..., None]
     if budget is not None and budget.remaining < fit.size:
@@ -97,10 +126,10 @@ def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, uniforms: np.nd
 
     run = np.arange(R)[:, None]
     best = fit.argmin(axis=1)
-    a, b = pick_pairs(uniforms[..., :np_], best)
+    a, b = pick_pairs(draws.ranked, best)
     mutants = mutate_best1(X[run, best[:, None]], X[run, a], X[run, b], F)
-    cross = uniforms[..., np_:] < CR
-    cross |= np.arange(d) == np.asarray(j_rand)[..., None]
+    cross = draws.crossover < CR
+    cross |= np.arange(d) == draws.j_rand[..., None]
     children = np.clip(np.where(cross, mutants, X), fn.lower, fn.upper)
 
     child_fit = evaluate_runs(fn, children, budget)

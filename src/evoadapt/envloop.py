@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import baselines, cmaes, de
-from .benchmarks import BenchmarkFunction, EvalBudget, get_function, per_run
+from .benchmarks import BenchmarkFunction, EvalBudget, get_function
 from .observe import ObservationSpec, RunTrace, build_observation, reward
 from .policy import (SIGMA_MAX, SIGMA_MIN, ActionSpec, PolicyNet, decode_de_params,
                      decode_sigma, draw_decode_noise)
@@ -58,7 +58,8 @@ class Episode:
     numbers for the whole episode and evaluates generation 0, the DE
     population or the first CMA-ES sampling at `SIGMA0`. Per run, DE draws
     the population, then its `de.draw_generations` blocks; CMA-ES draws the
-    mean, then one `(GENERATIONS, POPULATION, d)` block of standard normals.
+    mean, then its `cmaes.draw_generations` block, which generation g
+    indexes at g.
     `start(action)` records generation 0; `apply(params, action)` runs one
     generation with F/CR or sigma, records its trace rows and rewards, and
     returns a `DeOutcome` or the CMA-ES `GenerationResult`."""
@@ -70,12 +71,10 @@ class Episode:
         self.trace = RunTrace()
         if algorithm == "de":
             self.last = de.init_population(fn, POPULATION, rng, self.budget)
-            self.uniforms, self.j_rand = de.draw_generations(rng, GENERATIONS - 1, POPULATION,
-                                                             fn.dimension)
+            self.draws = de.draw_generations(rng, GENERATIONS - 1, POPULATION, fn.dimension)
         elif algorithm == "cmaes":
             state = cmaes.init_state(fn, rng)
-            self.z = per_run(rng, lambda r: r.standard_normal(
-                (GENERATIONS, POPULATION, fn.dimension)))
+            self.z = cmaes.draw_generations(rng, GENERATIONS, POPULATION, fn.dimension)
             self.last = cmaes.cma_generation(state, SIGMA0, fn, self.z[:, 0], self.budget)
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -104,12 +103,11 @@ class Episode:
             F, CR = params
             prev_best = self.last.best_fitness
             self.last, replaced = de.de_generation(self.last, F, CR, self.fn,
-                                                   self.uniforms[:, self.step],
-                                                   self.j_rand[:, self.step], self.budget)
+                                                   self.draws.at(self.step), self.budget)
             outcome = DeOutcome(F, CR, replaced, self.last.best_fitness < prev_best)
         else:
             outcome = self.last = cmaes.cma_generation(
-                self.last.state, params, self.fn, self.z[:, self.step + 1], self.budget)
+                self.last.state, params, self.fn, self.z[:, len(self.trace)], self.budget)
         self.trace.append_generation(self.last.genotypes, self.last.fitnesses, action)
         self.trace.rewards.append(reward(self.trace))
         return outcome

@@ -40,10 +40,10 @@ def test_population_too_small_rejected(rng):
 
 def test_zero_scale_factor_makes_mutants_equal_best(rng):
     pop = init_population(SPHERE, 10, [rng])
-    uniforms, j_rand = draw_generations([rng], 1, 10, 10)
+    draws = draw_generations([rng], 1, 10, 10)
     best = pop.genotypes[0, pop.best_index[0]].copy()
     # with F=0 and CR=1 every child equals the clipped best
-    new_pop, _ = de_generation(pop, 0.0, 1.0, SPHERE, uniforms[:, 0], j_rand[:, 0])
+    new_pop, _ = de_generation(pop, 0.0, 1.0, SPHERE, draws.at(0))
     for child, old, old_fit, new_fit in zip(new_pop.genotypes[0], pop.genotypes[0],
                                             pop.fitnesses[0], new_pop.fitnesses[0]):
         if new_fit != old_fit or not np.array_equal(child, old):
@@ -53,9 +53,9 @@ def test_zero_scale_factor_makes_mutants_equal_best(rng):
 def test_full_crossover_takes_all_genes_from_mutant(rng):
     # F=0, CR=1: every child gene comes from the mutant, which is the best
     pop = init_population(SPHERE, 8, [rng])
-    uniforms, j_rand = draw_generations([rng], 1, 8, 10)
+    draws = draw_generations([rng], 1, 8, 10)
     best_fit = pop.best_fitness[0]
-    new_pop, replaced = de_generation(pop, 0.0, 1.0, SPHERE, uniforms[:, 0], j_rand[:, 0])
+    new_pop, replaced = de_generation(pop, 0.0, 1.0, SPHERE, draws.at(0))
     assert replaced.shape == (1, 8)
     assert np.all(new_pop.fitnesses[replaced] == best_fit)
 
@@ -65,10 +65,10 @@ def test_elitism_monotone_and_reproducible():
         rng = [np.random.default_rng(seed)]
         budget = EvalBudget(500)
         pop = init_population(SPHERE, 10, rng, budget)
-        uniforms, j_rand = draw_generations(rng, 49, 10, 10)
+        draws = draw_generations(rng, 49, 10, 10)
         bests = [pop.best_fitness[0]]
         for g in range(49):
-            pop, _ = de_generation(pop, 0.5, 0.9, SPHERE, uniforms[:, g], j_rand[:, g], budget)
+            pop, _ = de_generation(pop, 0.5, 0.9, SPHERE, draws.at(g), budget)
             bests.append(pop.best_fitness[0])
         return np.array(bests), pop
 
@@ -81,26 +81,26 @@ def test_elitism_monotone_and_reproducible():
 
 def test_children_within_bounds(rng):
     pop = init_population(SPHERE, 10, [rng])
-    uniforms, j_rand = draw_generations([rng], 10, 10, 10)
+    draws = draw_generations([rng], 10, 10, 10)
     for g in range(10):
-        pop, _ = de_generation(pop, 1.9, 1.0, SPHERE, uniforms[:, g], j_rand[:, g])
+        pop, _ = de_generation(pop, 1.9, 1.0, SPHERE, draws.at(g))
         assert np.all(pop.genotypes >= -5) and np.all(pop.genotypes <= 5)
 
 
 def test_generation_consumes_exactly_np_evaluations(rng):
     budget = EvalBudget(500)
     pop = init_population(SPHERE, 10, [rng], budget)
-    uniforms, j_rand = draw_generations([rng], 1, 10, 10)
-    de_generation(pop, 0.5, 0.9, SPHERE, uniforms[:, 0], j_rand[:, 0], budget)
+    draws = draw_generations([rng], 1, 10, 10)
+    de_generation(pop, 0.5, 0.9, SPHERE, draws.at(0), budget)
     assert budget.used == 20
 
 
 def test_budget_exhaustion_aborts_generation(rng):
     budget = EvalBudget(15)
     pop = init_population(SPHERE, 10, [rng], budget)
-    uniforms, j_rand = draw_generations([rng], 1, 10, 10)
+    draws = draw_generations([rng], 1, 10, 10)
     with pytest.raises(BudgetExhausted):
-        de_generation(pop, 0.5, 0.9, SPHERE, uniforms[:, 0], j_rand[:, 0], budget)
+        de_generation(pop, 0.5, 0.9, SPHERE, draws.at(0), budget)
     assert budget.used == 10  # nothing consumed by the aborted generation
 
 
@@ -108,8 +108,8 @@ def test_sphere_improves_in_100_of_100_runs():
     for seed in range(100):
         rng = [np.random.default_rng(seed)]
         pop = init_population(SPHERE, 10, rng)
-        uniforms, j_rand = draw_generations(rng, 49, 10, 10)
+        draws = draw_generations(rng, 49, 10, 10)
         initial = pop.best_fitness[0]
         for g in range(49):
-            pop, _ = de_generation(pop, 0.5, 0.9, SPHERE, uniforms[:, g], j_rand[:, g])
+            pop, _ = de_generation(pop, 0.5, 0.9, SPHERE, draws.at(g))
         assert pop.best_fitness[0] < initial

@@ -16,7 +16,8 @@ from evoadapt.baselines import archive_differences
 from evoadapt.benchmarks import (EvalBudget, evaluate, evaluate_population,
                                  get_function, registry_list)
 from evoadapt.cmaes import cma_generation, init_state
-from evoadapt.de import de_generation, draw_generations, init_population, pick_pairs
+from evoadapt.de import (de_generation, draw_generations, init_population, pick_pairs,
+                         rank_candidates)
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import action_spec, load_checkpoint, save_checkpoint
 from evoadapt.ppo import PpoConfig, train
@@ -96,7 +97,8 @@ def test_evaluate_population_rejects_wrong_width():
 @given(np_=st.integers(min_value=4, max_value=40), data=st.data(), seed=SEEDS)
 def test_mutation_pairs_are_distinct(np_, data, seed):
     best = data.draw(st.integers(min_value=0, max_value=np_ - 1), label="best")
-    a, b = pick_pairs(np.random.default_rng(seed).random((1, np_, np_)), np.array([best]))
+    a, b = pick_pairs(rank_candidates(np.random.default_rng(seed).random((1, np_, np_))),
+                      np.array([best]))
     assert a.shape == b.shape == (1, np_)
     a, b, rows = a[0], b[0], np.arange(np_)
     assert np.all((a >= 0) & (a < np_) & (b >= 0) & (b < np_))
@@ -105,8 +107,24 @@ def test_mutation_pairs_are_distinct(np_, data, seed):
     assert np.all((a != best) & (b != best))
 
 
+@settings(max_examples=30, deadline=None)
+@given(np_=st.integers(min_value=4, max_value=40), seed=SEEDS)
+def test_mutation_pairs_are_the_two_smallest_keys_left(np_, seed):
+    """Ranking three candidates gives the pair that masking i and the best
+    out of the full keys and taking the two smallest gives."""
+    rng = np.random.default_rng(seed)
+    keys, best = rng.random((3, np_, np_)), rng.integers(np_, size=3)
+    masked = keys.copy()
+    masked[:, np.arange(np_), np.arange(np_)] = np.inf
+    masked[np.arange(3), :, best] = np.inf
+    order = np.argsort(masked, axis=-1)
+    a, b = pick_pairs(rank_candidates(keys), best)
+    assert np.array_equal(a, order[..., 0]) and np.array_equal(b, order[..., 1])
+
+
 def test_mutation_pairs_reach_every_ordered_pair():
-    a, b = pick_pairs(np.random.default_rng(0).random((300, 5, 5)), np.zeros(300, dtype=int))
+    a, b = pick_pairs(rank_candidates(np.random.default_rng(0).random((300, 5, 5))),
+                      np.zeros(300, dtype=int))
     seen = set(zip(a[:, 1].tolist(), b[:, 1].tolist()))
     # individual 1 with best 0 draws from {2, 3, 4}: six ordered pairs
     assert seen == {(p, q) for p in (2, 3, 4) for q in (2, 3, 4) if p != q}
@@ -121,11 +139,10 @@ def test_de_generation_spends_np_evaluations_and_keeps_the_best(entry, np_, F, C
     rng = [np.random.default_rng(seed)]
     budget = EvalBudget(6 * np_)
     pop = init_population(fn, np_, rng, budget)
-    uniforms, j_rand = draw_generations(rng, 5, np_, fn.dimension)
+    draws = draw_generations(rng, 5, np_, fn.dimension)
     best = pop.best_fitness[0]
     for generation in range(1, 6):
-        pop, replaced = de_generation(pop, F, CR, fn, uniforms[:, generation - 1],
-                                      j_rand[:, generation - 1], budget)
+        pop, replaced = de_generation(pop, F, CR, fn, draws.at(generation - 1), budget)
         assert budget.used == (generation + 1) * np_
         assert replaced.shape == (1, np_)
         assert pop.best_fitness[0] <= best
