@@ -1,4 +1,4 @@
-.PHONY: test test-fast check bench bench-pairs bench-selftest paper-run
+.PHONY: test test-fast check settings bench bench-pairs bench-selftest paper-run
 
 test:
 	pytest -v
@@ -11,6 +11,11 @@ test-fast:
 check:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 	python3 perfbench/selftest.py
+
+# The number of settable values: config keys, CLI flags and defaulted
+# parameters (see scripts/count_settings.py).
+settings:
+	python3 scripts/count_settings.py
 
 # The three benchmark workloads, each timed end to end for 40 s (see perfbench/README.md).
 bench:

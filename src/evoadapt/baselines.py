@@ -136,11 +136,13 @@ def ide_record_success(state: IdeState, F: np.ndarray, CR: np.ndarray, replaced:
 # ---------------------------------------------------------------------------
 # jDE
 
+JDE_TAU = 0.1  # resample probability of F and of CR (Brest et al. 2006, IEEE TEC 10(6))
+
+
 @dataclass
 class JdeState:
     best_F: np.ndarray                  # (R,)
     best_CR: np.ndarray                 # (R,)
-    p: float = 0.1
 
 
 def draw_jde(rng, generations: int) -> np.ndarray:
@@ -150,12 +152,12 @@ def draw_jde(rng, generations: int) -> np.ndarray:
 
 
 def jde_update(state: JdeState, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """With probability p resample F ~ U(0.1, 1) (CR ~ U(0, 1)), else keep
-    the best. `u` holds four uniforms per run, `(R, 4)`: F is resampled
-    where u[:, 0] < p, to 0.1 + 0.9 u[:, 1]; CR likewise from u[:, 2] and
-    u[:, 3]."""
-    F = np.where(u[:, 0] < state.p, 0.1 + (1.0 - 0.1) * u[:, 1], state.best_F)
-    CR = np.where(u[:, 2] < state.p, u[:, 3], state.best_CR)
+    """With probability `JDE_TAU` resample F ~ U(0.1, 1) (CR ~ U(0, 1)),
+    else keep the best. `u` holds four uniforms per run, `(R, 4)`: F is
+    resampled where u[:, 0] < JDE_TAU, to 0.1 + 0.9 u[:, 1]; CR likewise
+    from u[:, 2] and u[:, 3]."""
+    F = np.where(u[:, 0] < JDE_TAU, 0.1 + (1.0 - 0.1) * u[:, 1], state.best_F)
+    CR = np.where(u[:, 2] < JDE_TAU, u[:, 3], state.best_CR)
     return F, CR
 
 

@@ -30,10 +30,6 @@ class EvalBudget:
     max_evaluations: int
     used: int = 0
 
-    @property
-    def remaining(self) -> int:
-        return self.max_evaluations - self.used
-
     def consume(self, n: int = 1) -> None:
         if self.used + n > self.max_evaluations:
             raise BudgetExhausted(
@@ -125,10 +121,9 @@ def _batched(body: Callable[[np.ndarray], np.ndarray]) -> Callable:
 # ---------------------------------------------------------------------------
 # BBOB transformation helpers (rotations fixed to identity); they act
 # elementwise or along the last axis, so they take single points and rows.
+# Every registered dimension is at least 5, so d - 1 never divides by zero.
 
 def _lambda_alpha(alpha: float, d: int) -> np.ndarray:
-    if d == 1:
-        return np.ones(1)
     return alpha ** (0.5 * np.arange(d) / (d - 1))
 
 
@@ -142,7 +137,7 @@ def _t_osz(x: np.ndarray) -> np.ndarray:
 
 def _t_asy(x: np.ndarray, beta: float) -> np.ndarray:
     d = x.shape[-1]
-    idx = np.arange(d) / (d - 1) if d > 1 else np.ones(1)
+    idx = np.arange(d) / (d - 1)
     exp = 1.0 + beta * idx * np.sqrt(np.maximum(x, 0.0))
     return np.where(x > 0.0, np.power(np.maximum(x, 0.0), exp), x)
 
@@ -160,7 +155,7 @@ def _sphere(d: int) -> Callable:
 
 
 def _ellipsoid(d: int) -> Callable:
-    coeff = 10.0 ** (6.0 * np.arange(d) / (d - 1)) if d > 1 else np.ones(1)
+    coeff = 10.0 ** (6.0 * np.arange(d) / (d - 1))
 
     def f(X):
         z = _t_osz(X)
@@ -180,7 +175,7 @@ def _rastrigin(d: int) -> Callable:
 
 
 def _bueche_rastrigin(d: int) -> Callable:
-    base = 10.0 ** (0.5 * np.arange(d) / (d - 1)) if d > 1 else np.ones(1)
+    base = 10.0 ** (0.5 * np.arange(d) / (d - 1))
     odd = np.arange(d) % 2 == 0  # BBOB's odd indices i=1,3,... in 1-based numbering
 
     def f(X):
@@ -196,7 +191,7 @@ def _bueche_rastrigin(d: int) -> Callable:
 def _linear_slope(d: int) -> Callable:
     # optimum at the corner x_opt = 5 * ones; the shift cannot be removed here
     x_opt = 5.0 * np.ones(d)
-    s = 10.0 ** (np.arange(d) / (d - 1)) if d > 1 else np.ones(1)
+    s = 10.0 ** (np.arange(d) / (d - 1))
 
     def f(X):
         z = np.where(x_opt * X < 25.0, X, x_opt)
@@ -218,7 +213,7 @@ def _attractive_sector(d: int) -> Callable:
 
 def _step_ellipsoidal(d: int) -> Callable:
     lam = _lambda_alpha(10.0, d)
-    coeff = 10.0 ** (2.0 * np.arange(d) / (d - 1)) if d > 1 else np.ones(1)
+    coeff = 10.0 ** (2.0 * np.arange(d) / (d - 1))
 
     def f(X):
         z_hat = lam * X
@@ -268,7 +263,7 @@ def _sharp_ridge(d: int) -> Callable:
 
 
 def _different_powers(d: int) -> Callable:
-    exps = 2.0 + (4.0 * np.arange(d) / (d - 1) if d > 1 else np.zeros(1))
+    exps = 2.0 + 4.0 * np.arange(d) / (d - 1)
     return _batched(lambda X: np.sqrt(np.sum(np.abs(X) ** exps, axis=-1)))
 
 

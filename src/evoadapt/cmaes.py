@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, BudgetExhausted, EvalBudget, evaluate_runs, per_run
+from .benchmarks import BenchmarkFunction, EvalBudget, evaluate_runs, per_run
 
 logger = logging.getLogger(__name__)
 
@@ -134,15 +134,14 @@ def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, z: np.ndarray,
     """One generation of R runs in lockstep at the given step size (a scalar
     or one value per run), sampling lam = `z.shape[1]` offspring per run
     from the standard normals `z`; consumes `lam` evaluations per run, in
-    one objective call."""
+    one objective call, and `EvalBudget.consume` raises before anything is
+    counted or evaluated if the budget cannot cover them."""
     sigma = np.asarray(sigma, dtype=float)
     if (sigma <= 0.0).any():
         raise ValueError(f"sigma must be positive, got {sigma}")
     R, lam = z.shape[:2]
     if lam < 2:
         raise ValueError(f"lambda must be >= 2, got {lam}")
-    if budget is not None and budget.remaining < lam * R:
-        raise BudgetExhausted(f"generation needs {lam * R} evaluations, {budget.remaining} left")
     broken = ~np.isfinite(state.cov).all(axis=(1, 2))
     if broken.any():
         raise StateNotFinite(f"CMA-ES covariance on {fn.name}-{fn.dimension} is not finite "

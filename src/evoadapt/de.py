@@ -17,8 +17,8 @@ import numpy as np
 
 # `evaluate` stays importable from here: perfbench/selftest.py looks it up as
 # `evoadapt.de.evaluate` to check that its tracer unpatches module attributes.
-from .benchmarks import (BenchmarkFunction, BudgetExhausted, EvalBudget,  # noqa: F401
-                         evaluate, evaluate_runs, per_run)
+from .benchmarks import (BenchmarkFunction, EvalBudget, evaluate,  # noqa: F401
+                         evaluate_runs, per_run)
 
 MIN_POPULATION = 4  # best + two distinct difference individuals + parent
 
@@ -114,15 +114,13 @@ def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, draws: DeDraws,
     its mutant whatever CR is. Returns the next population and the `(R,
     NP)` mask of parents that were replaced by their trial (child fitness
     <= parent fitness). Consumes exactly NP evaluations per run, all runs'
-    children in one objective call; if the budget cannot cover them, the
-    generation is aborted before consuming anything.
+    children in one objective call; if the budget cannot cover them,
+    `EvalBudget.consume` raises before anything is counted or evaluated.
     """
     X, fit = pop.genotypes, pop.fitnesses
     R, _, d = X.shape
     F = np.asarray(F, dtype=float)[..., None]    # broadcasts against (R, NP, d)
     CR = np.asarray(CR, dtype=float)[..., None]
-    if budget is not None and budget.remaining < fit.size:
-        raise BudgetExhausted(f"generation needs {fit.size} evaluations, {budget.remaining} left")
 
     run = np.arange(R)[:, None]
     best = fit.argmin(axis=1)

@@ -31,6 +31,7 @@ from .stats import auc, best_of_run
 GENERATIONS = 50
 POPULATION = 10
 SIGMA0 = 0.5
+FIXED_F, FIXED_CR = 0.5, 0.9  # the fixed-parameter DE baseline
 
 
 def multi_function_sampler(function_set: list, rng: np.random.Generator):
@@ -128,10 +129,10 @@ class Controller:
 
 
 class FixedDeController(Controller):
-    """Constant F/CR for every individual and generation."""
+    """Constant F/CR, `FIXED_F` and `FIXED_CR`, for every individual and
+    generation."""
 
-    def __init__(self, F: float = 0.5, CR: float = 0.9):
-        self.F, self.CR = float(F), float(CR)
+    F, CR = FIXED_F, FIXED_CR
 
     def start(self, episode):
         return episode.each([self.F, self.CR])
@@ -175,8 +176,9 @@ class JdeController(Controller):
 
 
 class FixedSigmaController(Controller):
-    def __init__(self, sigma: float = SIGMA0):
-        self.sigma = float(sigma)
+    """Sigma fixed at `SIGMA0`, the step size of generation 0."""
+
+    sigma = SIGMA0
 
     def start(self, episode):
         return episode.each([SIGMA0])  # generation 0 ran at SIGMA0
@@ -188,11 +190,9 @@ class FixedSigmaController(Controller):
 
 class CsaController(FixedSigmaController):
     """CSA with its default constants for the episode's dimension, its sigma
-    clamped into the policy's box [SIGMA_MIN, SIGMA_MAX]."""
-
-    def __init__(self):
-        """No settings: `start` builds the CSA state, and its feedback on
-        generation 0's sampling at `SIGMA0` sets the first sigmas."""
+    clamped into the policy's box [SIGMA_MIN, SIGMA_MAX]. `start` builds
+    the CSA state, and its feedback on generation 0's sampling at `SIGMA0`
+    sets the first sigmas."""
 
     def start(self, episode):
         self.state = baselines.make_csa_state(episode.fn.dimension)
@@ -248,7 +248,7 @@ class PolicyController(Controller):
         if episode.algorithm == "cmaes":
             return decode_sigma(action)
         noise = None if self.noise is None else self.noise[:, episode.step]
-        return decode_de_params(action, self.spec, POPULATION, noise)
+        return decode_de_params(action, self.spec, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +328,8 @@ class ProtocolResult:
     seeds: list
 
 
-def run_test_protocol(controller_factory, function: tuple, seed_base: int,
-                      runs: int = 50, algorithm: str = "de") -> ProtocolResult:
+def run_test_protocol(controller_factory, function: tuple, seed_base: int, runs: int,
+                      algorithm: str) -> ProtocolResult:
     """Seeded runs seed_base..seed_base+runs-1 of the paper's protocol stepped
     in lockstep under one controller; run i draws only from
     `default_rng(seed_base + i)`, so it gives the bytes of a one-run batch of

@@ -179,14 +179,15 @@ def draw_decode_noise(kind: str, rng, generations: int, np_: int):
     return None
 
 
-def decode_de_params(action: np.ndarray, spec: ActionSpec, np_: int,
+def decode_de_params(action: np.ndarray, spec: ActionSpec,
                      noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-individual (F, CR), `(R, NP)`, from clipped actions `(R, k)` and
-    the generation's `(R, 2, NP)` noise (rows for F and CR) of
-    `draw_decode_noise`."""
+    """(F, CR) from clipped actions `(R, k)` and the generation's `(R, 2,
+    NP)` noise (rows for F and CR) of `draw_decode_noise`: per individual,
+    `(R, NP)`, or for de_direct one value per run, `(R, 1)` columns that
+    `de.de_generation` broadcasts over the population."""
     a = np.asarray(action, dtype=float)[..., None]  # a[:, i] is (R, 1)
     if spec.kind == "de_direct":
-        return np.repeat(a[:, 0], np_, axis=1), np.repeat(a[:, 1], np_, axis=1)
+        return a[:, 0], a[:, 1]
     if spec.kind == "de_normal":
         F = a[:, 0] + a[:, 1] * noise[:, 0]
         CR = a[:, 2] + a[:, 3] * noise[:, 1]

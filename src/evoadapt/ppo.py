@@ -169,18 +169,21 @@ class Sgd:
         self.theta -= self.lr * grad
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
 class Adam:
-    def __init__(self, theta: np.ndarray, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.theta, self.lr, self.beta1, self.beta2, self.eps = theta, lr, beta1, beta2, eps
+    def __init__(self, theta: np.ndarray, lr: float):
+        self.theta, self.lr = theta, lr
         self.m, self.v, self.t = np.zeros_like(theta), np.zeros_like(theta), 0
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad ** 2
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        self.theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad ** 2
+        m_hat = self.m / (1 - ADAM_BETA1 ** self.t)
+        v_hat = self.v / (1 - ADAM_BETA2 ** self.t)
+        self.theta -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def clip_gradients(grad: np.ndarray, max_norm: float) -> None:

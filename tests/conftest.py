@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,17 @@ def random_trace(rng: np.random.Generator, length: int, dim: int = 3,
         trace.append_generation(genotypes, fitnesses, np.array([[0.5]]))
         trace.rewards.append(np.zeros(1))
     return trace
+
+
+def counted(fn):
+    """Wrap a benchmark so every objective call is tallied."""
+    calls = [0]
+
+    def wrapper(x):
+        calls[0] += 1
+        return fn.fn(x)
+
+    return dataclasses.replace(fn, fn=wrapper), calls
 
 
 @pytest.fixture

@@ -130,14 +130,13 @@ def test_criterion_4_ppo_bandit_sanity():
 def test_criterion_5_engine_behavior():
     fn = get_function("Sphere", 10)
     for seed in range(100):
-        trace = run_de_episode(fn, FixedDeController(0.5, 0.9),
-                               np.random.default_rng(seed))
+        trace = run_de_episode(fn, FixedDeController(), np.random.default_rng(seed))
         assert trace.best_fitness[-1] < trace.best_fitness[0]
         envelope = np.minimum.accumulate(trace.best_fitness)
         assert np.all(np.diff(envelope) <= 0.0)
     csa = run_test_protocol(CsaController, ("Sphere", 10), 0, runs=50, algorithm="cmaes")
-    fixed = run_test_protocol(lambda: FixedSigmaController(0.5), ("Sphere", 10), 0,
-                              runs=50, algorithm="cmaes")
+    fixed = run_test_protocol(FixedSigmaController, ("Sphere", 10), 0, runs=50,
+                              algorithm="cmaes")
     assert np.median(csa.bests) < np.median(fixed.bests)
     assert win_probability(csa.bests, fixed.bests) > 0.5
     print("ACCEPTANCE 5 (engine behavior): PASS")
@@ -158,7 +157,8 @@ def test_criterion_6_protocol_fidelity(monkeypatch):
         return dataclasses.replace(fn, fn=wrapper)
 
     monkeypatch.setattr(envloop, "get_function", tracked_get_function)
-    result = run_test_protocol(FixedDeController, ("Rastrigin", 10), 42, runs=50)
+    result = run_test_protocol(FixedDeController, ("Rastrigin", 10), 42, runs=50,
+                               algorithm="de")
     total = sum(c[0] for c in per_run_calls)
     assert len(result.traces) == 50
     assert total == 50 * 500
@@ -182,9 +182,9 @@ def test_criterion_7_training_smoke():
                                      rng=np.random.default_rng(train_rng))
         trained = run_test_protocol(
             lambda: PolicyController(policy, spec, obs_spec),
-            ("Sphere", 10), 777, runs=50)
-        fixed = run_test_protocol(lambda: FixedDeController(0.5, 0.9),
-                                  ("Sphere", 10), 777, runs=50)
+            ("Sphere", 10), 777, runs=50, algorithm="de")
+        fixed = run_test_protocol(FixedDeController, ("Sphere", 10), 777, runs=50,
+                                  algorithm="de")
         if win_probability(trained.bests, fixed.bests) > 0.5:
             won = True
             break

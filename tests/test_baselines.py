@@ -1,11 +1,37 @@
 import math
 
 import numpy as np
+import pytest
 
-from evoadapt.baselines import (CsaState, JdeState, archive_differences, csa_update,
+from evoadapt import envloop
+from evoadapt.baselines import (JDE_TAU, CsaState, JdeState, archive_differences, csa_update,
                                 draw_ide, draw_jde, expected_chi_norm, ide_record_success,
                                 ide_update, jde_record, jde_update, make_csa_state,
                                 make_ide_state)
+
+
+def jde_resampled(u: float) -> tuple[float, float]:
+    """The F and CR that jDE resamples from the uniform `u`."""
+    F, CR = jde_update(JdeState(np.zeros(1), np.zeros(1)), np.array([[0.0, u, 0.0, u]]))
+    return float(F[0]), float(CR[0])
+
+
+@pytest.mark.parametrize("value,published", [
+    pytest.param(envloop.FIXED_F, 0.5, id="fixed-F"),
+    pytest.param(envloop.FIXED_CR, 0.9, id="fixed-CR"),
+    pytest.param(envloop.SIGMA0, 0.5, id="sigma0"),
+    pytest.param(JDE_TAU, 0.1, id="jde-tau"),
+    *[pytest.param(jde_resampled(u), (0.1 + 0.9 * u, u), id=f"jde-resample-u{u}")
+      for u in (0.0, 0.5, 0.999)],
+    *[pytest.param((make_csa_state(d).c, make_csa_state(d).d_sigma), (4.0 / (d + 4.0), 1.0),
+                   id=f"csa-d{d}") for d in (5, 10, 20)],
+])
+def test_published_constants(value, published):
+    """The baselines' values from their sources: the fixed F = 0.5, CR = 0.9
+    and sigma = 0.5; jDE's tau = 0.1 and its resample F = 0.1 + 0.9 u, CR =
+    u (Brest et al. 2006); CSA's c = 4/(d+4) and d_sigma = 1 at every
+    registered dimension."""
+    assert value == pytest.approx(published, rel=1e-15)
 
 
 def csa_state(dim, c, d_sigma=1.0):
@@ -157,10 +183,12 @@ class TestJde:
         assert np.all((CR == 5.0) | ((0.0 <= CR) & (CR < 1.0)))
 
     def test_keep_branch_returns_best(self):
-        state = JdeState(best_F=np.array([0.42]), best_CR=np.array([0.77]), p=0.0)
-        F, CR = jde_update(state, draw_jde([np.random.default_rng(0)], 1)[:, 0])
-        assert F.shape == CR.shape == (1,)
-        assert F[0] == 0.42 and CR[0] == 0.77
+        """Uniforms at or above tau keep each run's best F and CR."""
+        state = JdeState(best_F=np.array([0.42, 0.13]), best_CR=np.array([0.77, 0.31]))
+        u = np.array([[JDE_TAU, 0.3, JDE_TAU, 0.6], [0.99, 0.0, 0.5, 0.0]])
+        F, CR = jde_update(state, u)
+        assert F.shape == CR.shape == (2,)
+        assert np.array_equal(F, [0.42, 0.13]) and np.array_equal(CR, [0.77, 0.31])
 
     def test_resample_frequency(self):
         state = JdeState(best_F=np.full(100_000, -1.0), best_CR=np.full(100_000, -1.0))

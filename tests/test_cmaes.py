@@ -3,9 +3,11 @@ import logging
 import numpy as np
 import pytest
 
-from evoadapt.benchmarks import EvalBudget, get_function
+from evoadapt.benchmarks import BudgetExhausted, EvalBudget, get_function
 from evoadapt.cmaes import (CmaState, cma_generation, init_state,
                             sample_offspring, _decompose, _square_root)
+
+from conftest import counted
 
 SPHERE = get_function("Sphere", 10)
 
@@ -15,6 +17,19 @@ def test_generation_advances_eval_counter(rng):
     budget = EvalBudget(500)
     cma_generation(state, 0.5, SPHERE, rng.standard_normal((1, 10, 10)), budget)
     assert budget.used == 10
+
+
+def test_budget_exhaustion_aborts_generation():
+    """Two runs of 10 offspring need 20 evaluations; with 15 left the
+    generation raises before it counts or evaluates anything."""
+    rng = [np.random.default_rng(seed) for seed in (4, 5)]
+    state = init_state(SPHERE, rng)
+    budget = EvalBudget(500, used=485)
+    fn, calls = counted(SPHERE)
+    with pytest.raises(BudgetExhausted):
+        cma_generation(state, 0.5, fn, rng[0].standard_normal((2, 10, 10)), budget)
+    assert budget.used == 485
+    assert calls[0] == 0
 
 
 def test_determinism():

@@ -4,6 +4,8 @@ import pytest
 from evoadapt.benchmarks import BudgetExhausted, EvalBudget, get_function
 from evoadapt.de import de_generation, draw_generations, init_population, mutate_best1
 
+from conftest import counted
+
 SPHERE = get_function("Sphere", 10)
 
 
@@ -99,9 +101,11 @@ def test_budget_exhaustion_aborts_generation(rng):
     budget = EvalBudget(15)
     pop = init_population(SPHERE, 10, [rng], budget)
     draws = draw_generations([rng], 1, 10, 10)
+    fn, calls = counted(SPHERE)
     with pytest.raises(BudgetExhausted):
-        de_generation(pop, 0.5, 0.9, SPHERE, draws.at(0), budget)
+        de_generation(pop, 0.5, 0.9, fn, draws.at(0), budget)
     assert budget.used == 10  # nothing consumed by the aborted generation
+    assert calls[0] == 0      # and nothing evaluated
 
 
 def test_sphere_improves_in_100_of_100_runs():

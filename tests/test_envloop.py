@@ -14,16 +14,7 @@ from evoadapt.envloop import (CsaController, Episode, EvolutionEnv,
 from evoadapt.observe import ObservationSpec, reward
 from evoadapt.policy import SIGMA_MAX, SIGMA_MIN, PolicyNet, action_spec
 
-
-def counted(fn):
-    """Wrap a benchmark so every objective call is tallied."""
-    calls = [0]
-
-    def wrapper(x):
-        calls[0] += 1
-        return fn.fn(x)
-
-    return dataclasses.replace(fn, fn=wrapper), calls
+from conftest import counted
 
 
 class TestEpisodeBudget:
@@ -184,7 +175,7 @@ class TestEvolutionEnv:
 class TestProtocol:
     def test_fifty_runs_with_consecutive_seeds(self):
         result = run_test_protocol(FixedDeController, ("Sphere", 10), seed_base=100,
-                                   runs=50)
+                                   runs=50, algorithm="de")
         assert len(result.traces) == 50
         assert result.aucs.shape == (50,) and result.bests.shape == (50,)
         assert result.seeds == list(range(100, 150))
@@ -228,7 +219,7 @@ class TestProtocol:
 
     def test_protocol_rejects_no_runs(self):
         with pytest.raises(ValueError):
-            run_test_protocol(FixedDeController, ("Sphere", 10), 0, runs=0)
+            run_test_protocol(FixedDeController, ("Sphere", 10), 0, runs=0, algorithm="de")
 
     def test_diverging_cma_run_names_function_seed_and_generation(self):
         class OneRunDiverges(FixedSigmaController):
@@ -258,8 +249,13 @@ class TestProtocol:
         assert np.all(np.isfinite(result.aucs))
 
     def test_degenerate_controller_still_completes(self):
-        result = run_test_protocol(lambda: FixedDeController(F=0.0, CR=0.0),
-                                   ("Sphere", 10), 0, runs=3)
+        class NoMutationNoCrossover(FixedDeController):
+            """F = CR = 0: each child is its parent but for its j_rand
+            coordinate, which it takes from the best individual."""
+            F = CR = 0.0
+
+        result = run_test_protocol(NoMutationNoCrossover, ("Sphere", 10), 0, runs=3,
+                                   algorithm="de")
         assert all(len(t) == 50 for t in result.traces)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from evoadapt.benchmarks import get_function
+from evoadapt.de import de_generation, draw_generations, init_population
 from evoadapt.envloop import PolicyController
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import (Mlp, PolicyNet, action_spec, decode_de_params,
@@ -106,14 +108,27 @@ def decode(kind, action, np_, rng):
     """F and CR of one run's action, with one generation of decoding noise."""
     noise = draw_decode_noise(kind, [rng], 1, np_)
     noise = None if noise is None else noise[:, 0]
-    return [x[0] for x in decode_de_params(np.array([action]), action_spec(kind), np_, noise)]
+    return [x[0] for x in decode_de_params(np.array([action]), action_spec(kind), noise)]
 
 
 class TestDecode:
-    def test_direct_broadcast(self, rng):
-        F, CR = decode("de_direct", [1.2, 0.3], 10, rng)
-        assert np.all(F == 1.2) and np.all(CR == 0.3)
-        assert F.shape == CR.shape == (10,)
+    def test_direct_columns_give_the_generation_of_repeated_values(self, rng):
+        """de_direct decodes one (F, CR) per run as `(R, 1)` columns; a DE
+        generation gives the same bytes with them as with them repeated over
+        the population, `(R, NP)`."""
+        fn, runs = get_function("Rastrigin", 10), [np.random.default_rng(s) for s in range(3)]
+        pop = init_population(fn, 10, runs)
+        draws = draw_generations(runs, 1, 10, fn.dimension).at(0)
+        actions = action_spec("de_direct").clip(rng.uniform(0.0, 2.0, size=(3, 2)))
+        F, CR = decode_de_params(actions, action_spec("de_direct"), None)
+        assert F.shape == CR.shape == (3, 1)
+        assert np.array_equal(F[:, 0], actions[:, 0]) and np.array_equal(CR[:, 0], actions[:, 1])
+        columns, replaced = de_generation(pop, F, CR, fn, draws)
+        repeated, replaced_too = de_generation(pop, np.repeat(F, 10, axis=1),
+                                               np.repeat(CR, 10, axis=1), fn, draws)
+        assert columns.genotypes.tobytes() == repeated.genotypes.tobytes()
+        assert columns.fitnesses.tobytes() == repeated.fitnesses.tobytes()
+        assert np.array_equal(replaced, replaced_too)
 
     def test_normal_zero_variance(self, rng):
         F, CR = decode("de_normal", [1.5, 0.0, 0.25, 0.0], 10, rng)
@@ -137,9 +152,9 @@ class TestDecode:
             actions = spec.clip(rng.uniform(-0.5, 2.5, size=(5, spec.dim)))
             noise = draw_decode_noise(kind, [rng] * 5, 1, 10)
             noise = None if noise is None else noise[:, 0]
-            stacked = decode_de_params(actions, spec, 10, noise)
+            stacked = decode_de_params(actions, spec, noise)
             for i in range(5):
-                alone = decode_de_params(actions[i:i + 1], spec, 10,
+                alone = decode_de_params(actions[i:i + 1], spec,
                                          None if noise is None else noise[i:i + 1])
                 assert all(np.array_equal(s[i], a[0]) for s, a in zip(stacked, alone))
 
