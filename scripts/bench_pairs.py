@@ -8,8 +8,10 @@ temporary directories, so both sides run from alike new checkouts. Then runs
 `perfbench/run.py --trace 0` of the parent and of the working tree in turn,
 swapping which side goes first in every pair. Prints each side's
 median and quartiles of every end-to-end metric, how many pairs the working
-tree won, and whether both sides printed the same output digests. The
-temporary directories are removed at the end. Exit code 0 when every run was
+tree won, whether the gain rule holds (better in at least 9 of every 10
+pairs, and the median gap in the better direction larger than the parent's
+interquartile range), and whether both sides printed the same output
+digests. The temporary directories are removed at the end. Exit code 0 when every run was
 correct and the digests match, 1 otherwise.
 """
 
@@ -100,11 +102,18 @@ def main(argv=None) -> int:
         values = {side: [r["metrics"][name] for r in runs[side]] for side in runs}
         wins = sum((c < p) if direction == "lower" else (c > p)
                    for p, c in zip(values["parent"], values["change"]))
-        cells = []
-        for side in ("parent", "change"):
-            q1, q2, q3 = quartiles(values[side])
-            cells.append(f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}]")
+        stats = {side: quartiles(values[side]) for side in runs}
+        cells = [f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}]" for side, (q1, q2, q3) in stats.items()]
         print(f"  {name:12s} {'  '.join(cells)}  change better in {wins}/{args.pairs}")
+        # the gain rule: better in 9 of 10 pairs, and the medians further apart
+        # than the parent's quartiles, in the better direction
+        gap = stats["parent"][1] - stats["change"][1]
+        gap = gap if direction == "lower" else -gap
+        iqr = stats["parent"][2] - stats["parent"][0]
+        holds = 10 * wins >= 9 * args.pairs and gap > iqr
+        print(f"  {'':12s} gain rule {'holds' if holds else 'does not hold'}: "
+              f"{wins}/{args.pairs} pairs better (9/10 needed), median gap {gap:.4g} "
+              f"against parent IQR {iqr:.4g}")
     digests = {side: {d for r in runs[side] for d in r["digests"]} for side in runs}
     same = digests["parent"] == digests["change"]
     correct = all(r["correct"] for side in runs for r in runs[side])

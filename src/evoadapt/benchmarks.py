@@ -355,30 +355,46 @@ def _lunacek_bi_rastrigin(d: int) -> Callable:
     return _batched(f)
 
 
+def _gallagher_layout(n_peaks: int, seed: int, d: int):
+    """Deterministic peak layout `(centers, scales, weights)`, shapes
+    `(peaks, d)`, `(peaks, d)` and `(peaks,)`; the global-optimum peak 0 sits
+    at the origin."""
+    rng = np.random.default_rng([seed, n_peaks, d])
+    centers = rng.uniform(-4.9, 4.9, size=(n_peaks, d))
+    centers[0] = 0.0
+    w = np.empty(n_peaks)
+    w[0] = 10.0
+    w[1:] = 1.1 + 8.0 * np.arange(n_peaks - 1) / (n_peaks - 2)
+    alphas = 1000.0 ** (2.0 * rng.permutation(n_peaks - 1) / (n_peaks - 2))
+    alpha0 = 1000.0 if n_peaks == 101 else 1000.0 ** 2
+    scales = np.empty((n_peaks, d))
+    scales[0] = _lambda_alpha(alpha0, d) ** 2 / alpha0 ** 0.25
+    for i in range(1, n_peaks):
+        a = alphas[i - 1]
+        diag = _lambda_alpha(a, d) ** 2 / a ** 0.25
+        scales[i] = rng.permutation(diag)
+    return centers, scales, w
+
+
 def _gallagher(n_peaks: int, seed: int):
     def make(d: int) -> Callable:
-        # deterministic peak layout; the global-optimum peak sits at the origin
-        rng = np.random.default_rng([seed, n_peaks, d])
-        centers = rng.uniform(-4.9, 4.9, size=(n_peaks, d))
-        centers[0] = 0.0
-        w = np.empty(n_peaks)
-        w[0] = 10.0
-        w[1:] = 1.1 + 8.0 * np.arange(n_peaks - 1) / (n_peaks - 2)
-        alphas = 1000.0 ** (2.0 * rng.permutation(n_peaks - 1) / (n_peaks - 2))
-        alpha0 = 1000.0 if n_peaks == 101 else 1000.0 ** 2
-        scales = np.empty((n_peaks, d))
-        scales[0] = _lambda_alpha(alpha0, d) ** 2 / alpha0 ** 0.25
-        for i in range(1, n_peaks):
-            a = alphas[i - 1]
-            diag = _lambda_alpha(a, d) ** 2 / a ** 0.25
-            scales[i] = rng.permutation(diag)
+        centers, scales, w = _gallagher_layout(n_peaks, seed, d)
+        # Peak i's log-height log w_i - q_i / (2d), with
+        # q_i = sum_j s_ij x_j^2 - 2 sum_j s_ij c_ij x_j + sum_j s_ij c_ij^2,
+        # is one product of [x^2, x] with a (2d, peaks) matrix plus a constant.
+        coef = np.concatenate([-scales.T, 2.0 * (scales * centers).T]) / (2.0 * d)
+        offset = np.log(w) - np.sum(scales * centers ** 2, axis=-1) / (2.0 * d)
 
         def f(X):
-            diff = X[:, None, :] - centers  # (n, peaks, d), squared and scaled in place
-            np.square(diff, out=diff)
-            diff *= scales
-            quad = diff.sum(axis=-1)
-            val = np.max(w * np.exp(-quad / (2.0 * d)), axis=-1)
+            # A stack of one-row products, (n, 1, 2d) @ (2d, peaks): a plain
+            # (n, 2d) @ (2d, peaks) rounds some rows unlike the one-row
+            # product, so a point's value would depend on its batch.
+            score = (np.concatenate([X * X, X], axis=1)[:, None, :] @ coef)[:, 0] + offset
+            # The expanded form cancels near a peak's center, so the highest
+            # peak's quadratic is computed again from its differences.
+            k = np.argmax(score, axis=-1)
+            quad = np.sum(scales[k] * (X - centers[k]) ** 2, axis=-1)
+            val = w[k] * np.exp(-quad / (2.0 * d))
             return _t_osz(10.0 - val) ** 2 + _f_pen(X)
 
         return _batched(f)

@@ -217,6 +217,21 @@ class TestProtocol:
         assert protocol.aucs.tobytes() == repeat.aucs.tobytes()
         assert protocol.bests.tobytes() == repeat.bests.tobytes()
 
+    @pytest.mark.parametrize("algorithm,factory", [("de", FixedDeController),
+                                                   ("cmaes", CsaController)])
+    def test_lockstep_gallagher_run_equals_the_same_seed_run_alone(self, algorithm, factory):
+        """GG21hi evaluates its peaks with a matrix product, which must round
+        each run's rows as it rounds a lone run's."""
+        fn = get_function("GG21hi", 5)
+        protocol = run_test_protocol(factory, ("GG21hi", 5), 60, runs=4, algorithm=algorithm)
+        for i, seed in enumerate(protocol.seeds):
+            alone = run_episode(Episode(fn, algorithm, [np.random.default_rng(seed)]),
+                                factory()).split_runs()[0]
+            for field in dataclasses.fields(alone):
+                ours = np.array(getattr(protocol.traces[i], field.name))
+                assert ours.tobytes() == np.array(getattr(alone, field.name)).tobytes(), \
+                    (field.name, i)
+
     def test_protocol_rejects_no_runs(self):
         with pytest.raises(ValueError):
             run_test_protocol(FixedDeController, ("Sphere", 10), 0, runs=0, algorithm="de")

@@ -41,6 +41,14 @@ def test_population_equals_rows_bit_for_bit(name, dim, data):
     assert np.all(np.isfinite(batched))
 
 
+@pytest.mark.parametrize("n", [50, 500])  # a 5-run and a 50-run lockstep generation
+@pytest.mark.parametrize("name,dim", registry_list())
+def test_lockstep_population_equals_rows_bit_for_bit(name, dim, n):
+    fn = get_function(name, dim)
+    X = np.random.default_rng(n).uniform(-6.0, 6.0, size=(n, dim))
+    assert evaluate_population(fn, X).tobytes() == np.array([evaluate(fn, x) for x in X]).tobytes()
+
+
 def documented_optimum(name: str, d: int) -> np.ndarray:
     """Where the registry's COCO definitions (arXiv 1603.08785, with identity
     rotations and no objective offset) put each function's optimum: the
