@@ -6,12 +6,13 @@ Copies the parent revision (with `git archive`) and the working tree's
 files (tracked and untracked, less what `.gitignore` lists) into fresh
 temporary directories, so both sides run from alike new checkouts. Then runs
 `perfbench/run.py --trace 0` of the parent and of the working tree in turn,
-swapping which side goes first in every pair. Prints each side's
-median and quartiles of every end-to-end metric, how many pairs the working
-tree won, whether the gain rule holds (better in at least 9 of every 10
-pairs, and the median gap in the better direction larger than the parent's
-interquartile range), and whether both sides printed the same output
-digests. The temporary directories are removed at the end. Exit code 0 when every run was
+swapping which side goes first in every pair, and prints both sides' values
+of every end-to-end metric after each pair. At the end it prints each side's
+median and quartiles of every metric, how many pairs the working tree won,
+whether the gain rule (`gain_rule`) holds, and whether both sides printed the
+same output digests; its last line is one JSON object with every run's
+metrics and digests at full precision and the per-metric summary. The
+temporary directories are removed at the end. Exit code 0 when every run was
 correct and the digests match, 1 otherwise.
 """
 
@@ -61,6 +62,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def gain_rule(parent: list[float], change: list[float], better: str) -> dict:
+    """The gain rule on one metric's paired values (`better` is "lower" or
+    "higher"): the change is better in at least 9 of every 10 pairs, a tie
+    counting for neither side, and the medians lie further apart in the
+    better direction than the parent's interquartile range."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
+    (q1, parent_median, q3), (_, change_median, _) = quartiles(parent), quartiles(change)
+    gap, iqr = sign * (parent_median - change_median), q3 - q1
+    return {"wins": wins, "ties": len(parent) - wins - losses, "losses": losses,
+            "median_gap": gap, "parent_iqr": iqr,
+            "holds": 10 * wins >= 9 * len(parent) and gap > iqr}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -87,39 +103,39 @@ def main(argv=None) -> int:
         runs = {"parent": [], "change": []}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            print(f"pair {pair + 1}/{args.pairs}:", flush=True)
             for side in order:
                 runs[side].append(run_side(checkouts[side], args.workload, args.seed,
                                            args.seconds))
-            walls = "  ".join(f"{side} {runs[side][-1]['metrics']['wall_s']:.3f} s"
-                              for side in order)
-            print(f"pair {pair + 1}/{args.pairs}: {walls}", flush=True)
+                values = "  ".join(f"{name} {value:.6g}"
+                                   for name, value in runs[side][-1]["metrics"].items())
+                print(f"  {side:6s} {values}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, parent {rev} "
           f"against the working tree (median [q1, q3])")
+    summary = {}
     for name, direction in better.items():
         values = {side: [r["metrics"][name] for r in runs[side]] for side in runs}
-        wins = sum((c < p) if direction == "lower" else (c > p)
-                   for p, c in zip(values["parent"], values["change"]))
         stats = {side: quartiles(values[side]) for side in runs}
-        cells = [f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}]" for side, (q1, q2, q3) in stats.items()]
-        print(f"  {name:12s} {'  '.join(cells)}  change better in {wins}/{args.pairs}")
-        # the gain rule: better in 9 of 10 pairs, and the medians further apart
-        # than the parent's quartiles, in the better direction
-        gap = stats["parent"][1] - stats["change"][1]
-        gap = gap if direction == "lower" else -gap
-        iqr = stats["parent"][2] - stats["parent"][0]
-        holds = 10 * wins >= 9 * args.pairs and gap > iqr
-        print(f"  {'':12s} gain rule {'holds' if holds else 'does not hold'}: "
-              f"{wins}/{args.pairs} pairs better (9/10 needed), median gap {gap:.4g} "
-              f"against parent IQR {iqr:.4g}")
+        rule = gain_rule(values["parent"], values["change"], direction)
+        summary[name] = {"better": direction, **stats, **rule}
+        cells = [f"{side} {q2:.6g} [{q1:.6g}, {q3:.6g}]" for side, (q1, q2, q3) in stats.items()]
+        print(f"  {name:12s} {'  '.join(cells)}  change better in {rule['wins']}/{args.pairs}"
+              f" ({rule['ties']} ties)")
+        print(f"  {'':12s} gain rule {'holds' if rule['holds'] else 'does not hold'}: "
+              f"{rule['wins']}/{args.pairs} pairs better (9/10 needed), median gap "
+              f"{rule['median_gap']:.6g} against parent IQR {rule['parent_iqr']:.6g}")
     digests = {side: {d for r in runs[side] for d in r["digests"]} for side in runs}
     same = digests["parent"] == digests["change"]
     correct = all(r["correct"] for side in runs for r in runs[side])
     print(f"digests {'match' if same else 'differ'}: parent {sorted(digests['parent'])} "
           f"change {sorted(digests['change'])}")
     print(f"every run correct: {correct}")
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                      "pairs": args.pairs, "parent": rev, "runs": runs, "summary": summary,
+                      "digests_match": same, "every_run_correct": correct}))
     return 0 if same and correct else 1
 
 

@@ -1,14 +1,23 @@
 """Proximal Policy Optimization with a clipped surrogate objective.
 
-Single actor, generalized advantage estimation, minibatch SGD (or Adam) with
-analytically derived gradients over the numpy policy/value networks. A NaN in
-the loss, gradients or weights raises TrainingInstability so a wrapper can
-retry with a fresh seed.
+One actor, generalized advantage estimation, and minibatch SGD (or Adam) with
+analytically derived gradients over the numpy policy and value nets. The two
+nets share no parameter, so they are two learners: after each rollout a forked
+child process runs the value net's epochs while this process runs the policy
+net's, and the child hands back the value net's weights and optimizer state.
+Training needs POSIX `os.fork`. A NaN in the loss, gradients or weights raises
+TrainingInstability, at the point where one learner after the other would have
+met it, so a wrapper can retry with a fresh seed.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +27,10 @@ from .policy import LOG_2PI, Mlp, PolicyNet, gaussian_log_prob
 
 class TrainingInstability(RuntimeError):
     """Training produced non-finite weights, loss or gradients."""
+
+
+class ValueLearnerError(RuntimeError):
+    """The value learner's process died before it handed back its result."""
 
 
 @dataclass
@@ -86,7 +99,8 @@ class ActorCritic:
 
     `theta` holds the policy's layers (weights, then bias, layer by layer),
     its log_std, then the value net's layers. `grad` has the same layout, with
-    `grad_policy`/`grad_value` nets of views into it.
+    `grad_policy`/`grad_value` nets of views into it. `theta_slices` and
+    `grad_slices` are the (policy, value) parts of each.
     """
 
     def __init__(self, policy: PolicyNet, value: Mlp):
@@ -97,6 +111,7 @@ class ActorCritic:
         self.theta = _bind(policy, value)
         self.grad = _bind(self.grad_policy, self.grad_value)
         split = sum(p.size for p in policy.params())
+        self.theta_slices = (self.theta[:split], self.theta[split:])
         self.grad_slices = (self.grad[:split], self.grad[split:])
 
 
@@ -116,17 +131,14 @@ def _bind(policy: PolicyNet, value: Mlp) -> np.ndarray:
     return flat
 
 
-def ppo_loss(obs, raw_actions, old_log_probs, advantages, returns, net: ActorCritic,
+def ppo_loss(obs, raw_actions, old_log_probs, advantages, net: ActorCritic,
              cfg: PpoConfig) -> dict:
-    """Loss and statistics of one minibatch; writes the analytic gradient of
-    the loss into `net.grad`.
-
-    Loss = -(clipped surrogate) + c_v * value MSE; the entropy is only reported.
-    """
-    p, v = net.policy.mlp, net.value
+    """The policy learner's minibatch loss, -(clipped surrogate), and its
+    statistics; writes the analytic gradient of the loss into
+    `net.grad_policy`. The entropy is only reported."""
+    p = net.policy.mlp
     B = len(obs)
     mean, ins_p = p.forward_cache(obs)
-    v_out, ins_v = v.forward_cache(obs)
 
     log_std = net.policy.log_std
     std = np.exp(log_std)
@@ -141,21 +153,25 @@ def ppo_loss(obs, raw_actions, old_log_probs, advantages, returns, net: ActorCri
 
     entropy = float(np.add.reduce(log_std + 0.5 * (LOG_2PI + 1.0)))
 
-    v_err = v_out[:, 0] - returns
-    value_loss = float(np.add.reduce(v_err ** 2)) / B
-
-    loss = policy_loss + cfg.value_coef * value_loss
-
     # gradient flows through the unclipped branch only where it is the minimum
     active = surr1 <= surr2
     d_logp = -(active * surr1) / B
     np.add.reduce(d_logp[:, None] * (z2 - 1.0), axis=0, out=net.grad_policy.log_std)
-
     p.backward(ins_p, d_logp[:, None] * (diff / std ** 2), net.grad_policy.mlp)
-    v.backward(ins_v, (cfg.value_coef * 2.0 * v_err / B)[:, None], net.grad_value)
 
-    return {"loss": float(loss), "policy_loss": policy_loss, "value_loss": value_loss,
-            "entropy": entropy, "clip_fraction": 1.0 - np.count_nonzero(active) / B}
+    return {"policy_loss": policy_loss, "entropy": entropy,
+            "clip_fraction": 1.0 - np.count_nonzero(active) / B}
+
+
+def value_loss(obs, returns, net: ActorCritic, cfg: PpoConfig) -> float:
+    """The value learner's minibatch loss term, the mean squared error of the
+    returns; writes the gradient of c_v times it into `net.grad_value`. The
+    PPO loss is `ppo_loss`'s policy loss plus c_v times this term."""
+    B = len(obs)
+    v_out, ins_v = net.value.forward_cache(obs)
+    v_err = v_out[:, 0] - returns
+    net.value.backward(ins_v, (cfg.value_coef * 2.0 * v_err / B)[:, None], net.grad_value)
+    return float(np.add.reduce(v_err ** 2)) / B
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +210,81 @@ def clip_gradients(grad: np.ndarray, max_norm: float) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The two learners
+
+def _run_epochs(term, grad: np.ndarray, optimizer, rng: np.random.Generator, T: int,
+                cfg: PpoConfig):
+    """One learner's `cfg.epochs` passes over a T-step rollout: per minibatch
+    of `rng.permutation(T)`, `term(rows)` (its loss term, which writes
+    `grad`), then the clip and the optimizer step. Returns every minibatch's
+    term, an `(epochs, minibatches)` array that is NaN past the first
+    non-finite one, and the first epoch after which the weights are not
+    finite (None if none); the learner stops at either."""
+    starts = range(0, T, cfg.minibatch)
+    terms = np.full((cfg.epochs, len(starts)), np.nan)
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(T)
+        for k, start in enumerate(starts):
+            terms[epoch, k] = term(perm[start:start + cfg.minibatch])
+            if not math.isfinite(terms[epoch, k]):
+                return terms, None
+            clip_gradients(grad, cfg.grad_clip)
+            optimizer.step(grad)
+        if not np.isfinite(optimizer.theta).all():
+            return terms, epoch
+    return terms, None
+
+
+def _first_failure(policy_terms, value_terms, bad_epochs, value_coef: float):
+    """What the serial update, one minibatch of both nets at a time, would
+    have met first: "loss" (a non-finite policy loss + c_v * value loss),
+    "weights" (non-finite weights at an epoch's end) or None."""
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf are failures here
+        loss = policy_terms + value_coef * value_terms
+    n_minibatches = loss.shape[1]
+    bad = np.flatnonzero(~np.isfinite(loss))
+    found = [(divmod(int(i), n_minibatches), "loss") for i in bad[:1]]
+    found += [((epoch, n_minibatches), "weights") for epoch in bad_epochs if epoch is not None]
+    return min(found)[1] if found else None
+
+
+def _beside_child(child_work, work):
+    """Run `child_work()` in a forked child process while this process runs
+    `work()`; return `(work(), child_work())`. The child pickles its result
+    through a pipe and exits with `os._exit`. If `work` raises, the child is
+    killed; a child that exits non-zero raises ValueLearnerError. Either way
+    the child is reaped before this returns."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(child_work(), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            mine = work()
+            payload = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise ValueLearnerError(f"the value learner's process exited with status {code}")
+    return mine, pickle.loads(payload)
+
+
+# ---------------------------------------------------------------------------
 # Training loop
 
 def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator,
@@ -205,7 +296,9 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
     value = Mlp([in_dim, *config.hidden, 1], activation=config.activation, rng=rng,
                 last_layer_scale=1.0)
     net = ActorCritic(policy, value)
-    optimizer = {"sgd": Sgd, "adam": Adam}[config.optimizer](net.theta, config.learning_rate)
+    make_optimizer = {"sgd": Sgd, "adam": Adam}[config.optimizer]
+    policy_opt, value_opt = (make_optimizer(theta, config.learning_rate)
+                             for theta in net.theta_slices)
 
     T = config.horizon
     steps_per_episode = env.steps_per_episode
@@ -222,6 +315,22 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
     rew_buf, val_buf = np.empty((2, T))
     mean_buf = np.empty((T, a_dim))
     done_buf = np.empty(T, dtype=bool)
+    stats = {}
+
+    def policy_term(rows):
+        mb = packed[rows]
+        stats.update(ppo_loss(mb[:, :in_dim], mb[:, in_dim:in_dim + a_dim],
+                              *mb[:, in_dim + a_dim:-1].T, net, config))
+        return stats["policy_loss"]
+
+    def value_term(rows):
+        mb = packed[rows]
+        return value_loss(mb[:, :in_dim], mb[:, -1], net, config)
+
+    def value_learner():
+        terms, bad_epoch = _run_epochs(value_term, net.grad_slices[1], value_opt, rng, T,
+                                       config)
+        return terms, bad_epoch, vars(value_opt)  # theta, and Adam's m, v and t
 
     while (episodes_budget - episodes_done) * steps_per_episode >= T:
         iter_returns: list[float] = []
@@ -251,26 +360,23 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
                                              config.gae_lambda, last_value)
         adv_buf[:] = normalize_advantages(advantages)
 
-        for _ in range(config.epochs):
-            perm = rng.permutation(T)
-            for start in range(0, T, config.minibatch):
-                mb = packed[perm[start:start + config.minibatch]]
-                stats = ppo_loss(mb[:, :in_dim], mb[:, in_dim:in_dim + a_dim],
-                                 *mb[:, in_dim + a_dim:].T, net, config)
-                if not math.isfinite(stats["loss"]):
-                    raise TrainingInstability(f"non-finite loss at iteration {iteration}")
-                for grad in net.grad_slices:  # policy and value clip separately
-                    clip_gradients(grad, config.grad_clip)
-                optimizer.step(net.grad)
-            if not np.isfinite(net.theta).all():
-                raise TrainingInstability(f"non-finite weights at iteration {iteration}")
+        # both learners draw the same permutations, each from its own copy of rng
+        (policy_terms, policy_bad), (value_terms, value_bad, value_state) = _beside_child(
+            value_learner,
+            lambda: _run_epochs(policy_term, net.grad_slices[0], policy_opt, rng, T, config))
+        value_opt.theta[:] = value_state.pop("theta")
+        vars(value_opt).update(value_state)
+        failure = _first_failure(policy_terms, value_terms, (policy_bad, value_bad),
+                                 config.value_coef)
+        if failure is not None:
+            raise TrainingInstability(f"non-finite {failure} at iteration {iteration}")
 
         row = {
             "iteration": iteration,
             "episodes_done": episodes_done,
             "mean_return": float(np.mean(iter_returns)) if iter_returns else float("nan"),
             "policy_loss": stats["policy_loss"],
-            "value_loss": stats["value_loss"],
+            "value_loss": float(value_terms[-1, -1]),
             "entropy": stats["entropy"],
         }
         log_rows.append(row)

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -40,15 +41,16 @@ def rng():
 def nan_gradient_once(monkeypatch):
     """The first PPO update of the test meets a NaN in one policy-gradient
     entry; later updates (a retry's, say) are clean. The trainer's own
-    non-finite checks have to catch it. The trainer clips the policy slice
-    of the flat gradient first, so the first call poisons that slice."""
+    non-finite checks have to catch it. The policy learner is the one that
+    runs in the test's own process (the value learner runs in a forked
+    child), so the first call made there poisons the policy gradient."""
     real = ppo.clip_gradients
-    armed = [True]
+    armed = [os.getpid()]
 
     def poisoned(grad, max_norm):
         real(grad, max_norm)
-        if armed[0]:
-            armed[0] = False
+        if armed and os.getpid() == armed[0]:
+            armed.clear()
             grad[0] = np.nan
 
     monkeypatch.setattr(ppo, "clip_gradients", poisoned)

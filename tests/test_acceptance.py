@@ -20,7 +20,7 @@ from evoadapt.envloop import (CsaController, EvolutionEnv,
 from evoadapt.observe import (ObservationSpec, inter_delta_f, intra_delta_f,
                               intra_delta_x)
 from evoadapt.policy import Mlp, PolicyNet, action_spec, gaussian_log_prob
-from evoadapt.ppo import ActorCritic, PpoConfig, ppo_loss, train
+from evoadapt.ppo import ActorCritic, PpoConfig, ppo_loss, train, value_loss
 from evoadapt.stats import auc, win_probability
 
 from conftest import random_trace
@@ -83,17 +83,21 @@ def test_criterion_3_gradient_correctness():
         adv = rng.standard_normal(B)
         ret = rng.standard_normal(B)
         net = ActorCritic(policy, value)
-        args = (obs, act, old, adv, ret, net, cfg)
-        ppo_loss(*args)
+
+        def loss():  # the PPO loss; each learner's call writes its slice of net.grad
+            return (ppo_loss(obs, act, old, adv, net, cfg)["policy_loss"]
+                    + cfg.value_coef * value_loss(obs, ret, net, cfg))
+
+        loss()
         g = net.grad.copy()
         p = net.theta
         h = 1e-6
         for ix in range(p.size):
             orig = p[ix]
             p[ix] = orig + h
-            up = ppo_loss(*args)["loss"]
+            up = loss()
             p[ix] = orig - h
-            dn = ppo_loss(*args)["loss"]
+            dn = loss()
             p[ix] = orig
             fd = (up - dn) / (2 * h)
             if abs(fd - g[ix]) > 1e-4 * max(abs(fd), abs(g[ix]), 1e-6):

@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +100,28 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 2
         path.write_text("{not json")
         assert main(["train", "--config", str(path)]) == 2
+
+    def test_outputs_do_not_depend_on_openblas_threads(self, tmp_path):
+        # both PPO learners call BLAS at once, each in its own process; the
+        # default sizes put the minibatch products past OpenBLAS's threading
+        # threshold
+        ppo = {"horizon": 490, "minibatch": 128, "epochs": 4}
+        outputs = []
+        for threads in ("1", None):
+            work = tmp_path / f"threads-{threads or 'default'}"
+            work.mkdir()
+            cfg_path, _ = base_config(work, ppo=ppo,
+                                      training={"mode": "multi", "episodes": 10})
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+            subprocess.run([sys.executable, "-m", "evoadapt.cli", "train", "--config",
+                            str(cfg_path)], env=env, check=True)
+            outputs.append([(work / "run" / name).read_bytes()
+                            for name in ("checkpoint.json", "training_log.csv")])
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command,overrides,flags,cause", [

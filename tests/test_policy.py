@@ -8,7 +8,7 @@ from evoadapt.observe import ObservationSpec
 from evoadapt.policy import (Mlp, PolicyNet, action_spec, decode_de_params,
                              decode_sigma, draw_decode_noise, gaussian_log_prob,
                              load_checkpoint, save_checkpoint)
-from evoadapt.ppo import ActorCritic, PpoConfig, ppo_loss
+from evoadapt.ppo import ActorCritic, PpoConfig, value_loss
 
 
 class TestActionSpec:
@@ -61,7 +61,7 @@ class TestForward:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_output_gradients_match_finite_differences(self, activation):
-        # ppo_loss runs the backward pass through Mlp.backward: with
+        # value_loss runs the backward pass through Mlp.backward: with
         # value_coef 0.5, one row and a return one below the output,
         # dLoss/dWeights of the value net is dOutput/dWeights
         rng = np.random.default_rng(0)
@@ -70,7 +70,7 @@ class TestForward:
         pair = ActorCritic(PolicyNet(3, 2, hidden=(4,), activation=activation), net)
         cfg = PpoConfig(horizon=1, minibatch=1, value_coef=0.5)
         ret = net.forward(x[0]) - 1.0
-        ppo_loss(x, np.zeros((1, 2)), np.zeros(1), np.zeros(1), ret, pair, cfg)
+        value_loss(x, ret, pair, cfg)
         grads = pair.grad_value.params()
         params = net.weights + net.biases
         h = 1e-6

@@ -1,12 +1,15 @@
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 
+from evoadapt import ppo
 from evoadapt.policy import Mlp, PolicyNet, gaussian_log_prob
-from evoadapt.ppo import (ActorCritic, Adam, PpoConfig, TrainingInstability,
-                          clip_gradients, compute_gae, normalize_advantages,
-                          ppo_loss, train)
+from evoadapt.ppo import (ActorCritic, Adam, PpoConfig, Sgd, TrainingInstability,
+                          ValueLearnerError, clip_gradients, compute_gae,
+                          normalize_advantages, ppo_loss, train, value_loss)
 
 
 class BanditEnv:
@@ -93,20 +96,20 @@ class TestPpoLoss:
         act = mean + 0.3
         old = gaussian_log_prob(act, mean, policy.log_std)  # ratio == 1 exactly
         adv = np.array([1.0, -2.0, 0.5, 3.0])
-        stats = ppo_loss(obs, act, old, adv, np.zeros(4), ActorCritic(policy, value), cfg)
+        stats = ppo_loss(obs, act, old, adv, ActorCritic(policy, value), cfg)
         assert np.isclose(stats["policy_loss"], -adv.mean())
 
     def test_clip_binds_for_large_ratio(self, rng):
         policy = PolicyNet(1, 1, hidden=(2,), rng=rng)
         value = Mlp([1, 2, 1], rng=rng)
-        cfg = PpoConfig(horizon=1, minibatch=1, epochs=1, clip=0.3, value_coef=0.0)
+        cfg = PpoConfig(horizon=1, minibatch=1, epochs=1, clip=0.3)
         obs = np.zeros((1, 1))
         mean = policy.mlp.forward(obs)
         act = mean + 0.1
         # old log-prob chosen so the ratio is exactly 2
         old = gaussian_log_prob(act, mean, policy.log_std) - np.log(2.0)
         adv = np.array([1.7])
-        stats = ppo_loss(obs, act, old, adv, np.zeros(1), ActorCritic(policy, value), cfg)
+        stats = ppo_loss(obs, act, old, adv, ActorCritic(policy, value), cfg)
         assert np.isclose(stats["policy_loss"], -1.3 * 1.7)
 
     def test_surrogate_never_exceeds_clip_envelope(self):
@@ -123,16 +126,21 @@ class TestPpoLoss:
     def test_gradients_match_finite_differences(self, seed):
         obs, act, old, adv, ret, policy, value, cfg = toy_setup(seed)
         net = ActorCritic(policy, value)
-        ppo_loss(obs, act, old, adv, ret, net, cfg)
+
+        def loss():  # the PPO loss; each learner's call writes its slice of net.grad
+            return (ppo_loss(obs, act, old, adv, net, cfg)["policy_loss"]
+                    + cfg.value_coef * value_loss(obs, ret, net, cfg))
+
+        loss()
         grad = net.grad.copy()
         p = net.theta
         h = 1e-6
         for ix in range(p.size):
             orig = p[ix]
             p[ix] = orig + h
-            up = ppo_loss(obs, act, old, adv, ret, net, cfg)["loss"]
+            up = loss()
             p[ix] = orig - h
-            dn = ppo_loss(obs, act, old, adv, ret, net, cfg)["loss"]
+            dn = loss()
             p[ix] = orig
             fd = (up - dn) / (2 * h)
             assert abs(fd - grad[ix]) <= 1e-4 * max(abs(fd), abs(grad[ix]), 1e-6)
@@ -394,9 +402,245 @@ def test_flat_and_per_array_gradient_norms_agree():
     value = Mlp([44, 50, 50, 1], rng=rng, last_layer_scale=1.0)
     net = ActorCritic(policy, value)
     obs, act = rng.standard_normal((128, 44)), rng.standard_normal((128, 4))
-    ppo_loss(obs, act, rng.standard_normal(128) - 5.0, rng.standard_normal(128),
-             rng.standard_normal(128), net, PpoConfig())
+    ppo_loss(obs, act, rng.standard_normal(128) - 5.0, rng.standard_normal(128), net,
+             PpoConfig())
+    value_loss(obs, rng.standard_normal(128), net, PpoConfig())
     parts = (net.grad_policy.params(), net.grad_value.params())
     for grad, arrays in zip(net.grad_slices, parts):
         per_array = math.sqrt(sum(float(np.sum(g ** 2)) for g in arrays))
         np.testing.assert_allclose(math.sqrt(float(grad @ grad)), per_array, rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The forked value learner against the serial update
+
+def serial_train(env, cfg, episodes_budget, rng, on_iteration=None):
+    """`train` with the update as one loop over both nets: per minibatch
+    both loss terms and the check of their sum, each slice's clip, one
+    optimizer step over the whole vector, and the weights check after each
+    epoch. Returns (net, optimizer, log_rows)."""
+    in_dim, a_dim, T = env.observation_dim, env.action_dim, cfg.horizon
+    policy = PolicyNet(in_dim, a_dim, cfg.hidden, cfg.activation, rng)
+    value = Mlp([in_dim, *cfg.hidden, 1], activation=cfg.activation, rng=rng,
+                last_layer_scale=1.0)
+    net = ActorCritic(policy, value)
+    optimizer = {"sgd": Sgd, "adam": Adam}[cfg.optimizer](net.theta, cfg.learning_rate)
+    packed = np.empty((T, in_dim + a_dim + 3))
+    obs_buf, act_buf = packed[:, :in_dim], packed[:, in_dim:in_dim + a_dim]
+    logp_buf, adv_buf, ret_buf = packed[:, in_dim + a_dim:].T
+    rew_buf, val_buf = np.empty((2, T))
+    mean_buf = np.empty((T, a_dim))
+    done_buf = np.empty(T, dtype=bool)
+    episodes_done, log_rows, iteration, ep_return = 0, [], 0, 0.0
+    obs = env.reset()
+    while (episodes_budget - episodes_done) * env.steps_per_episode >= T:
+        iter_returns = []
+        for t in range(T):
+            mean, log_std = policy.forward(obs)
+            raw = mean + np.exp(log_std) * rng.standard_normal(a_dim)
+            val = float(value.forward(obs)[0])
+            next_obs, r, done = env.step(raw)
+            obs_buf[t], act_buf[t], mean_buf[t] = obs, raw, mean
+            rew_buf[t], val_buf[t], done_buf[t] = r, val, done
+            ep_return += r
+            if done:
+                episodes_done += 1
+                iter_returns.append(ep_return)
+                ep_return = 0.0
+                next_obs = env.reset()
+            obs = next_obs
+        logp_buf[:] = gaussian_log_prob(act_buf, mean_buf, log_std)
+        last_value = 0.0 if done_buf[-1] else float(value.forward(obs)[0])
+        advantages, ret_buf[:] = compute_gae(rew_buf, val_buf, done_buf, cfg.gamma,
+                                             cfg.gae_lambda, last_value)
+        adv_buf[:] = normalize_advantages(advantages)
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(T)
+            for start in range(0, T, cfg.minibatch):
+                mb = packed[perm[start:start + cfg.minibatch]]
+                obs_mb = mb[:, :in_dim]
+                stats = ppo_loss(obs_mb, mb[:, in_dim:in_dim + a_dim],
+                                 *mb[:, in_dim + a_dim:-1].T, net, cfg)
+                v_loss = value_loss(obs_mb, mb[:, -1], net, cfg)
+                if not math.isfinite(stats["policy_loss"] + cfg.value_coef * v_loss):
+                    raise TrainingInstability(f"non-finite loss at iteration {iteration}")
+                for grad in net.grad_slices:
+                    ppo.clip_gradients(grad, cfg.grad_clip)
+                optimizer.step(net.grad)
+            if not np.isfinite(net.theta).all():
+                raise TrainingInstability(f"non-finite weights at iteration {iteration}")
+        row = {"iteration": iteration, "episodes_done": episodes_done,
+               "mean_return": float(np.mean(iter_returns)) if iter_returns else float("nan"),
+               "policy_loss": stats["policy_loss"], "value_loss": v_loss,
+               "entropy": stats["entropy"]}
+        log_rows.append(row)
+        if on_iteration is not None:
+            on_iteration(iteration, policy, value, row)
+        iteration += 1
+    return net, optimizer, log_rows
+
+
+# 160-step horizon: minibatches of 128 and 32 rows; 8 episodes of 49 steps fill it twice
+TWO_ITERATIONS = 8
+
+
+def two_iteration_config(**overrides):
+    return PpoConfig(**{"horizon": 160, "minibatch": 128, "epochs": 3, "learning_rate": 1e-3,
+                        **overrides})
+
+
+@pytest.fixture
+def made_optimizers(monkeypatch):
+    """The optimizers `train` makes, in the order it makes them."""
+    made = []
+    for cls in (Sgd, Adam):
+        class Recorded(cls):
+            def __init__(self, theta, lr):
+                super().__init__(theta, lr)
+                made.append(self)
+
+        monkeypatch.setattr(ppo, cls.__name__, Recorded)
+    return made
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Hung(Exception):
+    pass
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs `train` for over 60 s instead of letting a
+    child that is never reaped hang the suite."""
+    def expire(*_):
+        raise Hung("train did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_forked_learners_equal_the_serial_update_bit_for_bit(optimizer, activation,
+                                                             made_optimizers, deadline):
+    cfg = two_iteration_config(optimizer=optimizer, activation=activation)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    policy, value, log = train(RandomObsEnv(), cfg, TWO_ITERATIONS, rng)
+    ref, ref_opt, ref_log = serial_train(RandomObsEnv(), cfg, TWO_ITERATIONS, ref_rng)
+    assert_no_child_left()
+
+    assert len(log) == 2 and log == ref_log
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for a, b in zip(policy.params() + value.params(), ref.policy.params() + ref.value.params()):
+        assert a.tobytes() == b.tobytes()
+    assert len(made_optimizers) == 2
+    assert all(isinstance(o, type(ref_opt)) for o in made_optimizers)
+    state = [np.concatenate([o.theta for o in made_optimizers])]
+    ref_state = [ref_opt.theta]
+    if optimizer == "adam":
+        state += [np.concatenate([o.m for o in made_optimizers]),
+                  np.concatenate([o.v for o in made_optimizers])]
+        ref_state += [ref_opt.m, ref_opt.v]
+        assert [o.t for o in made_optimizers] == [ref_opt.t] * 2 == [2 * 3 * 2] * 2
+    for a, b in zip(state, ref_state):
+        assert a.tobytes() == b.tobytes()
+
+
+class Poison:
+    """Stands in for `ppo.clip_gradients`. Once armed, it writes a NaN into
+    a learner's gradient after its clip call number `at[learner]`, counted
+    from 0 since arming; the learners are told apart by their gradients'
+    sizes."""
+
+    def __init__(self, real, policy_size):
+        self.real, self.policy_size = real, policy_size
+        self.at, self.calls = {}, {}
+
+    def arm(self, **at):
+        self.at, self.calls = at, {"policy": 0, "value": 0}
+
+    def __call__(self, grad, max_norm):
+        self.real(grad, max_norm)
+        learner = "policy" if grad.size == self.policy_size else "value"
+        if learner in self.at:
+            if self.calls[learner] == self.at[learner]:
+                grad[0] = np.nan
+            self.calls[learner] += 1
+
+
+# two minibatches per epoch: a NaN written after minibatch 0 makes minibatch
+# 1's loss non-finite, one written after minibatch 1 the weights at the epoch's end
+@pytest.mark.parametrize("at,failure", [
+    ({"policy": 0}, "loss"),
+    ({"value": 0}, "loss"),
+    ({"policy": 1}, "weights"),
+    ({"value": 1}, "weights"),
+    ({"policy": 1, "value": 2}, "weights"),
+    ({"policy": 2, "value": 1}, "weights"),
+    ({"policy": 1, "value": 0}, "loss"),
+    ({"policy": 0, "value": 1}, "loss"),
+], ids=lambda x: "-".join(f"{k}{v}" for k, v in x.items()) if isinstance(x, dict) else x)
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_first_failure_in_the_serial_order_wins(monkeypatch, deadline, optimizer, at,
+                                                failure):
+    cfg = two_iteration_config(optimizer=optimizer)
+    policy_size = sum(p.size for p in PolicyNet(44, 4, cfg.hidden).params())
+    poison = Poison(ppo.clip_gradients, policy_size)
+    monkeypatch.setattr(ppo, "clip_gradients", poison)
+
+    def arm_after_iteration_0(iteration, *_):
+        if iteration == 0:
+            poison.arm(**at)
+
+    messages = []
+    for run in (serial_train, train):
+        poison.arm()
+        with pytest.raises(TrainingInstability) as caught:
+            run(RandomObsEnv(), cfg, TWO_ITERATIONS, np.random.default_rng(5),
+                on_iteration=arm_after_iteration_0)
+        messages.append(str(caught.value))
+    assert messages == [f"non-finite {failure} at iteration 1"] * 2
+    assert_no_child_left()
+
+
+class Boom(Exception):
+    pass
+
+
+def test_an_exception_in_the_policy_learner_kills_and_reaps_the_child(monkeypatch, deadline):
+    real, calls = ppo.ppo_loss, [0]
+
+    def failing(*args):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise Boom("policy learner failed")
+        return real(*args)
+
+    monkeypatch.setattr(ppo, "ppo_loss", failing)
+    with pytest.raises(Boom, match="policy learner failed"):
+        train(RandomObsEnv(), two_iteration_config(), TWO_ITERATIONS, np.random.default_rng(5))
+    assert_no_child_left()
+
+
+def exit_3(*_):
+    os._exit(3)
+
+
+def raise_boom(*_):
+    raise Boom("value learner failed")
+
+
+@pytest.mark.parametrize("value_loss_stub,status", [(exit_3, 3), (raise_boom, 1)])
+def test_a_value_learner_that_exits_non_zero_raises(monkeypatch, deadline, value_loss_stub,
+                                                     status):
+    monkeypatch.setattr(ppo, "value_loss", value_loss_stub)
+    with pytest.raises(ValueLearnerError, match=f"exited with status {status}$"):
+        train(RandomObsEnv(), two_iteration_config(), TWO_ITERATIONS, np.random.default_rng(5))
+    assert_no_child_left()
