@@ -45,4 +45,5 @@ paper-run:
 	  '  "seed": 0,' \
 	  '  "out": "results/paper-run"' \
 	  '}' > results_paper_run_config.json
-	evoadapt train --config results_paper_run_config.json
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+	  python3 -m evoadapt.cli train --config results_paper_run_config.json

@@ -1,4 +1,4 @@
-"""Benchmark objective functions with bounded domains and evaluation budgets.
+"""Benchmark objective functions with bounded domains.
 
 The suite contains 46 entries built from 22 distinct functions following the
 published BBOB/COCO definitions, with the instance transformations (optimum
@@ -21,24 +21,6 @@ LOWER = -5.0
 UPPER = 5.0
 
 
-class BudgetExhausted(Exception):
-    """An evaluation would exceed the run's evaluation budget."""
-
-
-@dataclass
-class EvalBudget:
-    max_evaluations: int
-    used: int = 0
-
-    def consume(self, n: int = 1) -> None:
-        if self.used + n > self.max_evaluations:
-            raise BudgetExhausted(
-                f"budget of {self.max_evaluations} evaluations exhausted "
-                f"({self.used} used, {n} requested)"
-            )
-        self.used += n
-
-
 @dataclass(frozen=True)
 class BenchmarkFunction:
     name: str
@@ -52,18 +34,16 @@ class BenchmarkFunction:
         return self.upper - self.lower
 
 
-def evaluate(fn: BenchmarkFunction, x: np.ndarray, budget: EvalBudget | None = None) -> float:
-    """Evaluate `fn` at `x`, consuming one unit of `budget` if given."""
+def evaluate(fn: BenchmarkFunction, x: np.ndarray) -> float:
+    """Evaluate `fn` at `x`."""
     x = np.asarray(x, dtype=float)
     if x.shape != (fn.dimension,):
         raise ValueError(f"{fn.name}: expected vector of length {fn.dimension}, got shape {x.shape}")
-    if budget is not None:
-        budget.consume()
     return float(fn.fn(x))
 
 
-def evaluate_population(fn: BenchmarkFunction, X: np.ndarray, budget: EvalBudget | None = None) -> np.ndarray:
-    """Evaluate every row of `X`, consuming `len(X)` units of `budget` if given.
+def evaluate_population(fn: BenchmarkFunction, X: np.ndarray) -> np.ndarray:
+    """Evaluate every row of `X`.
 
     A registry objective evaluates the whole population in one call; any
     other callable (a counting wrapper, say) is called once per row.
@@ -71,18 +51,15 @@ def evaluate_population(fn: BenchmarkFunction, X: np.ndarray, budget: EvalBudget
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != fn.dimension:
         raise ValueError(f"{fn.name}: expected rows of length {fn.dimension}, got shape {X.shape}")
-    if budget is not None:
-        budget.consume(len(X))
     if getattr(fn.fn, "batched", False):
         return fn.fn(X)
     return np.array([float(fn.fn(x)) for x in X])
 
 
-def evaluate_runs(fn: BenchmarkFunction, X: np.ndarray,
-                  budget: EvalBudget | None = None) -> np.ndarray:
+def evaluate_runs(fn: BenchmarkFunction, X: np.ndarray) -> np.ndarray:
     """Fitnesses `(R, n)` of an `(R, n, d)` stack (one population per run),
     from one `evaluate_population` call over all its rows."""
-    return evaluate_population(fn, X.reshape(-1, fn.dimension), budget).reshape(X.shape[:-1])
+    return evaluate_population(fn, X.reshape(-1, fn.dimension)).reshape(X.shape[:-1])
 
 
 def per_run(rng, draw: Callable) -> np.ndarray:

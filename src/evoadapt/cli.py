@@ -10,7 +10,7 @@ import numpy as np
 
 from . import envloop
 from .artifacts import write_csv
-from .benchmarks import BudgetExhausted, get_function, registry_list
+from .benchmarks import get_function, registry_list
 from .config import (ConfigError, ExperimentConfig, load_config, save_config)
 from .envloop import (CsaController, EvolutionEnv, FixedDeController,
                       FixedSigmaController, IdeController, JdeController, PolicyController,
@@ -22,7 +22,6 @@ from .stats import build_comparison, export_comparison_csv, export_comparison_js
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
-EXIT_BUDGET = 4
 
 
 def cmd_list_functions(_args) -> int:
@@ -54,7 +53,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str) -> str:
     spec = action_spec(cfg.action)
     attempts_path = os.path.join(out_dir, "attempts.log")
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
-    max_attempts = 1 + max(0, cfg.training.retries)
+    max_attempts = 1 + cfg.training.retries
 
     with open(attempts_path, "w") as attempts:
         for attempt in range(1, max_attempts + 1):
@@ -284,9 +283,6 @@ def main(argv=None) -> int:
     except TrainingInstability as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

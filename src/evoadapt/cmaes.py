@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, EvalBudget, evaluate_runs, per_run
+from .benchmarks import BenchmarkFunction, evaluate_runs, per_run
 
 logger = logging.getLogger(__name__)
 
@@ -129,19 +129,14 @@ def sample_offspring(mean: np.ndarray, cov: np.ndarray, sigma, z: np.ndarray) ->
     return mean[:, None, :] + sigma * (z @ root.swapaxes(-1, -2))
 
 
-def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, z: np.ndarray,
-                   budget: EvalBudget | None = None) -> GenerationResult:
+def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction,
+                   z: np.ndarray) -> GenerationResult:
     """One generation of R runs in lockstep at the given step size (a scalar
     or one value per run), sampling lam = `z.shape[1]` offspring per run
     from the standard normals `z`; consumes `lam` evaluations per run, in
-    one objective call, and `EvalBudget.consume` raises before anything is
-    counted or evaluated if the budget cannot cover them."""
+    one objective call."""
     sigma = np.asarray(sigma, dtype=float)
-    if (sigma <= 0.0).any():
-        raise ValueError(f"sigma must be positive, got {sigma}")
     R, lam = z.shape[:2]
-    if lam < 2:
-        raise ValueError(f"lambda must be >= 2, got {lam}")
     broken = ~np.isfinite(state.cov).all(axis=(1, 2))
     if broken.any():
         raise StateNotFinite(f"CMA-ES covariance on {fn.name}-{fn.dimension} is not finite "
@@ -153,7 +148,7 @@ def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction, z: np.ndarray,
 
     samples = sample_offspring(state.mean, state.cov, sigma, z)
     genotypes = np.clip(samples, fn.lower, fn.upper)
-    fitnesses = evaluate_runs(fn, genotypes, budget)
+    fitnesses = evaluate_runs(fn, genotypes)
 
     order = np.argsort(fitnesses, axis=1)
     elite = samples[np.arange(R)[:, None], order[:, :mu]]  # unclipped samples

@@ -65,6 +65,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown training.mode {self.training.mode!r}")
         if self.training.episodes <= 0:
             raise ConfigError(f"training.episodes must be positive, got {self.training.episodes}")
+        if self.training.retries < 0:
+            raise ConfigError(f"training.retries must not be negative, "
+                              f"got {self.training.retries}")
         steps = self.training.episodes * EvolutionEnv.steps_per_episode
         if steps < self.ppo.horizon:
             raise ConfigError(f"training.episodes x {EvolutionEnv.steps_per_episode} = {steps} "

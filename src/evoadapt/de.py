@@ -17,10 +17,7 @@ import numpy as np
 
 # `evaluate` stays importable from here: perfbench/selftest.py looks it up as
 # `evoadapt.de.evaluate` to check that its tracer unpatches module attributes.
-from .benchmarks import (BenchmarkFunction, EvalBudget, evaluate,  # noqa: F401
-                         evaluate_runs, per_run)
-
-MIN_POPULATION = 4  # best + two distinct difference individuals + parent
+from .benchmarks import BenchmarkFunction, evaluate, evaluate_runs, per_run  # noqa: F401
 
 
 @dataclass
@@ -37,14 +34,11 @@ class Population:
         return self.fitnesses.min(axis=1)
 
 
-def init_population(fn: BenchmarkFunction, np_: int, rng,
-                    budget: EvalBudget | None = None) -> Population:
+def init_population(fn: BenchmarkFunction, np_: int, rng) -> Population:
     """Uniform random population within bounds; consumes NP evaluations per
     run."""
-    if np_ < MIN_POPULATION:
-        raise ValueError(f"population size must be >= {MIN_POPULATION}, got {np_}")
     genotypes = per_run(rng, lambda r: r.uniform(fn.lower, fn.upper, size=(np_, fn.dimension)))
-    return Population(genotypes, evaluate_runs(fn, genotypes, budget))
+    return Population(genotypes, evaluate_runs(fn, genotypes))
 
 
 class DeDraws(NamedTuple):
@@ -102,8 +96,8 @@ def pick_pairs(ranked: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.nda
     return a, b
 
 
-def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, draws: DeDraws,
-                  budget: EvalBudget | None = None) -> tuple[Population, np.ndarray]:
+def de_generation(pop: Population, F, CR, fn: BenchmarkFunction,
+                  draws: DeDraws) -> tuple[Population, np.ndarray]:
     """One best/1/bin generation of R runs in lockstep.
 
     `F` and `CR` broadcast against the `(R, NP)` fitnesses: a scalar, one
@@ -114,8 +108,7 @@ def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, draws: DeDraws,
     its mutant whatever CR is. Returns the next population and the `(R,
     NP)` mask of parents that were replaced by their trial (child fitness
     <= parent fitness). Consumes exactly NP evaluations per run, all runs'
-    children in one objective call; if the budget cannot cover them,
-    `EvalBudget.consume` raises before anything is counted or evaluated.
+    children in one objective call.
     """
     X, fit = pop.genotypes, pop.fitnesses
     R, _, d = X.shape
@@ -130,7 +123,7 @@ def de_generation(pop: Population, F, CR, fn: BenchmarkFunction, draws: DeDraws,
     cross |= np.arange(d) == draws.j_rand[..., None]
     children = np.clip(np.where(cross, mutants, X), fn.lower, fn.upper)
 
-    child_fit = evaluate_runs(fn, children, budget)
+    child_fit = evaluate_runs(fn, children)
     replaced = child_fit <= fit
     return (Population(np.where(replaced[..., None], children, X),
                        np.where(replaced, child_fit, fit)), replaced)

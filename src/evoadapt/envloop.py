@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import baselines, cmaes, de
-from .benchmarks import BenchmarkFunction, EvalBudget, get_function
+from .benchmarks import BenchmarkFunction, get_function
 from .observe import ObservationSpec, RunTrace, build_observation, reward
 from .policy import (SIGMA_MAX, SIGMA_MIN, ActionSpec, PolicyNet, decode_de_params,
                      decode_sigma, draw_decode_noise)
@@ -52,15 +52,15 @@ class DeOutcome(NamedTuple):
 
 
 class Episode:
-    """R runs (`runs`) of `algorithm` on `fn` in lockstep, one Generator per
-    run in `rng`: every array has a leading run axis, and each generation is
-    one objective call. `last` is the newest generation: the DE population,
-    or the CMA-ES `GenerationResult`. Construction draws the engine's random
-    numbers for the whole episode and evaluates generation 0, the DE
-    population or the first CMA-ES sampling at `SIGMA0`. Per run, DE draws
-    the population, then its `de.draw_generations` blocks; CMA-ES draws the
-    mean, then its `cmaes.draw_generations` block, which generation g
-    indexes at g.
+    """R runs (`runs`) of `algorithm` ("de" or "cmaes") on `fn` in lockstep,
+    one Generator per run in `rng`: every array has a leading run axis, and
+    each generation is one objective call. `last` is the newest generation:
+    the DE population, or the CMA-ES `GenerationResult`. Construction draws
+    the engine's random numbers for the whole episode and evaluates
+    generation 0, the DE population or the first CMA-ES sampling at
+    `SIGMA0`. Per run, DE draws the population, then its
+    `de.draw_generations` blocks; CMA-ES draws the mean, then its
+    `cmaes.draw_generations` block, which generation g indexes at g.
     `start(action)` records generation 0; `apply(params, action)` runs one
     generation with F/CR or sigma, records its trace rows and rewards, and
     returns a `DeOutcome` or the CMA-ES `GenerationResult`."""
@@ -68,17 +68,14 @@ class Episode:
     def __init__(self, fn: BenchmarkFunction, algorithm: str, rng: list):
         self.fn, self.algorithm, self.rng = fn, algorithm, rng
         self.runs = len(rng)
-        self.budget = EvalBudget(GENERATIONS * POPULATION * self.runs)
         self.trace = RunTrace()
         if algorithm == "de":
-            self.last = de.init_population(fn, POPULATION, rng, self.budget)
+            self.last = de.init_population(fn, POPULATION, rng)
             self.draws = de.draw_generations(rng, GENERATIONS - 1, POPULATION, fn.dimension)
-        elif algorithm == "cmaes":
+        else:
             state = cmaes.init_state(fn, rng)
             self.z = cmaes.draw_generations(rng, GENERATIONS, POPULATION, fn.dimension)
-            self.last = cmaes.cma_generation(state, SIGMA0, fn, self.z[:, 0], self.budget)
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+            self.last = cmaes.cma_generation(state, SIGMA0, fn, self.z[:, 0])
 
     @property
     def done(self) -> bool:
@@ -104,11 +101,11 @@ class Episode:
             F, CR = params
             prev_best = self.last.best_fitness
             self.last, replaced = de.de_generation(self.last, F, CR, self.fn,
-                                                   self.draws.at(self.step), self.budget)
+                                                   self.draws.at(self.step))
             outcome = DeOutcome(F, CR, replaced, self.last.best_fitness < prev_best)
         else:
             outcome = self.last = cmaes.cma_generation(
-                self.last.state, params, self.fn, self.z[:, len(self.trace)], self.budget)
+                self.last.state, params, self.fn, self.z[:, len(self.trace)])
         self.trace.append_generation(self.last.genotypes, self.last.fitnesses, action)
         self.trace.rewards.append(reward(self.trace))
         return outcome
@@ -334,8 +331,6 @@ def run_test_protocol(controller_factory, function: tuple, seed_base: int, runs:
     in lockstep under one controller; run i draws only from
     `default_rng(seed_base + i)`, so it gives the bytes of a one-run batch of
     that seed. Results are ordered by run index."""
-    if runs < 1:
-        raise ValueError(f"a protocol needs at least one run, got {runs}")
     fn = get_function(*function)
     seeds = [seed_base + i for i in range(runs)]
     episode = Episode(fn, algorithm, [np.random.default_rng(s) for s in seeds])

@@ -192,11 +192,10 @@ def decode_de_params(action: np.ndarray, spec: ActionSpec,
         F = a[:, 0] + a[:, 1] * noise[:, 0]
         CR = a[:, 2] + a[:, 3] * noise[:, 1]
         return np.clip(F, 0.0, 2.0), np.clip(CR, 0.0, 1.0)
-    if spec.kind == "de_uniform":
-        f_lo, f_hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
-        cr_lo, cr_hi = np.minimum(a[:, 2], a[:, 3]), np.maximum(a[:, 2], a[:, 3])
-        return f_lo + (f_hi - f_lo) * noise[:, 0], cr_lo + (cr_hi - cr_lo) * noise[:, 1]
-    raise ValueError(f"action space {spec.kind!r} does not parameterize DE")
+    # de_uniform: F and CR uniform between the ends each pair of actions sets
+    f_lo, f_hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
+    cr_lo, cr_hi = np.minimum(a[:, 2], a[:, 3]), np.maximum(a[:, 2], a[:, 3])
+    return f_lo + (f_hi - f_lo) * noise[:, 0], cr_lo + (cr_hi - cr_lo) * noise[:, 1]
 
 
 def decode_sigma(action: np.ndarray) -> np.ndarray:

@@ -68,7 +68,7 @@ class PpoConfig:
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray, gamma: float,
-                lam: float, last_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                lam: float, last_value: float) -> tuple[np.ndarray, np.ndarray]:
     """GAE over a rollout; the recursion resets at episode boundaries
     (`dones` flags each episode's terminal step).
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from evoadapt.benchmarks import (BudgetExhausted, EvalBudget, _gallagher_layout, evaluate,
-                                 evaluate_population, get_function, registry_list)
+from evoadapt.benchmarks import (_gallagher_layout, evaluate, evaluate_population,
+                                 get_function, registry_list)
 
 
 def test_registry_has_46_entries():
@@ -62,17 +62,6 @@ def test_dimension_mismatch_rejected():
     fn = get_function("Sphere", 10)
     with pytest.raises(ValueError):
         evaluate(fn, np.zeros(5))
-
-
-def test_budget_counting_and_exhaustion():
-    fn = get_function("Sphere", 10)
-    budget = EvalBudget(3)
-    for _ in range(3):
-        evaluate(fn, np.zeros(10), budget)
-    assert budget.used == 3
-    with pytest.raises(BudgetExhausted):
-        evaluate(fn, np.zeros(10), budget)
-    assert budget.used == 3
 
 
 def test_all_functions_finite_on_random_points(rng):

@@ -152,6 +152,9 @@ class TestTrain:
      "history_length must be of type int, got 'x'"),
     ("train", {"seed": "1"}, [], "seed must be of type int, got '1'"),
     ("train", {"training": {"episodes": "8"}}, [], "episodes must be of type int, got '8'"),
+    ("train", {"training": {"mode": "single", "function": "Sphere", "dimension": 10,
+                            "episodes": 8, "retries": -3}}, [],
+     "training.retries must not be negative, got -3"),
     ("train", {"ppo": {"horizon": 196, "minibatch": 196, "clip": "0.3"}}, [],
      "clip must be of type float, got '0.3'"),
     ("compare", {}, ["--checkpoint", "{tmp}/absent.json", "--function", "sphere:10"],
@@ -161,7 +164,7 @@ class TestTrain:
         "minibatch-negative", "horizon-zero", "epochs-zero", "budget-fills-no-horizon",
         "checkpoint-every-zero", "hidden-zero", "cmaes-with-de-action", "training-mode-unknown",
         "history-length-negative", "history-length-not-int", "seed-not-int",
-        "episodes-not-int", "clip-not-float", "compare-function-twice"])
+        "episodes-not-int", "retries-negative", "clip-not-float", "compare-function-twice"])
 def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides, flags,
                                                  cause):
     cfg_path, _ = base_config(tmp_path, **overrides)

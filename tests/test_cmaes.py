@@ -1,9 +1,8 @@
 import logging
 
 import numpy as np
-import pytest
 
-from evoadapt.benchmarks import BudgetExhausted, EvalBudget, get_function
+from evoadapt.benchmarks import get_function
 from evoadapt.cmaes import (CmaState, cma_generation, init_state,
                             sample_offspring, _decompose, _square_root)
 
@@ -14,22 +13,9 @@ SPHERE = get_function("Sphere", 10)
 
 def test_generation_advances_eval_counter(rng):
     state = init_state(SPHERE, [rng])
-    budget = EvalBudget(500)
-    cma_generation(state, 0.5, SPHERE, rng.standard_normal((1, 10, 10)), budget)
-    assert budget.used == 10
-
-
-def test_budget_exhaustion_aborts_generation():
-    """Two runs of 10 offspring need 20 evaluations; with 15 left the
-    generation raises before it counts or evaluates anything."""
-    rng = [np.random.default_rng(seed) for seed in (4, 5)]
-    state = init_state(SPHERE, rng)
-    budget = EvalBudget(500, used=485)
     fn, calls = counted(SPHERE)
-    with pytest.raises(BudgetExhausted):
-        cma_generation(state, 0.5, fn, rng[0].standard_normal((2, 10, 10)), budget)
-    assert budget.used == 485
-    assert calls[0] == 0
+    cma_generation(state, 0.5, fn, rng.standard_normal((1, 10, 10)))
+    assert calls[0] == 10
 
 
 def test_determinism():
@@ -129,10 +115,3 @@ def test_small_sigma_near_optimum_improves(rng):
     narrow = cma_generation(state, 1e-3, SPHERE, z)
     assert narrow.fitnesses.min() < wide.fitnesses.min()
 
-
-def test_invalid_inputs_rejected(rng):
-    state = init_state(SPHERE, [rng])
-    with pytest.raises(ValueError):
-        cma_generation(state, -1.0, SPHERE, rng.standard_normal((1, 10, 10)))
-    with pytest.raises(ValueError):
-        cma_generation(state, 0.5, SPHERE, rng.standard_normal((1, 1, 10)))

@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from evoadapt.benchmarks import BudgetExhausted, EvalBudget, get_function
+from evoadapt.benchmarks import get_function
 from evoadapt.de import de_generation, draw_generations, init_population, mutate_best1
 
 from conftest import counted
@@ -30,14 +29,9 @@ def test_init_population_deterministic():
 
 
 def test_init_population_counts_evaluations():
-    budget = EvalBudget(500)
-    init_population(SPHERE, 10, [np.random.default_rng(0)], budget)
-    assert budget.used == 10
-
-
-def test_population_too_small_rejected(rng):
-    with pytest.raises(ValueError):
-        init_population(SPHERE, 3, [rng])
+    fn, calls = counted(SPHERE)
+    init_population(fn, 10, [np.random.default_rng(0)])
+    assert calls[0] == 10
 
 
 def test_zero_scale_factor_makes_mutants_equal_best(rng):
@@ -65,12 +59,11 @@ def test_full_crossover_takes_all_genes_from_mutant(rng):
 def test_elitism_monotone_and_reproducible():
     def run(seed):
         rng = [np.random.default_rng(seed)]
-        budget = EvalBudget(500)
-        pop = init_population(SPHERE, 10, rng, budget)
+        pop = init_population(SPHERE, 10, rng)
         draws = draw_generations(rng, 49, 10, 10)
         bests = [pop.best_fitness[0]]
         for g in range(49):
-            pop, _ = de_generation(pop, 0.5, 0.9, SPHERE, draws.at(g), budget)
+            pop, _ = de_generation(pop, 0.5, 0.9, SPHERE, draws.at(g))
             bests.append(pop.best_fitness[0])
         return np.array(bests), pop
 
@@ -90,22 +83,11 @@ def test_children_within_bounds(rng):
 
 
 def test_generation_consumes_exactly_np_evaluations(rng):
-    budget = EvalBudget(500)
-    pop = init_population(SPHERE, 10, [rng], budget)
-    draws = draw_generations([rng], 1, 10, 10)
-    de_generation(pop, 0.5, 0.9, SPHERE, draws.at(0), budget)
-    assert budget.used == 20
-
-
-def test_budget_exhaustion_aborts_generation(rng):
-    budget = EvalBudget(15)
-    pop = init_population(SPHERE, 10, [rng], budget)
-    draws = draw_generations([rng], 1, 10, 10)
     fn, calls = counted(SPHERE)
-    with pytest.raises(BudgetExhausted):
-        de_generation(pop, 0.5, 0.9, fn, draws.at(0), budget)
-    assert budget.used == 10  # nothing consumed by the aborted generation
-    assert calls[0] == 0      # and nothing evaluated
+    pop = init_population(fn, 10, [rng])
+    draws = draw_generations([rng], 1, 10, 10)
+    de_generation(pop, 0.5, 0.9, fn, draws.at(0))
+    assert calls[0] == 20
 
 
 def test_sphere_improves_in_100_of_100_runs():

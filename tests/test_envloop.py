@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from evoadapt import envloop
 from evoadapt.benchmarks import get_function, registry_list
 from evoadapt.cmaes import StateNotFinite
 from evoadapt.envloop import (CsaController, Episode, EvolutionEnv,
@@ -18,6 +19,9 @@ from conftest import counted
 
 
 class TestEpisodeBudget:
+    """Every run of an episode evaluates exactly GENERATIONS x POPULATION =
+    500 rows: one-run and lockstep episodes and the PPO environment alike."""
+
     def test_de_episode_uses_exactly_500_evaluations(self):
         fn, calls = counted(get_function("Sphere", 10))
         trace = run_de_episode(fn, FixedDeController(), np.random.default_rng(0))
@@ -29,6 +33,26 @@ class TestEpisodeBudget:
         trace = run_cma_episode(fn, FixedSigmaController(), np.random.default_rng(0))
         assert calls[0] == 500
         assert len(trace) == 50
+
+    @pytest.mark.parametrize("algorithm,controller", [
+        ("de", FixedDeController), ("cmaes", FixedSigmaController)])
+    def test_lockstep_episode_uses_exactly_500_evaluations_per_run(self, algorithm, controller):
+        fn, calls = counted(get_function("Sphere", 10))
+        episode = Episode(fn, algorithm, [np.random.default_rng(s) for s in range(5)])
+        trace = run_episode(episode, controller())
+        assert calls[0] == 5 * 500
+        assert len(trace) == 50
+
+    @pytest.mark.parametrize("kind", ["de_uniform", "cma_sigma"])
+    def test_training_episode_uses_exactly_500_evaluations(self, kind, monkeypatch):
+        fn, calls = counted(get_function("Sphere", 10))
+        monkeypatch.setattr(envloop, "get_function", lambda name, dim: fn)
+        spec = action_spec(kind)
+        env = EvolutionEnv([("Sphere", 10)], spec, ObservationSpec(), np.random.default_rng(0))
+        env.reset()
+        dones = [env.step(np.zeros(spec.dim))[2] for _ in range(49)]
+        assert dones == [False] * 48 + [True]
+        assert calls[0] == 500
 
 
 class TestEpisodeTraces:
@@ -71,12 +95,10 @@ class TestEpisodeTraces:
         for x, y in zip(a.actions, b.actions):
             assert np.array_equal(x, y)
 
-    def test_run_episode_dispatch_and_unknown_algorithm(self):
+    def test_run_episode_dispatch(self):
         fn = get_function("Sphere", 10)
         trace = run_episode(Episode(fn, "de", [np.random.default_rng(0)]), FixedDeController())
         assert len(trace) == 50
-        with pytest.raises(ValueError):
-            run_episode(Episode(fn, "pso", [np.random.default_rng(0)]), FixedDeController())
 
 
 class TestFunctionSampler:
@@ -231,10 +253,6 @@ class TestProtocol:
                 ours = np.array(getattr(protocol.traces[i], field.name))
                 assert ours.tobytes() == np.array(getattr(alone, field.name)).tobytes(), \
                     (field.name, i)
-
-    def test_protocol_rejects_no_runs(self):
-        with pytest.raises(ValueError):
-            run_test_protocol(FixedDeController, ("Sphere", 10), 0, runs=0, algorithm="de")
 
     def test_diverging_cma_run_names_function_seed_and_generation(self):
         class OneRunDiverges(FixedSigmaController):

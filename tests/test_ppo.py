@@ -42,24 +42,24 @@ class TestGae:
     def test_undiscounted_return_to_go(self):
         rewards = [1.0, 2.0, 3.0]
         buf = make_buffer(rewards, [0, 0, 0], [False, False, True])
-        adv, ret = compute_gae(*buf, gamma=1.0, lam=1.0)
+        adv, ret = compute_gae(*buf, gamma=1.0, lam=1.0, last_value=0.0)
         assert np.allclose(adv, [6.0, 5.0, 3.0])
         assert np.allclose(ret, adv)
 
     def test_single_step_episode(self):
         buf = make_buffer([2.0], [0.5], [True])
-        adv, ret = compute_gae(*buf, gamma=0.9, lam=0.8)
+        adv, ret = compute_gae(*buf, gamma=0.9, lam=0.8, last_value=0.0)
         assert np.isclose(adv[0], 2.0 - 0.5)  # terminal bootstrap 0
         assert np.isclose(ret[0], 2.0)
 
     def test_all_zero_inputs_give_zero_advantages(self):
         buf = make_buffer([0.0] * 5, [0.0] * 5, [False] * 4 + [True])
-        adv, _ = compute_gae(*buf, gamma=0.99, lam=0.95)
+        adv, _ = compute_gae(*buf, gamma=0.99, lam=0.95, last_value=0.0)
         assert np.all(adv == 0.0)
 
     def test_recursion_resets_at_episode_boundary(self):
         buf = make_buffer([1.0, 1.0], [0.0, 0.0], [True, True])
-        adv, _ = compute_gae(*buf, gamma=1.0, lam=1.0)
+        adv, _ = compute_gae(*buf, gamma=1.0, lam=1.0, last_value=0.0)
         assert np.allclose(adv, [1.0, 1.0])
 
     def test_normalization(self, rng):

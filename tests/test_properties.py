@@ -1,7 +1,6 @@
 """Property tests of the batched objectives and their optima, the DE
 generation, the CMA-ES covariance, iDE and policy checkpoints."""
 
-import dataclasses
 import math
 import os
 import tempfile
@@ -13,14 +12,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evoadapt.baselines import archive_differences
-from evoadapt.benchmarks import (EvalBudget, evaluate, evaluate_population,
-                                 get_function, registry_list)
+from evoadapt.benchmarks import evaluate, evaluate_population, get_function, registry_list
 from evoadapt.cmaes import cma_generation, init_state
 from evoadapt.de import (de_generation, draw_generations, init_population, pick_pairs,
                          rank_candidates)
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import action_spec, load_checkpoint, save_checkpoint
 from evoadapt.ppo import PpoConfig, train
+
+from conftest import counted
 
 # a little beyond the [-5, 5] box, so the boundary penalty terms run too
 COORDS = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False, allow_subnormal=False)
@@ -83,16 +83,10 @@ def test_entry_is_zero_at_its_optimum_and_not_below_it_in_the_box(name, dim, dat
 @given(n=st.integers(min_value=0, max_value=15), seed=SEEDS)
 def test_wrapped_objective_is_called_once_per_row(n, seed):
     fn = get_function("Rastrigin", 10)
-    calls = [0]
-
-    def wrapper(x):
-        calls[0] += 1
-        return fn.fn(x)
-
+    wrapped, calls = counted(fn)
     X = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(n, 10))
-    budget = EvalBudget(100)
-    values = evaluate_population(dataclasses.replace(fn, fn=wrapper), X, budget)
-    assert calls[0] == n == budget.used
+    values = evaluate_population(wrapped, X)
+    assert calls[0] == n
     assert np.array_equal(values, evaluate_population(fn, X))
 
 
@@ -143,15 +137,14 @@ def test_mutation_pairs_reach_every_ordered_pair():
        F=st.floats(min_value=0.0, max_value=2.0), CR=st.floats(min_value=0.0, max_value=1.0),
        seed=SEEDS)
 def test_de_generation_spends_np_evaluations_and_keeps_the_best(entry, np_, F, CR, seed):
-    fn = get_function(*entry)
+    fn, calls = counted(get_function(*entry))
     rng = [np.random.default_rng(seed)]
-    budget = EvalBudget(6 * np_)
-    pop = init_population(fn, np_, rng, budget)
+    pop = init_population(fn, np_, rng)
     draws = draw_generations(rng, 5, np_, fn.dimension)
     best = pop.best_fitness[0]
     for generation in range(1, 6):
-        pop, replaced = de_generation(pop, F, CR, fn, draws.at(generation - 1), budget)
-        assert budget.used == (generation + 1) * np_
+        pop, replaced = de_generation(pop, F, CR, fn, draws.at(generation - 1))
+        assert calls[0] == (generation + 1) * np_
         assert replaced.shape == (1, np_)
         assert pop.best_fitness[0] <= best
         best = pop.best_fitness[0]
