@@ -62,6 +62,21 @@ class TestGae:
         adv, _ = compute_gae(*buf, gamma=1.0, lam=1.0, last_value=0.0)
         assert np.allclose(adv, [1.0, 1.0])
 
+    def test_last_value_bootstraps_a_rollout_cut_mid_episode(self):
+        buf = make_buffer([1.0, 2.0], [0.5, 0.25], [False, False])
+        adv, ret = compute_gae(*buf, gamma=0.9, lam=0.8, last_value=4.0)
+        tail = 2.0 + 0.9 * 4.0 - 0.25
+        head = 1.0 + 0.9 * 0.25 - 0.5 + 0.9 * 0.8 * tail
+        assert np.allclose(adv, [head, tail])
+        assert np.allclose(ret, [head + 0.5, tail + 0.25])
+
+    def test_last_value_is_ignored_after_a_terminal_step(self):
+        buf = make_buffer([1.0, 2.0], [0.5, 0.25], [False, True])
+        adv, ret = compute_gae(*buf, gamma=0.9, lam=0.8, last_value=1e6)
+        zero_adv, zero_ret = compute_gae(*buf, gamma=0.9, lam=0.8, last_value=0.0)
+        assert np.array_equal(adv, zero_adv)
+        assert np.array_equal(ret, zero_ret)
+
     def test_normalization(self, rng):
         adv = normalize_advantages(rng.normal(3.0, 7.0, size=500))
         assert abs(adv.mean()) < 1e-10
