@@ -35,7 +35,7 @@ bench-selftest:
 	python3 perfbench/selftest.py
 
 # One full multi-function training (5000 episodes over the whole registry).
-# Took 165 s (61 PPO iterations) on a 2-CPU Intel Xeon VM, numpy 2.4.6.
+# Took 47-57 s (61 PPO iterations) on a 2-CPU Intel Xeon VM, numpy 2.4.6.
 paper-run:
 	printf '%s\n' \
 	  '{' \

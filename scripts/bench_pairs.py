@@ -9,9 +9,11 @@ temporary directories, so both sides run from alike new checkouts. Then runs
 swapping which side goes first in every pair, and prints both sides' values
 of every end-to-end metric after each pair. At the end it prints each side's
 median and quartiles of every metric, how many pairs the working tree won,
-whether the gain rule (`gain_rule`) holds, and whether both sides printed the
-same output digests; its last line is one JSON object with every run's
-metrics and digests at full precision and the per-metric summary. The
+whether the gain rule (`gain_rule`) holds, whether the working tree's median
+is worse than the parent's by more than the metric's `bound` in
+`BENCHMARK.json` (`regression`), and whether both sides printed the same
+output digests; its last line is one JSON object with every run's metrics
+and digests at full precision and the per-metric summary. The
 temporary directories are removed at the end. Exit code 0 when every run was
 correct and the digests match, 1 otherwise.
 """
@@ -77,6 +79,22 @@ def gain_rule(parent: list[float], change: list[float], better: str) -> dict:
             "holds": 10 * wins >= 9 * len(parent) and gap > iqr}
 
 
+def regression(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """How much worse the change's median is than the parent's, as a fraction
+    of the parent's median (negative if it is better), and whether that
+    exceeds `bound`, the metric's end-to-end bound in `BENCHMARK.json`."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent_median = statistics.median(parent)
+    worse_by = sign * (statistics.median(change) - parent_median) / abs(parent_median)
+    return {"worse_by": worse_by, "bound": bound, "exceeds_bound": worse_by > bound}
+
+
+def end_to_end_metrics() -> dict:
+    """Each end-to-end metric's (better, bound), read from `BENCHMARK.json`."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -88,8 +106,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    metrics = end_to_end_metrics()
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                          stdout=subprocess.PIPE, text=True).stdout.strip()
     tmp = tempfile.mkdtemp(prefix=f"bench-pairs-{rev}-")
@@ -116,17 +133,22 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, parent {rev} "
           f"against the working tree (median [q1, q3])")
     summary = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         values = {side: [r["metrics"][name] for r in runs[side]] for side in runs}
         stats = {side: quartiles(values[side]) for side in runs}
         rule = gain_rule(values["parent"], values["change"], direction)
-        summary[name] = {"better": direction, **stats, **rule}
+        worse = regression(values["parent"], values["change"], direction, bound)
+        summary[name] = {"better": direction, **stats, **rule, **worse}
         cells = [f"{side} {q2:.6g} [{q1:.6g}, {q3:.6g}]" for side, (q1, q2, q3) in stats.items()]
         print(f"  {name:12s} {'  '.join(cells)}  change better in {rule['wins']}/{args.pairs}"
               f" ({rule['ties']} ties)")
         print(f"  {'':12s} gain rule {'holds' if rule['holds'] else 'does not hold'}: "
               f"{rule['wins']}/{args.pairs} pairs better (9/10 needed), median gap "
               f"{rule['median_gap']:.6g} against parent IQR {rule['parent_iqr']:.6g}")
+        side = "worse" if worse["worse_by"] > 0 else "better"
+        print(f"  {'':12s} median {abs(worse['worse_by']):.1%} {side} than the parent's: "
+              f"{'a regression beyond' if worse['exceeds_bound'] else 'within'} the "
+              f"{bound:.0%} bound")
     digests = {side: {d for r in runs[side] for d in r["digests"]} for side in runs}
     same = digests["parent"] == digests["change"]
     correct = all(r["correct"] for side in runs for r in runs[side])

@@ -62,6 +62,30 @@ def evaluate_runs(fn: BenchmarkFunction, X: np.ndarray) -> np.ndarray:
     return evaluate_population(fn, X.reshape(-1, fn.dimension)).reshape(X.shape[:-1])
 
 
+def stack_objectives(fns: list) -> BenchmarkFunction:
+    """One objective for a lockstep batch whose run i is on entry `fns[i]`,
+    all of one dimension and on the common box. `evaluate_runs` hands it
+    every run's n rows, run after run; run i's rows go to `fns[i]` through
+    `evaluate_population`, so each run gets its entry's own bits and a
+    counting wrapper still counts. An error raised there names the entry."""
+    def f(X):
+        runs = X.reshape(len(fns), -1, X.shape[-1])
+        out = np.empty(runs.shape[:2])
+        for fn, rows, fits in zip(fns, runs, out):
+            try:
+                fits[:] = evaluate_population(fn, rows)
+            except Exception as exc:
+                if hasattr(exc, "add_note"):  # Python >= 3.11
+                    exc.add_note(f"while evaluating {fn.name}-{fn.dimension}")
+                raise
+        return out.ravel()
+
+    f.batched = True
+    first = fns[0]
+    return BenchmarkFunction(name="+".join(fn.name for fn in fns), dimension=first.dimension,
+                             lower=first.lower, upper=first.upper, fn=f)
+
+
 def per_run(rng, draw: Callable) -> np.ndarray:
     """`draw(generator)` stacked over the runs' generators in `rng`.
 

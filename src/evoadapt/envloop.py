@@ -7,21 +7,23 @@ size `SIGMA0` (CMA-ES), followed by 49 controller-driven generations.
 
 `Episode` steps every run as a lockstep batch of R >= 1 runs, for the test
 protocol (`run_episode` with a `Controller`, R runs) and for PPO
-(`EvolutionEnv`, one run) alike. Each run draws its whole episode's random
-numbers from its own generator when the episode starts: the engine's when
-the `Episode` is built, a controller's in its `start`. A generation then
-takes its `(R, ...)` slice of those blocks, so it draws nothing.
+(`EvolutionEnv`, batches of up to `BATCH_RUNS` runs) alike. Each run draws
+its whole episode's random numbers from its own generator when the episode
+starts: the engine's when the `Episode` is built, a controller's in its
+`start`. A generation then takes its `(R, ...)` slice of those blocks, so it
+draws nothing.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import baselines, cmaes, de
-from .benchmarks import BenchmarkFunction, get_function
+from .benchmarks import BenchmarkFunction, get_function, stack_objectives
 from .observe import ObservationSpec, RunTrace, build_observation, reward
 from .policy import (SIGMA_MAX, SIGMA_MIN, ActionSpec, PolicyNet, decode_de_params,
                      decode_sigma, draw_decode_noise)
@@ -32,6 +34,7 @@ GENERATIONS = 50
 POPULATION = 10
 SIGMA0 = 0.5
 FIXED_F, FIXED_CR = 0.5, 0.9  # the fixed-parameter DE baseline
+BATCH_RUNS = 16  # the most runs `EvolutionEnv.rollout` steps in one batch
 
 
 def multi_function_sampler(function_set: list, rng: np.random.Generator):
@@ -56,26 +59,36 @@ class Episode:
     one Generator per run in `rng`: every array has a leading run axis, and
     each generation is one objective call. `last` is the newest generation:
     the DE population, or the CMA-ES `GenerationResult`. Construction draws
-    the engine's random numbers for the whole episode and evaluates
-    generation 0, the DE population or the first CMA-ES sampling at
-    `SIGMA0`. Per run, DE draws the population, then its
-    `de.draw_generations` blocks; CMA-ES draws the mean, then its
-    `cmaes.draw_generations` block, which generation g indexes at g.
-    `start(action)` records generation 0; `apply(params, action)` runs one
-    generation with F/CR or sigma, records its trace rows and rewards, and
-    returns a `DeOutcome` or the CMA-ES `GenerationResult`."""
+    the engine's random numbers for the whole episode (`draw`) and
+    evaluates generation 0, the DE population or the first CMA-ES sampling
+    at `SIGMA0`. `start(action)` records generation 0; `apply(params,
+    action)` runs one generation with F/CR or sigma, records its trace rows
+    and rewards, and returns a `DeOutcome` or the CMA-ES
+    `GenerationResult`."""
 
     def __init__(self, fn: BenchmarkFunction, algorithm: str, rng: list):
         self.fn, self.algorithm, self.rng = fn, algorithm, rng
         self.runs = len(rng)
         self.trace = RunTrace()
+        start, self.draws = self.draw(fn, algorithm, rng)
         if algorithm == "de":
-            self.last = de.init_population(fn, POPULATION, rng)
-            self.draws = de.draw_generations(rng, GENERATIONS - 1, POPULATION, fn.dimension)
+            self.last = de.init_population(fn, start)
         else:
-            state = cmaes.init_state(fn, rng)
-            self.z = cmaes.draw_generations(rng, GENERATIONS, POPULATION, fn.dimension)
-            self.last = cmaes.cma_generation(state, SIGMA0, fn, self.z[:, 0])
+            self.last = cmaes.cma_generation(start, SIGMA0, fn, self.draws[:, 0])
+
+    @staticmethod
+    def draw(fn: BenchmarkFunction, algorithm: str, rng: list):
+        """The engine's random numbers for a whole episode, evaluating
+        nothing. Per run, DE draws the population, then its
+        `de.draw_generations` blocks; CMA-ES draws the mean, then its
+        `cmaes.draw_generations` block, which generation g indexes at g.
+        Returns the population's genotypes or the initial `CmaState`, and
+        the blocks."""
+        if algorithm == "de":
+            return (de.draw_population(fn, POPULATION, rng),
+                    de.draw_generations(rng, GENERATIONS - 1, POPULATION, fn.dimension))
+        return (cmaes.init_state(fn, rng),
+                cmaes.draw_generations(rng, GENERATIONS, POPULATION, fn.dimension))
 
     @property
     def done(self) -> bool:
@@ -105,7 +118,7 @@ class Episode:
             outcome = DeOutcome(F, CR, replaced, self.last.best_fitness < prev_best)
         else:
             outcome = self.last = cmaes.cma_generation(
-                self.last.state, params, self.fn, self.z[:, len(self.trace)])
+                self.last.state, params, self.fn, self.draws[:, len(self.trace)])
         self.trace.append_generation(self.last.genotypes, self.last.fitnesses, action)
         self.trace.rewards.append(reward(self.trace))
         return outcome
@@ -275,12 +288,14 @@ def run_cma_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator)
 class EvolutionEnv:
     """Step interface over evolutionary runs for the PPO trainer.
 
-    One reset/step cycle covers one episode, a one-run `Episode` drawing
-    from the env's generator: reset samples the function, draws the
-    episode's random numbers, runs generation 0 and returns the
-    observation; each step applies one controlled generation and draws
-    nothing. PPO sees run 0's observation and reward. Policy-emitted raw
-    actions are clipped into the action space before decoding.
+    `reset` samples an episode's function from the env's generator and opens
+    a one-run `Episode` drawing from it: the engine's random numbers, then
+    the decoding noise. It runs generation 0 and returns the observation;
+    each `step` applies one controlled generation and draws nothing. PPO sees
+    run 0's observation and reward. `rollout` fills a whole horizon of steps
+    with the same bytes, stepping its full episodes in lockstep batches.
+    Policy-emitted raw actions are clipped into the action space before
+    decoding.
     """
 
     steps_per_episode = GENERATIONS - 1
@@ -289,8 +304,7 @@ class EvolutionEnv:
                  rng: np.random.Generator):
         self.functions, self.spec, self.obs_spec, self.rng = functions, spec, obs_spec, rng
         self.episode_log: list[tuple] = []
-        self.episode = None
-        self.decoder = PolicyController(None, spec, obs_spec)
+        self.episode = self.decoder = None
 
     @property
     def observation_dim(self) -> int:
@@ -301,17 +315,99 @@ class EvolutionEnv:
         return self.spec.dim
 
     def reset(self) -> np.ndarray:
-        function = multi_function_sampler(self.functions, self.rng)
-        self.episode_log.append(function)
-        self.episode = Episode(get_function(*function), self.spec.algorithm, [self.rng])
-        self.episode.start(self.decoder.start(self.episode))
-        return self.decoder.observe(self.episode)[0]
+        self.episode, self.decoder, obs = self._open([self._sample()], [self.rng])
+        return obs[0]
 
     def step(self, raw_action: np.ndarray):
-        action = self.spec.clip(raw_action)[None]
-        self.episode.apply(self.decoder.decode(self.episode, action), action)
-        return (self.decoder.observe(self.episode)[0], self.episode.trace.rewards[-1][0],
-                self.episode.done)
+        obs, rewards = self._advance(self.episode, self.decoder,
+                                     self.spec.clip(raw_action)[None])
+        return obs[0], rewards[0], self.episode.done
+
+    def rollout(self, policy: PolicyNet, value, obs: np.ndarray, noise: np.ndarray,
+                buf) -> np.ndarray:
+        """Step the `len(noise)` steps of a PPO horizon from observation
+        `obs` of the open episode, one row of `buf` (`ppo.Rollout`) per step
+        in step order, and return the observation after the last step. The
+        raw action of row t is the policy's mean plus its std times
+        `noise[t]`.
+
+        The episode carried in from the last horizon and the horizon's last
+        one, unfinished or just opened, step as one-run episodes. The full
+        episodes between them are planned first: each samples its function
+        from the env's generator, which is copied, then drawn past the
+        episode's random numbers without evaluating anything (`_skip`). They
+        then step in lockstep batches of one dimension, each run drawing
+        from its copy, so every row holds the bytes that `reset` and `step`
+        give one episode at a time. Every run of a batch holds its episode's
+        blocks of random numbers, whose size grows with the dimension, so a
+        batch holds at most `BATCH_RUNS` runs and `10 * BATCH_RUNS`
+        coordinates (16 runs up to 10 dimensions, 8 at 20)."""
+        T, S = len(noise), self.steps_per_episode
+        carried = min(T, S - self.episode.step)
+        obs = self._run(self.episode, self.decoder, obs[None], np.arange(carried)[:, None],
+                        policy, value, noise, buf)
+        if not self.episode.done:
+            return obs[0]
+        full, last = divmod(T - carried, S)
+        plan = []
+        for _ in range(full):
+            fn = self._sample()
+            plan.append((fn, copy.deepcopy(self.rng)))
+            self._skip(fn, [self.rng])
+        starts = carried + S * np.arange(full)
+        for dimension in dict.fromkeys(fn.dimension for fn, _ in plan):
+            group = [k for k, (fn, _) in enumerate(plan) if fn.dimension == dimension]
+            cap = min(BATCH_RUNS, BATCH_RUNS * 10 // dimension)
+            for batch in np.array_split(group, -(-len(group) // cap)):
+                fns, rng = zip(*(plan[k] for k in batch))
+                # no name holds the episode, so it is freed before the next opens
+                self._run(*self._open(list(fns), list(rng)), starts[batch] + np.arange(S)[:, None],
+                          policy, value, noise, buf)
+        obs = self.reset()
+        return self._run(self.episode, self.decoder, obs[None], T - last + np.arange(last)[:, None],
+                         policy, value, noise, buf)[0]
+
+    def _sample(self) -> BenchmarkFunction:
+        function = multi_function_sampler(self.functions, self.rng)
+        self.episode_log.append(function)
+        return get_function(*function)
+
+    def _open(self, fns: list, rng: list):
+        """An episode whose run i is on `fns[i]` and draws from `rng[i]`, its
+        decoder, and the runs' first observations. Per run it draws the
+        engine's random numbers (`Episode.draw`), then the decoding noise."""
+        fn = fns[0] if len(fns) == 1 else stack_objectives(fns)
+        episode = Episode(fn, self.spec.algorithm, rng)
+        decoder = PolicyController(None, self.spec, self.obs_spec)
+        episode.start(decoder.start(episode))
+        return episode, decoder, decoder.observe(episode)
+
+    def _skip(self, fn: BenchmarkFunction, rng: list) -> None:
+        """Draw from `rng` what `_open` draws for an episode on `fn`."""
+        Episode.draw(fn, self.spec.algorithm, rng)
+        draw_decode_noise(self.spec.kind, rng, GENERATIONS - 1, POPULATION)
+
+    def _advance(self, episode: Episode, decoder: PolicyController, action: np.ndarray):
+        """One generation of clipped actions `(R, k)`: the observations and
+        rewards after it."""
+        episode.apply(decoder.decode(episode, action), action)
+        return decoder.observe(episode), episode.trace.rewards[-1]
+
+    def _run(self, episode, decoder, obs, rows, policy, value, noise, buf) -> np.ndarray:
+        """Step `episode`'s runs from observations `obs` `(R, obs)` through
+        `rows` `(steps, R)`, run j's i-th step writing row `rows[i, j]` of
+        `buf`; return the observations after the last step. Each forward
+        pass takes the rows as `(R, 1, obs)`, so every run gets the one-row
+        product (`PolicyController.act`)."""
+        std = np.exp(policy.log_std)
+        for row in rows:
+            mean = policy.forward(obs[:, None, :])[0][:, 0]
+            raw = mean + std * noise[row]
+            buf.obs[row], buf.raw[row], buf.mean[row] = obs, raw, mean
+            buf.value[row] = value.forward(obs[:, None, :])[:, 0, 0]
+            obs, buf.reward[row] = self._advance(episode, decoder, self.spec.clip(raw))
+            buf.done[row] = episode.done
+        return obs
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import signal
 import sys
 import traceback
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +66,17 @@ class PpoConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.activation not in ("relu", "tanh"):
             raise ValueError(f"unknown activation {self.activation!r}")
+
+
+class Rollout(NamedTuple):
+    """A horizon's per-step buffers, one row per step in step order, which
+    `env.rollout` fills."""
+    obs: np.ndarray     # (T, obs)
+    raw: np.ndarray     # (T, a): sampled actions, mean + std * noise
+    mean: np.ndarray    # (T, a): the policy's mean actions
+    reward: np.ndarray  # (T,)
+    value: np.ndarray   # (T,): the value net's estimates
+    done: np.ndarray    # (T,) bool: the step ended its episode
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray, gamma: float,
@@ -290,7 +302,9 @@ def _beside_child(child_work, work):
 def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator,
           on_iteration=None):
     """Iterate collect-T-steps / K-epoch optimization until the episode budget
-    cannot fill another horizon. Returns (policy, value_net, log_rows)."""
+    cannot fill another horizon. `env.rollout` collects the T steps, their
+    action noise one `(T, actions)` block of standard normals from `rng`.
+    Returns (policy, value_net, log_rows)."""
     in_dim, a_dim = env.observation_dim, env.action_dim
     policy = PolicyNet(in_dim, a_dim, config.hidden, config.activation, rng)
     value = Mlp([in_dim, *config.hidden, 1], activation=config.activation, rng=rng,
@@ -310,11 +324,9 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
 
     # one minibatch is one gather of rows of `packed`
     packed = np.empty((T, in_dim + a_dim + 3))
-    obs_buf, act_buf = packed[:, :in_dim], packed[:, in_dim:in_dim + a_dim]
+    buf = Rollout(packed[:, :in_dim], packed[:, in_dim:in_dim + a_dim], np.empty((T, a_dim)),
+                  *np.empty((2, T)), np.empty(T, dtype=bool))
     logp_buf, adv_buf, ret_buf = packed[:, in_dim + a_dim:].T
-    rew_buf, val_buf = np.empty((2, T))
-    mean_buf = np.empty((T, a_dim))
-    done_buf = np.empty(T, dtype=bool)
     stats = {}
 
     def policy_term(rows):
@@ -333,30 +345,19 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
         return terms, bad_epoch, vars(value_opt)  # theta, and Adam's m, v and t
 
     while (episodes_budget - episodes_done) * steps_per_episode >= T:
+        # one standard_normal block holds the bytes of T per-step draws
+        obs = env.rollout(policy, value, obs, rng.standard_normal((T, a_dim)), buf)
         iter_returns: list[float] = []
-        for t in range(T):
-            mean, log_std = policy.forward(obs)
-            raw = mean + np.exp(log_std) * rng.standard_normal(a_dim)
-            val = float(value.forward(obs)[0])
-
-            next_obs, r, done = env.step(raw)
-            obs_buf[t] = obs
-            act_buf[t] = raw
-            mean_buf[t] = mean
-            rew_buf[t] = r
-            val_buf[t] = val
-            done_buf[t] = done
+        for r, done in zip(buf.reward.tolist(), buf.done.tolist()):
             ep_return += r
             if done:
-                episodes_done += 1
                 iter_returns.append(ep_return)
                 ep_return = 0.0
-                next_obs = env.reset()
-            obs = next_obs
+        episodes_done += len(iter_returns)
 
-        logp_buf[:] = gaussian_log_prob(act_buf, mean_buf, log_std)
-        last_value = 0.0 if done_buf[-1] else float(value.forward(obs)[0])
-        advantages, ret_buf[:] = compute_gae(rew_buf, val_buf, done_buf, config.gamma,
+        logp_buf[:] = gaussian_log_prob(buf.raw, buf.mean, policy.log_std)
+        last_value = 0.0 if buf.done[-1] else float(value.forward(obs)[0])
+        advantages, ret_buf[:] = compute_gae(buf.reward, buf.value, buf.done, config.gamma,
                                              config.gae_lambda, last_value)
         adv_buf[:] = normalize_advantages(advantages)
 

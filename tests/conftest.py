@@ -32,6 +32,29 @@ def counted(fn):
     return dataclasses.replace(fn, fn=wrapper), calls
 
 
+def serial_rollout(env, policy, value, obs, noise, buf):
+    """`rollout` as one `reset`/`step` loop over the horizon's steps: the
+    reference for `EvolutionEnv.rollout`, and the rollout of the fake envs."""
+    for t in range(len(noise)):
+        mean, log_std = policy.forward(obs)
+        raw = mean + np.exp(log_std) * noise[t]
+        val = float(value.forward(obs)[0])
+        next_obs, r, done = env.step(raw)
+        buf.obs[t], buf.raw[t], buf.mean[t] = obs, raw, mean
+        buf.reward[t], buf.value[t], buf.done[t] = r, val, done
+        if done:
+            next_obs = env.reset()
+        obs = next_obs
+    return obs
+
+
+class SerialRollout:
+    """Mixin: an env with `reset`/`step` gets `rollout` from `serial_rollout`."""
+
+    def rollout(self, policy, value, obs, noise, buf):
+        return serial_rollout(self, policy, value, obs, noise, buf)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -23,7 +23,7 @@ from evoadapt.policy import Mlp, PolicyNet, action_spec, gaussian_log_prob
 from evoadapt.ppo import ActorCritic, PpoConfig, ppo_loss, train, value_loss
 from evoadapt.stats import auc, win_probability
 
-from conftest import random_trace
+from conftest import SerialRollout, random_trace
 
 
 def test_criterion_1_metric_oracles():
@@ -107,7 +107,7 @@ def test_criterion_3_gradient_correctness():
 
 
 def test_criterion_4_ppo_bandit_sanity():
-    class BanditEnv:
+    class BanditEnv(SerialRollout):
         observation_dim = 1
         action_dim = 1
         steps_per_episode = 1

@@ -1,4 +1,4 @@
-"""The gain rule of `scripts/bench_pairs.py`."""
+"""The gain rule and the regression check of `scripts/bench_pairs.py`."""
 
 import importlib.util
 import os
@@ -55,3 +55,25 @@ def test_higher_is_better_for_throughput():
     # a lower value is no gain on a metric where higher is better
     worse = rule(PARENT, [p - 30.0 for p in PARENT], "higher")
     assert not worse["holds"] and worse["losses"] == 10 and worse["median_gap"] == -30.0
+
+
+def test_bounds_are_read_from_the_benchmark_file():
+    metrics = bench_pairs.end_to_end_metrics()
+    assert set(metrics) == {"setup_s", "wall_s", "evals_per_s", "peak_rss_mb"}
+    assert metrics["evals_per_s"][0] == "higher" and metrics["wall_s"][0] == "lower"
+    assert all(0.0 < bound < 1.0 for _better, bound in metrics.values())
+
+
+@pytest.mark.parametrize("factor,exceeds", [(1.25, False), (1.375, True), (0.5, False)])
+def test_a_regression_beyond_the_bound_is_flagged(factor, exceeds):
+    # parent median 109.5; the change's median is factor * 109.5
+    result = bench_pairs.regression(PARENT, [factor * p for p in PARENT], "lower", 0.25)
+    assert result["worse_by"] == factor - 1.0
+    assert result["exceeds_bound"] is exceeds
+
+
+def test_lower_throughput_is_a_regression():
+    result = bench_pairs.regression(PARENT, [0.5 * p for p in PARENT], "higher", 0.25)
+    assert result["worse_by"] == 0.5 and result["exceeds_bound"]
+    better = bench_pairs.regression(PARENT, [2.0 * p for p in PARENT], "higher", 0.25)
+    assert better["worse_by"] == -1.0 and not better["exceeds_bound"]

@@ -13,9 +13,21 @@ from evoadapt.envloop import (CsaController, Episode, EvolutionEnv,
                               run_de_episode, run_episode, run_test_protocol,
                               export_trace_csv)
 from evoadapt.observe import ObservationSpec, reward
-from evoadapt.policy import SIGMA_MAX, SIGMA_MIN, PolicyNet, action_spec
+from evoadapt.policy import SIGMA_MAX, SIGMA_MIN, Mlp, PolicyNet, action_spec
+from evoadapt.ppo import PpoConfig, Rollout, train
 
-from conftest import counted
+from conftest import SerialRollout, counted
+
+
+def small_nets(env, horizon):
+    """Small policy and value nets for `env`, and empty rollout buffers."""
+    rng = np.random.default_rng(1)
+    policy = PolicyNet(env.observation_dim, env.action_dim, hidden=(8,), rng=rng)
+    value = Mlp([env.observation_dim, 8, 1], rng=rng, last_layer_scale=1.0)
+    a = env.action_dim
+    buf = Rollout(np.empty((horizon, env.observation_dim)), np.empty((horizon, a)),
+                  np.empty((horizon, a)), *np.empty((2, horizon)), np.empty(horizon, bool))
+    return policy, value, buf
 
 
 class TestEpisodeBudget:
@@ -45,14 +57,16 @@ class TestEpisodeBudget:
 
     @pytest.mark.parametrize("kind", ["de_uniform", "cma_sigma"])
     def test_training_episode_uses_exactly_500_evaluations(self, kind, monkeypatch):
+        """A 147-step rollout finishes the episode `reset` opened and two
+        planned ones, stepped as a batch, then opens the next episode."""
         fn, calls = counted(get_function("Sphere", 10))
         monkeypatch.setattr(envloop, "get_function", lambda name, dim: fn)
         spec = action_spec(kind)
         env = EvolutionEnv([("Sphere", 10)], spec, ObservationSpec(), np.random.default_rng(0))
-        env.reset()
-        dones = [env.step(np.zeros(spec.dim))[2] for _ in range(49)]
-        assert dones == [False] * 48 + [True]
-        assert calls[0] == 500
+        policy, value, buf = small_nets(env, horizon=3 * 49)
+        env.rollout(policy, value, env.reset(), np.zeros((3 * 49, spec.dim)), buf)
+        assert buf.done.tolist() == ([False] * 48 + [True]) * 3
+        assert calls[0] == 3 * 500 + 10  # and generation 0 of the episode opened last
 
 
 class TestEpisodeTraces:
@@ -94,11 +108,6 @@ class TestEpisodeTraces:
         assert a.rewards == b.rewards
         for x, y in zip(a.actions, b.actions):
             assert np.array_equal(x, y)
-
-    def test_run_episode_dispatch(self):
-        fn = get_function("Sphere", 10)
-        trace = run_episode(Episode(fn, "de", [np.random.default_rng(0)]), FixedDeController())
-        assert len(trace) == 50
 
 
 class TestFunctionSampler:
@@ -192,6 +201,91 @@ class TestEvolutionEnv:
             return out
 
         assert run() == run()
+
+
+class SerialEnv(SerialRollout, EvolutionEnv):
+    """`EvolutionEnv` stepping its rollouts one `reset`/`step` at a time."""
+
+
+MULTI = [("SharpRidge", 5), ("Rastrigin", 10), ("GG21hi", 5), ("Katsuura", 10),
+         ("SharpRidge", 20), ("Weierstrass", 10)]
+
+
+def recorded_training(env_class, kind, functions, horizon, counts=None):
+    """Two or more PPO iterations over `env_class`; returns every rollout's
+    buffers and last observation, the log rows, the episode log, `theta`
+    and both generators' states. With `counts` (the objective rows so far),
+    checks after each rollout that every step and every opened episode's
+    generation 0 evaluated POPULATION rows, and nothing else did."""
+    env = env_class(functions, action_spec(kind), ObservationSpec(), np.random.default_rng(11))
+    rollouts, real = [], env.rollout
+
+    def rollout(policy, value, obs, noise, buf):
+        obs = real(policy, value, obs, noise, buf)
+        rollouts.append([a.copy() for a in buf] + [obs.copy()])
+        if counts is not None:
+            opened = len(env.episode_log)
+            assert counts() == (len(rollouts) * horizon + opened) * envloop.POPULATION
+        return obs
+
+    env.rollout = rollout
+    cfg = PpoConfig(horizon=horizon, minibatch=16, epochs=1, hidden=(8,))
+    rng = np.random.default_rng(5)
+    policy, value, log = train(env, cfg, 2 * -(-horizon // 49) + 2, rng)
+    assert len(log) >= 2
+    theta = np.concatenate([p.ravel() for p in policy.params() + value.params()])
+    rows = np.array([list(row.values()) for row in log], dtype=float)
+    return (rollouts, rows.tobytes(), env.episode_log, theta.tobytes(),
+            env.rng.bit_generator.state, rng.bit_generator.state)
+
+
+def assert_same_training(ours, theirs):
+    rollouts, *rest = ours
+    assert len(rollouts) == len(theirs[0])
+    for mine, serial in zip(rollouts, theirs[0]):
+        for a, b in zip(mine, serial):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert rest == list(theirs[1:])
+
+
+class TestRollout:
+    """`EvolutionEnv.rollout` steps a horizon's full episodes in lockstep
+    batches and gives the bytes of the `reset`/`step` loop."""
+
+    @pytest.fixture
+    def counted_registry(self, monkeypatch):
+        """Every entry the env builds counts its objective rows; returns
+        the count so far."""
+        made = {}
+
+        def get(name, dim):
+            if (name, dim) not in made:
+                made[name, dim] = counted(get_function(name, dim))
+            return made[name, dim][0]
+
+        monkeypatch.setattr(envloop, "get_function", get)
+        return lambda: sum(calls[0] for _fn, calls in made.values())
+
+    @pytest.mark.parametrize("horizon", [30, 49, 98, 160])
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @pytest.mark.parametrize("kind", ["de_uniform", "de_normal", "de_direct", "cma_sigma"])
+    def test_batched_rollout_equals_the_serial_one(self, kind, mode, horizon,
+                                                   counted_registry):
+        functions = [("Rastrigin", 10)] if mode == "single" else MULTI
+        ours = recorded_training(EvolutionEnv, kind, functions, horizon, counted_registry)
+        theirs = recorded_training(SerialEnv, kind, functions, horizon)
+        assert_same_training(ours, theirs)
+
+    @pytest.mark.parametrize("kind", ["de_uniform", "cma_sigma"])
+    @pytest.mark.parametrize("functions,horizon", [
+        (MULTI, 8 * 49), ([("Sphere", 10)], 17 * 49), ([("SharpRidge", 20)], 18 * 49)])
+    def test_full_batches_of_registry_objectives(self, kind, functions, horizon):
+        """With the registry's own batched objectives: batches that mix
+        entries, one batch of 16 runs at 10 dimensions (after the episode
+        `reset` opened), and 17 runs at 20 dimensions split into batches of
+        at most 8."""
+        assert_same_training(recorded_training(EvolutionEnv, kind, functions, horizon),
+                             recorded_training(SerialEnv, kind, functions, horizon))
 
 
 class TestProtocol:

@@ -11,8 +11,10 @@ from evoadapt.ppo import (ActorCritic, Adam, PpoConfig, Sgd, TrainingInstability
                           ValueLearnerError, clip_gradients, compute_gae,
                           normalize_advantages, ppo_loss, train, value_loss)
 
+from conftest import SerialRollout
 
-class BanditEnv:
+
+class BanditEnv(SerialRollout):
     """1-step episodes, constant observation, reward 1 - |a - 0.7|."""
 
     observation_dim = 1
@@ -181,7 +183,7 @@ class TestConfig:
 
 class TestTrain:
     def test_budget_arithmetic_62_iterations(self):
-        class NullEnv:
+        class NullEnv(SerialRollout):
             observation_dim = 1
             action_dim = 1
             steps_per_episode = 50
@@ -257,7 +259,7 @@ def test_adam_moves_toward_minimum():
 # ---------------------------------------------------------------------------
 # The flat update against a per-array reference
 
-class RandomObsEnv:
+class RandomObsEnv(SerialRollout):
     """Observations of the DE policy's size (44 inputs, 4 actions), reward
     pulling the action towards 0.3, 49-step episodes."""
 

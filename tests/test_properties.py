@@ -1,8 +1,11 @@
-"""Property tests of the batched objectives and their optima, the DE
-generation, the CMA-ES covariance, iDE and policy checkpoints."""
+"""Property tests of the batched and stacked objectives and their optima,
+the DE generation, the CMA-ES covariance, iDE, the rollout's action noise
+and policy checkpoints."""
 
+import dataclasses
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -12,15 +15,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evoadapt.baselines import archive_differences
-from evoadapt.benchmarks import evaluate, evaluate_population, get_function, registry_list
+from evoadapt.benchmarks import (evaluate, evaluate_population, evaluate_runs, get_function,
+                                 registry_list, stack_objectives)
 from evoadapt.cmaes import cma_generation, init_state
-from evoadapt.de import (de_generation, draw_generations, init_population, pick_pairs,
-                         rank_candidates)
+from evoadapt.de import (de_generation, draw_generations, draw_population, init_population,
+                         pick_pairs, rank_candidates)
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import action_spec, load_checkpoint, save_checkpoint
 from evoadapt.ppo import PpoConfig, train
 
-from conftest import counted
+from conftest import SerialRollout, counted
 
 # a little beyond the [-5, 5] box, so the boundary penalty terms run too
 COORDS = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False, allow_subnormal=False)
@@ -47,6 +51,49 @@ def test_lockstep_population_equals_rows_bit_for_bit(name, dim, n):
     fn = get_function(name, dim)
     X = np.random.default_rng(n).uniform(-6.0, 6.0, size=(n, dim))
     assert evaluate_population(fn, X).tobytes() == np.array([evaluate(fn, x) for x in X]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_objective_gives_each_run_its_entrys_bits(data):
+    """Any same-dimension mix of entries, repeats included, as a rollout
+    batch evaluates it: one `evaluate_runs` call over the runs' rows."""
+    d = data.draw(st.sampled_from([5, 10, 20]), label="d")
+    names = [name for name, dim in registry_list() if dim == d]
+    fns = [get_function(name, d)
+           for name in data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=8),
+                                 label="entries")]
+    n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+    X = data.draw(arrays(np.float64, (len(fns), n, d), elements=COORDS), label="X")
+    stacked = evaluate_runs(stack_objectives(fns), X)
+    assert stacked.shape == (len(fns), n)
+    for fn, rows, fits in zip(fns, X, stacked):
+        assert fits.tobytes() == evaluate_population(fn, rows).tobytes()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need Python 3.11")
+def test_stacked_objective_error_names_the_entry():
+    def fails(x):
+        raise FloatingPointError("overflow")
+
+    broken = dataclasses.replace(get_function("Sphere", 10), name="Broken", fn=fails)
+    with pytest.raises(FloatingPointError) as info:
+        evaluate_runs(stack_objectives([get_function("Sphere", 10), broken]),
+                      np.zeros((2, 3, 10)))
+    assert info.value.__notes__ == ["while evaluating Broken-10"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.sampled_from([1, 2, 4]), T=st.integers(min_value=1, max_value=400), seed=SEEDS)
+def test_one_normal_block_equals_per_step_draws(a, T, seed):
+    """`ppo.train` draws a horizon's action noise as one `(T, a)` block; it
+    holds the bytes of T per-step `standard_normal(a)` calls and leaves the
+    generator where they leave it."""
+    block_rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = block_rng.standard_normal((T, a))
+    steps = np.array([step_rng.standard_normal(a) for _ in range(T)])
+    assert block.tobytes() == steps.tobytes()
+    assert block_rng.bit_generator.state == step_rng.bit_generator.state
 
 
 def documented_optimum(name: str, d: int) -> np.ndarray:
@@ -139,7 +186,7 @@ def test_mutation_pairs_reach_every_ordered_pair():
 def test_de_generation_spends_np_evaluations_and_keeps_the_best(entry, np_, F, CR, seed):
     fn, calls = counted(get_function(*entry))
     rng = [np.random.default_rng(seed)]
-    pop = init_population(fn, np_, rng)
+    pop = init_population(fn, draw_population(fn, np_, rng))
     draws = draw_generations(rng, 5, np_, fn.dimension)
     best = pop.best_fitness[0]
     for generation in range(1, 6):
@@ -183,7 +230,7 @@ def test_ide_archive_pairs_are_distinct_entries(m, n, seed):
     assert np.all(np.abs(diffs) <= m - 1)
 
 
-class OneStepEnv:
+class OneStepEnv(SerialRollout):
     """One-step episodes with a constant observation and reward 0."""
 
     steps_per_episode = 1
