@@ -24,11 +24,13 @@ bench:
 	done
 
 # Alternated perfbench runs of a parent revision and the working tree, e.g.
-# make bench-pairs PARENT=HEAD WORKLOAD=ppo-train PAIRS=5 (see scripts/bench_pairs.py).
+# make bench-pairs PARENT=HEAD WORKLOAD=ppo-train PAIRS=5 SEED=2 (see scripts/bench_pairs.py).
 PARENT ?= HEAD
 PAIRS ?= 3
+SEED ?= 1
 bench-pairs:
-	python3 scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
+	python3 scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS) \
+	  --seed $(SEED)
 
 # Show that every benchmark output check fails on a corrupted output.
 bench-selftest:

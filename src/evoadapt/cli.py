@@ -15,6 +15,7 @@ from .config import (ConfigError, ExperimentConfig, load_config, save_config)
 from .envloop import (CsaController, EvolutionEnv, FixedDeController,
                       FixedSigmaController, IdeController, JdeController, PolicyController,
                       run_test_protocol)
+from .forked import split_map
 from .policy import action_spec, load_checkpoint, save_checkpoint
 from .ppo import TrainingInstability, train
 from .stats import build_comparison, export_comparison_csv, export_comparison_json
@@ -208,17 +209,19 @@ def cmd_compare(args) -> int:
 
     opponent = args.adaptation or ("csa" if algorithm == "cmaes" else "jde")
 
-    def metrics(factory):
-        """Each function's per-run metric under one controller factory."""
-        out = {}
-        for fn_key in functions:
-            result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
-                                       algorithm=algorithm)
-            out[fn_key] = result.aucs if args.metric == "auc" else result.bests
-        return out
+    def metric(task):
+        """One function's per-run metric under one controller factory."""
+        factory, fn_key = task
+        result = run_test_protocol(factory, fn_key, args.seed, runs=args.runs,
+                                   algorithm=algorithm)
+        return result.aucs if args.metric == "auc" else result.bests
 
-    opponent_metrics = metrics(_controller_factory(algorithm, opponent))
-    variant_metrics = {label: metrics(factory) for label, factory in variants}
+    # the opponent's functions, then each variant's; split between two processes
+    factories = [_controller_factory(algorithm, opponent)] + [f for _, f in variants]
+    values = iter(split_map(metric, [(f, fn_key) for f in factories for fn_key in functions]))
+    opponent_metrics = {fn_key: next(values) for fn_key in functions}
+    variant_metrics = {label: {fn_key: next(values) for fn_key in functions}
+                       for label, _ in variants}
 
     matrix = build_comparison(variant_metrics, opponent_metrics, functions)
     os.makedirs(args.out, exist_ok=True)
@@ -247,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1,
-                       help="accepted and ignored: a protocol's runs step in lockstep "
-                            "in one process")
+                       help="accepted and ignored: evaluate runs in one process, and "
+                            "compare splits its protocols between two")
         p.add_argument("--runs", type=int, default=50)
         p.add_argument("--out", default="results/evaluation")
 

@@ -36,6 +36,9 @@ class StateNotFinite(ArithmeticError):
         super().__init__(message)
         self.runs = list(runs)
 
+    def __reduce__(self):  # the default passes only `args`, which lacks `runs`
+        return type(self), (self.args[0], self.runs), self.__dict__
+
 
 @dataclass
 class CmaState:

@@ -4,7 +4,8 @@ One actor, generalized advantage estimation, and minibatch SGD (or Adam) with
 analytically derived gradients over the numpy policy and value nets. The two
 nets share no parameter, so they are two learners: after each rollout a forked
 child process runs the value net's epochs while this process runs the policy
-net's, and the child hands back the value net's weights and optimizer state.
+net's (`forked.split_map`), and the child hands back the value net's weights
+and optimizer state.
 Training needs POSIX `os.fork`. A NaN in the loss, gradients or weights raises
 TrainingInstability, at the point where one learner after the other would have
 met it, so a wrapper can retry with a fresh seed.
@@ -13,25 +14,17 @@ met it, so a wrapper can retry with a fresh seed.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import sys
-import traceback
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .forked import split_map
 from .policy import LOG_2PI, Mlp, PolicyNet, gaussian_log_prob
 
 
 class TrainingInstability(RuntimeError):
     """Training produced non-finite weights, loss or gradients."""
-
-
-class ValueLearnerError(RuntimeError):
-    """The value learner's process died before it handed back its result."""
 
 
 @dataclass
@@ -260,42 +253,6 @@ def _first_failure(policy_terms, value_terms, bad_epochs, value_coef: float):
     return min(found)[1] if found else None
 
 
-def _beside_child(child_work, work):
-    """Run `child_work()` in a forked child process while this process runs
-    `work()`; return `(work(), child_work())`. The child pickles its result
-    through a pipe and exits with `os._exit`. If `work` raises, the child is
-    killed; a child that exits non-zero raises ValueLearnerError. Either way
-    the child is reaped before this returns."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(child_work(), pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        except BaseException:
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
-        try:
-            mine = work()
-            payload = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise ValueLearnerError(f"the value learner's process exited with status {code}")
-    return mine, pickle.loads(payload)
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 
@@ -339,6 +296,9 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
         mb = packed[rows]
         return value_loss(mb[:, :in_dim], mb[:, -1], net, config)
 
+    def policy_learner():
+        return _run_epochs(policy_term, net.grad_slices[0], policy_opt, rng, T, config)
+
     def value_learner():
         terms, bad_epoch = _run_epochs(value_term, net.grad_slices[1], value_opt, rng, T,
                                        config)
@@ -362,9 +322,8 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
         adv_buf[:] = normalize_advantages(advantages)
 
         # both learners draw the same permutations, each from its own copy of rng
-        (policy_terms, policy_bad), (value_terms, value_bad, value_state) = _beside_child(
-            value_learner,
-            lambda: _run_epochs(policy_term, net.grad_slices[0], policy_opt, rng, T, config))
+        (policy_terms, policy_bad), (value_terms, value_bad, value_state) = split_map(
+            lambda learner: learner(), [policy_learner, value_learner])
         value_opt.theta[:] = value_state.pop("theta")
         vars(value_opt).update(value_state)
         failure = _first_failure(policy_terms, value_terms, (policy_bad, value_bad),

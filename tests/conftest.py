@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -77,3 +78,26 @@ def nan_gradient_once(monkeypatch):
             grad[0] = np.nan
 
     monkeypatch.setattr(ppo, "clip_gradients", poisoned)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Hung(Exception):
+    pass
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for over 60 s instead of letting a forked child
+    that is never reaped hang the suite."""
+    def expire(*_):
+        raise Hung("the test did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

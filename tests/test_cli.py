@@ -6,15 +6,20 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from evoadapt.benchmarks import registry_list
 from evoadapt import cli
 from evoadapt.cli import main
+from evoadapt.cmaes import StateNotFinite
 from evoadapt.config import (ConfigError, config_from_dict, config_to_dict,
                              load_config)
+from evoadapt.envloop import FixedSigmaController
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import PolicyNet, save_checkpoint
+
+from conftest import assert_no_child_left
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -434,6 +439,148 @@ class TestCompare:
         code = main(["evaluate", "--checkpoint", trained_checkpoint, "--function", "Sphere",
                      "--dimension", "10", "--runs", "2", "--out", str(tmp_path / "ev")])
         assert code == 0 and loads == [trained_checkpoint]
+
+
+def serial_map(fn, items):
+    return [fn(item) for item in items]
+
+
+@pytest.fixture(scope="module")
+def untrained_checkpoints(tmp_path_factory):
+    """Two untrained policies per engine: {algorithm: [path, path]}."""
+    tmp = tmp_path_factory.mktemp("untrained")
+    paths = {}
+    for algorithm, kind, actions in (("de", "de_uniform", 4), ("cmaes", "cma_sigma", 1)):
+        paths[algorithm] = []
+        for seed in (1, 2):
+            path = tmp / f"{kind}_{seed}.json"
+            policy = PolicyNet(ObservationSpec().length(actions), actions,
+                               rng=np.random.default_rng(seed))
+            save_checkpoint(path, policy, kind, ObservationSpec())
+            paths[algorithm].append(str(path))
+    return paths
+
+
+def run_compare(checkpoints, functions, out, *flags):
+    argv = ["compare", "--runs", "3", "--seed", "3", "--out", str(out), *flags]
+    for path in checkpoints:
+        argv += ["--checkpoint", path]
+    for value in functions:
+        argv += ["--function", value]
+    return main(argv)
+
+
+class TestCompareSplit:
+    """`compare` runs its even-indexed protocols here and its odd-indexed ones
+    in a forked child (tasks: the opponent's functions, then each
+    variant's); the outcome is that of one serial loop over them."""
+
+    @pytest.mark.parametrize("metric", ["auc", "best"])
+    @pytest.mark.parametrize("variants,functions", [(1, 1), (2, 3)],
+                             ids=["2-tasks", "9-tasks"])
+    @pytest.mark.parametrize("algorithm", ["de", "cmaes"])
+    def test_outputs_equal_the_serial_loop(self, untrained_checkpoints, tmp_path, monkeypatch,
+                                           deadline, algorithm, variants, functions, metric):
+        args = (untrained_checkpoints[algorithm][:variants],
+                ["Sphere:10", "Rastrigin:10", "LinearSlope:5"][:functions])
+        assert run_compare(*args, tmp_path / "split", "--metric", metric) == 0
+        assert_no_child_left()
+        monkeypatch.setattr(cli, "split_map", serial_map)
+        assert run_compare(*args, tmp_path / "serial", "--metric", metric) == 0
+        for name in (f"comparison_{metric}.csv", f"comparison_{metric}.json"):
+            assert (tmp_path / "split" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes()
+
+    # tasks: jDE on Sphere 0, Rastrigin 1, Ellipsoid 2, then variant "a" 3-5 and
+    # variant "b" 6-8; the even ones run here, the odd ones in the child
+    @pytest.mark.parametrize("planted", [
+        {("jde", "Ellipsoid"), ("a", "Sphere")},
+        {("jde", "Rastrigin"), ("jde", "Ellipsoid")},
+        {("a", "Rastrigin"), ("a", "Ellipsoid")},
+        {("a", "Sphere"), ("b", "Sphere")},
+        {("b", "Rastrigin"), ("b", "Ellipsoid")},
+    ], ids=["here-2-child-3", "child-1-here-2", "here-4-child-5", "child-3-here-6",
+            "child-7-here-8"])
+    def test_the_lowest_failing_task_wins(self, untrained_checkpoints, tmp_path, monkeypatch,
+                                          deadline, planted):
+        real_load, real_run = cli._load_policy, cli.run_test_protocol
+        labels = dict(zip(untrained_checkpoints["de"], "ab"))
+
+        def labelled_load(path):
+            algorithm, factory = real_load(path)
+
+            def labelled():
+                return factory()
+
+            labelled.label = labels[path]
+            return algorithm, labelled
+
+        def planted_failures(factory, fn_key, *args, **kwargs):
+            who = getattr(factory, "label", "jde")
+            if (who, fn_key[0]) in planted:
+                error = ValueError if who == "jde" else FloatingPointError
+                raise error(f"{who} failed on {fn_key[0]}")
+            return real_run(factory, fn_key, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_policy", labelled_load)
+        monkeypatch.setattr(cli, "run_test_protocol", planted_failures)
+        errors = []
+        for split in (cli.split_map, serial_map):
+            monkeypatch.setattr(cli, "split_map", split)
+            with pytest.raises(Exception) as caught:
+                run_compare(untrained_checkpoints["de"],
+                            ["Sphere:10", "Rastrigin:10", "Ellipsoid:10"], tmp_path / "cmp")
+            errors.append((type(caught.value), caught.value.args))
+            assert_no_child_left()
+        assert errors[0] == errors[1]
+        assert not (tmp_path / "cmp").exists()
+
+    def test_an_interrupt_here_kills_and_reaps_the_child(self, untrained_checkpoints, tmp_path,
+                                                         monkeypatch, deadline):
+        parent, real = os.getpid(), cli.run_test_protocol
+
+        def interrupted(factory, fn_key, *args, **kwargs):
+            if os.getpid() == parent and fn_key == ("Ellipsoid", 10):  # task 2
+                raise KeyboardInterrupt
+            return real(factory, fn_key, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_test_protocol", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_compare(untrained_checkpoints["de"][:1],
+                        ["Sphere:10", "Rastrigin:10", "Ellipsoid:10"], tmp_path / "cmp")
+        assert_no_child_left()
+        assert not (tmp_path / "cmp").exists()
+
+    def test_a_diverging_cmaes_run_in_the_child_raises_the_serial_error(
+            self, untrained_checkpoints, tmp_path, monkeypatch, deadline):
+        class OneRunDiverges(FixedSigmaController):
+            """Sigma 1e308 for run 2 (seed 49), the default for the others."""
+
+            def propose(self, episode):
+                sigma = np.where(np.arange(episode.runs) == 2, 1e308, self.sigma)
+                return sigma, sigma[..., None]
+
+        real = cli.run_test_protocol
+
+        def diverging(factory, fn_key, *args, **kwargs):
+            if fn_key == ("LinearSlope", 5):  # tasks 1 and 3, both in the child
+                factory = OneRunDiverges
+            return real(factory, fn_key, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_test_protocol", diverging)
+        errors = []
+        for split in (cli.split_map, serial_map):
+            monkeypatch.setattr(cli, "split_map", split)
+            with pytest.raises(StateNotFinite, match=r"^CMA-ES covariance on LinearSlope-5 is "
+                                                     r"not finite at generation 2 "
+                                                     r"\(run seeds \[49\]\)") as caught:
+                main(["compare", "--checkpoint", untrained_checkpoints["cmaes"][0],
+                      "--function", "Sphere:10", "--function", "LinearSlope:5",
+                      "--runs", "4", "--seed", "47", "--out", str(tmp_path / "cmp")])
+            errors.append((caught.value.args, caught.value.runs))
+            assert_no_child_left()
+        assert errors[0] == errors[1] == (errors[1][0], [2])
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestConfigRoundTrip:

@@ -1,9 +1,10 @@
 import logging
+import pickle
 
 import numpy as np
 
 from evoadapt.benchmarks import get_function
-from evoadapt.cmaes import (CmaState, cma_generation, init_state,
+from evoadapt.cmaes import (CmaState, StateNotFinite, cma_generation, init_state,
                             sample_offspring, _decompose, _square_root)
 
 from conftest import counted
@@ -94,6 +95,14 @@ def test_one_broken_run_takes_the_repair_and_the_others_keep_their_bytes(caplog)
     for i in range(3):
         alone = sample_offspring(mean[i:i + 1], cov[i:i + 1], sigma[i:i + 1], z[i:i + 1])
         assert stacked[i].tobytes() == alone[0].tobytes(), i
+
+
+def test_state_not_finite_survives_pickling():
+    exc = StateNotFinite("CMA-ES covariance on Sphere-10 is not finite at generation 2", [2])
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is StateNotFinite
+    assert str(back) == str(exc) and back.args == exc.args
+    assert back.runs == [2]
 
 
 def test_best_so_far_envelope_non_increasing(rng):

@@ -1,17 +1,17 @@
 import math
 import os
-import signal
 
 import numpy as np
 import pytest
 
 from evoadapt import ppo
+from evoadapt.forked import ChildDied
 from evoadapt.policy import Mlp, PolicyNet, gaussian_log_prob
 from evoadapt.ppo import (ActorCritic, Adam, PpoConfig, Sgd, TrainingInstability,
-                          ValueLearnerError, clip_gradients, compute_gae,
+                          clip_gradients, compute_gae,
                           normalize_advantages, ppo_loss, train, value_loss)
 
-from conftest import SerialRollout
+from conftest import SerialRollout, assert_no_child_left
 
 
 class BanditEnv(SerialRollout):
@@ -520,29 +520,6 @@ def made_optimizers(monkeypatch):
     return made
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class Hung(Exception):
-    pass
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test that runs `train` for over 60 s instead of letting a
-    child that is never reaped hang the suite."""
-    def expire(*_):
-        raise Hung("train did not return within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_forked_learners_equal_the_serial_update_bit_for_bit(optimizer, activation,
@@ -654,10 +631,15 @@ def raise_boom(*_):
     raise Boom("value learner failed")
 
 
-@pytest.mark.parametrize("value_loss_stub,status", [(exit_3, 3), (raise_boom, 1)])
+@pytest.mark.parametrize("value_loss_stub,error,match", [
+    (exit_3, ChildDied, "exited with status 3$"),
+    (raise_boom, Boom, "^value learner failed\n"),  # then the child's traceback
+], ids=["exit_3-3", "raise_boom-1"])
 def test_a_value_learner_that_exits_non_zero_raises(monkeypatch, deadline, value_loss_stub,
-                                                     status):
+                                                     error, match):
+    """A child that dies raises ChildDied; one whose value learner raises
+    hands back the learner's own exception."""
     monkeypatch.setattr(ppo, "value_loss", value_loss_stub)
-    with pytest.raises(ValueLearnerError, match=f"exited with status {status}$"):
+    with pytest.raises(error, match=match):
         train(RandomObsEnv(), two_iteration_config(), TWO_ITERATIONS, np.random.default_rng(5))
     assert_no_child_left()
