@@ -1,4 +1,4 @@
-.PHONY: test test-fast check settings bench bench-pairs bench-selftest paper-run
+.PHONY: test test-fast check settings bench bench-pairs bench-selftest digests paper-run
 
 test:
 	pytest -v
@@ -31,6 +31,18 @@ SEED ?= 1
 bench-pairs:
 	python3 scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS) \
 	  --seed $(SEED)
+
+# The output digests of the three benchmark workloads at seeds 1-3, one short
+# run each: equal digests mean equal output bytes. A run whose output check
+# fails prints its whole report and stops the target.
+digests:
+	@for workload in de-protocol cmaes-protocol ppo-train; do \
+	  for seed in 1 2 3; do \
+	    out=$$(python3 perfbench/run.py --workload $$workload --seed $$seed --seconds 1 \
+	      --trace 0) || { echo "$$out"; exit 1; }; \
+	    echo "$$out" | grep '^digest '; \
+	  done; \
+	done
 
 # Show that every benchmark output check fails on a corrupted output.
 bench-selftest:

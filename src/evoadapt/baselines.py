@@ -36,8 +36,11 @@ class CsaState:
 
 
 def make_csa_state(dim: int) -> CsaState:
-    """CSA with cumulation c = 4/(d+4) and damping d_sigma = 1 (Hansen's
-    CMA-ES tutorial, arXiv 1604.00772)."""
+    """CSA with cumulation c = 4/(d+4) and damping d_sigma = 1, its path fed
+    each run's best child's step over sigma. Hansen's CMA-ES tutorial
+    (arXiv 1604.00772) has the same rule, but its c_sigma and d_sigma depend
+    on mu_eff, and its path is fed the weighted mean step of the mu best
+    children, whitened by C^(-1/2) and scaled by sqrt(mu_eff)."""
     return CsaState(path=np.zeros(dim), c=4.0 / (dim + 4.0), d_sigma=1.0,
                     expected_norm=expected_chi_norm(dim))
 
@@ -64,6 +67,9 @@ def csa_update(state: CsaState, xi_star: np.ndarray, sigma) -> tuple[CsaState, n
 
 @dataclass
 class IdeState:
+    """iDE, whose source is unknown: the paper names no variant that can be
+    checked here. A trial's F/CR are the run's best individual's plus
+    N(0, 0.5^2) times a difference of archived successful values."""
     F: np.ndarray                       # per-individual scale factors, (R, NP)
     CR: np.ndarray                      # per-individual crossover rates, (R, NP)
     archive: np.ndarray                 # (R, 2, capacity): F (row 0) and CR (row 1) values
@@ -141,6 +147,9 @@ JDE_TAU = 0.1  # resample probability of F and of CR (Brest et al. 2006, IEEE TE
 
 @dataclass
 class JdeState:
+    """jDE with one F/CR per run, adopted when the run's best improves.
+    Brest et al. 2006 keep F_i/CR_i per individual, and a trial's values
+    survive when the trial replaces its parent."""
     best_F: np.ndarray                  # (R,)
     best_CR: np.ndarray                 # (R,)
 

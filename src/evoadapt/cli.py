@@ -75,7 +75,8 @@ def run_training(cfg: ExperimentConfig, out_dir: str) -> str:
             except TrainingInstability as exc:
                 attempts.write(f"attempt {attempt} seed {seed} unstable: {exc}\n")
                 attempts.flush()
-                _write_training_log([], os.path.join(out_dir, f"training_log_attempt{attempt}.csv"))
+                _write_training_log(exc.log_rows,
+                                    os.path.join(out_dir, f"training_log_attempt{attempt}.csv"))
                 continue
             attempts.write(f"attempt {attempt} seed {seed} ok\n")
             save_checkpoint(checkpoint_path, policy, cfg.action, cfg.observation)
@@ -85,7 +86,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str) -> str:
             _write_episode_log(env.episode_log[:episodes_done],
                                os.path.join(out_dir, "episodes.csv"))
             return checkpoint_path
-    raise TrainingInstability(f"training unstable after {max_attempts} attempts")
+    raise TrainingInstability(f"training unstable after {max_attempts} attempts", [])
 
 
 def cmd_train(args) -> int:

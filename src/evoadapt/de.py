@@ -3,7 +3,7 @@
 Scale factor and crossover rate are stored per individual so that a single
 global pair (broadcast), per-individual baselines (iDE) and policy-sampled
 values all go through the same generation step. Every array holds R >= 1
-runs in lockstep on a leading axis. `draw_population` draws from `rng`, one
+runs in lockstep on a leading axis. `init_population` draws from `rng`, one
 Generator per run; a generation takes its random numbers as `(R, ...)`
 arrays, which an episode draws for all its generations when it starts.
 """
@@ -34,14 +34,10 @@ class Population:
         return self.fitnesses.min(axis=1)
 
 
-def draw_population(fn: BenchmarkFunction, np_: int, rng) -> np.ndarray:
-    """Each run's NP genotypes `(R, NP, d)`, uniform within bounds."""
-    return per_run(rng, lambda r: r.uniform(fn.lower, fn.upper, size=(np_, fn.dimension)))
-
-
-def init_population(fn: BenchmarkFunction, genotypes: np.ndarray) -> Population:
-    """The population of drawn `genotypes` (`draw_population`); consumes NP
-    evaluations per run."""
+def init_population(fn: BenchmarkFunction, np_: int, rng) -> Population:
+    """Uniform random population within bounds; consumes NP evaluations per
+    run."""
+    genotypes = per_run(rng, lambda r: r.uniform(fn.lower, fn.upper, size=(np_, fn.dimension)))
     return Population(genotypes, evaluate_runs(fn, genotypes))
 
 

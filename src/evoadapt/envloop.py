@@ -16,7 +16,6 @@ draws nothing.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,36 +58,26 @@ class Episode:
     one Generator per run in `rng`: every array has a leading run axis, and
     each generation is one objective call. `last` is the newest generation:
     the DE population, or the CMA-ES `GenerationResult`. Construction draws
-    the engine's random numbers for the whole episode (`draw`) and
-    evaluates generation 0, the DE population or the first CMA-ES sampling
-    at `SIGMA0`. `start(action)` records generation 0; `apply(params,
-    action)` runs one generation with F/CR or sigma, records its trace rows
-    and rewards, and returns a `DeOutcome` or the CMA-ES
-    `GenerationResult`."""
+    the engine's random numbers for the whole episode and evaluates
+    generation 0, the DE population or the first CMA-ES sampling at
+    `SIGMA0`. Per run, DE draws the population, then its
+    `de.draw_generations` blocks; CMA-ES draws the mean, then its
+    `cmaes.draw_generations` block, which generation g indexes at g.
+    `start(action)` records generation 0; `apply(params, action)` runs one
+    generation with F/CR or sigma, records its trace rows and rewards, and
+    returns a `DeOutcome` or the CMA-ES `GenerationResult`."""
 
     def __init__(self, fn: BenchmarkFunction, algorithm: str, rng: list):
         self.fn, self.algorithm, self.rng = fn, algorithm, rng
         self.runs = len(rng)
         self.trace = RunTrace()
-        start, self.draws = self.draw(fn, algorithm, rng)
         if algorithm == "de":
-            self.last = de.init_population(fn, start)
+            self.last = de.init_population(fn, POPULATION, rng)
+            self.draws = de.draw_generations(rng, GENERATIONS - 1, POPULATION, fn.dimension)
         else:
-            self.last = cmaes.cma_generation(start, SIGMA0, fn, self.draws[:, 0])
-
-    @staticmethod
-    def draw(fn: BenchmarkFunction, algorithm: str, rng: list):
-        """The engine's random numbers for a whole episode, evaluating
-        nothing. Per run, DE draws the population, then its
-        `de.draw_generations` blocks; CMA-ES draws the mean, then its
-        `cmaes.draw_generations` block, which generation g indexes at g.
-        Returns the population's genotypes or the initial `CmaState`, and
-        the blocks."""
-        if algorithm == "de":
-            return (de.draw_population(fn, POPULATION, rng),
-                    de.draw_generations(rng, GENERATIONS - 1, POPULATION, fn.dimension))
-        return (cmaes.init_state(fn, rng),
-                cmaes.draw_generations(rng, GENERATIONS, POPULATION, fn.dimension))
+            state = cmaes.init_state(fn, rng)
+            self.draws = cmaes.draw_generations(rng, GENERATIONS, POPULATION, fn.dimension)
+            self.last = cmaes.cma_generation(state, SIGMA0, fn, self.draws[:, 0])
 
     @property
     def done(self) -> bool:
@@ -288,14 +277,15 @@ def run_cma_episode(fn: BenchmarkFunction, controller, rng: np.random.Generator)
 class EvolutionEnv:
     """Step interface over evolutionary runs for the PPO trainer.
 
-    `reset` samples an episode's function from the env's generator and opens
-    a one-run `Episode` drawing from it: the engine's random numbers, then
-    the decoding noise. It runs generation 0 and returns the observation;
-    each `step` applies one controlled generation and draws nothing. PPO sees
-    run 0's observation and reward. `rollout` fills a whole horizon of steps
-    with the same bytes, stepping its full episodes in lockstep batches.
-    Policy-emitted raw actions are clipped into the action space before
-    decoding.
+    Each episode draws only from its own generator, `default_rng` of one
+    `integers(2**63)` that the env's generator draws right after choosing
+    the episode's function (`Generator.spawn` needs numpy 1.25; the floor
+    is 1.24). `reset` opens a one-run `Episode`, runs generation 0 and
+    returns the observation; each `step` applies one controlled generation
+    and draws nothing. PPO sees run 0's observation and reward. `rollout`
+    fills a whole horizon with the bytes of `reset` and `step`, stepping
+    its full episodes in lockstep batches. Policy-emitted raw actions are
+    clipped into the action space before decoding.
     """
 
     steps_per_episode = GENERATIONS - 1
@@ -315,7 +305,8 @@ class EvolutionEnv:
         return self.spec.dim
 
     def reset(self) -> np.ndarray:
-        self.episode, self.decoder, obs = self._open([self._sample()], [self.rng])
+        fn, rng = self._sample()
+        self.episode, self.decoder, obs = self._open([fn], [rng])
         return obs[0]
 
     def step(self, raw_action: np.ndarray):
@@ -332,16 +323,15 @@ class EvolutionEnv:
         `noise[t]`.
 
         The episode carried in from the last horizon and the horizon's last
-        one, unfinished or just opened, step as one-run episodes. The full
-        episodes between them are planned first: each samples its function
-        from the env's generator, which is copied, then drawn past the
-        episode's random numbers without evaluating anything (`_skip`). They
-        then step in lockstep batches of one dimension, each run drawing
-        from its copy, so every row holds the bytes that `reset` and `step`
-        give one episode at a time. Every run of a batch holds its episode's
-        blocks of random numbers, whose size grows with the dimension, so a
-        batch holds at most `BATCH_RUNS` runs and `10 * BATCH_RUNS`
-        coordinates (16 runs up to 10 dimensions, 8 at 20)."""
+        one, unfinished or just opened by `reset`, step as one-run episodes.
+        The full episodes between them are sampled in order, each its
+        function and generator, and step in lockstep batches of one
+        dimension. Every run draws only from its own generator, so every
+        row holds the bytes that `reset` and `step` give one episode at a
+        time. Every run of a batch holds its episode's blocks of random
+        numbers, whose size grows with the dimension, so a batch holds at
+        most `BATCH_RUNS` runs and `10 * BATCH_RUNS` coordinates (16 runs up
+        to 10 dimensions, 8 at 20)."""
         T, S = len(noise), self.steps_per_episode
         carried = min(T, S - self.episode.step)
         obs = self._run(self.episode, self.decoder, obs[None], np.arange(carried)[:, None],
@@ -349,11 +339,7 @@ class EvolutionEnv:
         if not self.episode.done:
             return obs[0]
         full, last = divmod(T - carried, S)
-        plan = []
-        for _ in range(full):
-            fn = self._sample()
-            plan.append((fn, copy.deepcopy(self.rng)))
-            self._skip(fn, [self.rng])
+        plan = [self._sample() for _ in range(full)]
         starts = carried + S * np.arange(full)
         for dimension in dict.fromkeys(fn.dimension for fn, _ in plan):
             group = [k for k, (fn, _) in enumerate(plan) if fn.dimension == dimension]
@@ -367,25 +353,20 @@ class EvolutionEnv:
         return self._run(self.episode, self.decoder, obs[None], T - last + np.arange(last)[:, None],
                          policy, value, noise, buf)[0]
 
-    def _sample(self) -> BenchmarkFunction:
+    def _sample(self) -> tuple[BenchmarkFunction, np.random.Generator]:
+        """The next episode's function and its own generator."""
         function = multi_function_sampler(self.functions, self.rng)
         self.episode_log.append(function)
-        return get_function(*function)
+        return get_function(*function), np.random.default_rng(self.rng.integers(2**63))
 
     def _open(self, fns: list, rng: list):
         """An episode whose run i is on `fns[i]` and draws from `rng[i]`, its
-        decoder, and the runs' first observations. Per run it draws the
-        engine's random numbers (`Episode.draw`), then the decoding noise."""
+        decoder, and the runs' first observations."""
         fn = fns[0] if len(fns) == 1 else stack_objectives(fns)
         episode = Episode(fn, self.spec.algorithm, rng)
         decoder = PolicyController(None, self.spec, self.obs_spec)
         episode.start(decoder.start(episode))
         return episode, decoder, decoder.observe(episode)
-
-    def _skip(self, fn: BenchmarkFunction, rng: list) -> None:
-        """Draw from `rng` what `_open` draws for an episode on `fn`."""
-        Episode.draw(fn, self.spec.algorithm, rng)
-        draw_decode_noise(self.spec.kind, rng, GENERATIONS - 1, POPULATION)
 
     def _advance(self, episode: Episode, decoder: PolicyController, action: np.ndarray):
         """One generation of clipped actions `(R, k)`: the observations and

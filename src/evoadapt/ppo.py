@@ -24,7 +24,12 @@ from .policy import LOG_2PI, Mlp, PolicyNet, gaussian_log_prob
 
 
 class TrainingInstability(RuntimeError):
-    """Training produced non-finite weights, loss or gradients."""
+    """Training produced non-finite weights, loss or gradients. `log_rows`
+    holds `train`'s log rows of the iterations that finished before."""
+
+    def __init__(self, message: str, log_rows: list):
+        super().__init__(message)
+        self.log_rows = log_rows
 
 
 @dataclass
@@ -55,6 +60,14 @@ class PpoConfig:
             raise ValueError("minibatch size must be <= horizon")
         if self.learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
+        for name in ("clip", "grad_clip"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("gamma", "gae_lambda"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not self.value_coef >= 0.0:
+            raise ValueError(f"value_coef must not be negative, got {self.value_coef}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.activation not in ("relu", "tanh"):
@@ -210,7 +223,7 @@ class Adam:
 def clip_gradients(grad: np.ndarray, max_norm: float) -> None:
     """Scale a 1-D gradient in place so that its norm is at most `max_norm`."""
     total = math.sqrt(float(grad @ grad))
-    if total > max_norm > 0.0:
+    if total > max_norm:
         grad *= max_norm / total
 
 
@@ -329,7 +342,8 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
         failure = _first_failure(policy_terms, value_terms, (policy_bad, value_bad),
                                  config.value_coef)
         if failure is not None:
-            raise TrainingInstability(f"non-finite {failure} at iteration {iteration}")
+            raise TrainingInstability(f"non-finite {failure} at iteration {iteration}",
+                                      log_rows)
 
         row = {
             "iteration": iteration,

@@ -61,23 +61,30 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture
-def nan_gradient_once(monkeypatch):
-    """The first PPO update of the test meets a NaN in one policy-gradient
-    entry; later updates (a retry's, say) are clean. The trainer's own
-    non-finite checks have to catch it. The policy learner is the one that
-    runs in the test's own process (the value learner runs in a forked
-    child), so the first call made there poisons the policy gradient."""
+def poison_policy_gradient(monkeypatch, call: int) -> None:
+    """The policy learner's `call`-th gradient step of the test (0 is the
+    first) meets a NaN in one gradient entry; every other step (a retry's,
+    say) is clean. The trainer's own non-finite checks have to catch it. The
+    policy learner is the one that runs in the test's own process (the value
+    learner runs in a forked child), so only the calls made there count."""
     real = ppo.clip_gradients
-    armed = [os.getpid()]
+    pid, calls = os.getpid(), [0]
 
     def poisoned(grad, max_norm):
         real(grad, max_norm)
-        if armed and os.getpid() == armed[0]:
-            armed.clear()
-            grad[0] = np.nan
+        if os.getpid() == pid:
+            if calls[0] == call:
+                grad[0] = np.nan
+            calls[0] += 1
 
     monkeypatch.setattr(ppo, "clip_gradients", poisoned)
+
+
+@pytest.fixture
+def nan_gradient_once(monkeypatch):
+    """The first PPO update of the test meets a NaN in one policy-gradient
+    entry; later updates are clean."""
+    poison_policy_gradient(monkeypatch, 0)
 
 
 def assert_no_child_left():

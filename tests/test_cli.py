@@ -19,7 +19,7 @@ from evoadapt.envloop import FixedSigmaController
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import PolicyNet, save_checkpoint
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, poison_policy_gradient
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -90,6 +90,21 @@ class TestTrain:
         assert "attempt 1 seed 1 unstable" in log
         assert "attempt 2 seed 2 ok" in log
         assert (tmp_path / "run" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("poisoned_step,rows", [(0, 0), (2, 1)])
+    def test_unstable_attempt_keeps_its_finished_iterations(self, tmp_path, monkeypatch,
+                                                            poisoned_step, rows):
+        """Two policy gradient steps per iteration: a NaN at the first update
+        leaves a header-only log, one at the second keeps iteration 0's row."""
+        poison_policy_gradient(monkeypatch, poisoned_step)
+        cfg_path, _ = base_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "run"
+        assert f"attempt 1 seed 1 unstable: non-finite weights at iteration {rows}" in \
+            (out / "attempts.log").read_text()
+        log = (out / "training_log_attempt1.csv").read_text().strip().splitlines()
+        assert log[0] == "iteration,episodes_done,mean_return,policy_loss,value_loss,entropy"
+        assert [line.split(",")[0] for line in log[1:]] == [str(i) for i in range(rows)]
 
     def test_exhausted_retries_exit_unstable(self, tmp_path, capsys, nan_gradient_once):
         ppo = {"horizon": 196, "minibatch": 196, "epochs": 2, "hidden": [4]}
@@ -164,12 +179,31 @@ class TestTrain:
      "clip must be of type float, got '0.3'"),
     ("compare", {}, ["--checkpoint", "{tmp}/absent.json", "--function", "sphere:10"],
      "function Sphere:10 is given twice (--function Sphere:10)"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "grad_clip": 0.0}}, [],
+     "grad_clip must be positive, got 0.0"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "grad_clip": -1.0}}, [],
+     "grad_clip must be positive, got -1.0"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "clip": -0.2}}, [],
+     "clip must be positive, got -0.2"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "gamma": 1.5}}, [],
+     "gamma must be in [0, 1], got 1.5"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "gamma": -0.1}}, [],
+     "gamma must be in [0, 1], got -0.1"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "gae_lambda": 1.01}}, [],
+     "gae_lambda must be in [0, 1], got 1.01"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "gae_lambda": -1.0}}, [],
+     "gae_lambda must be in [0, 1], got -1.0"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "value_coef": -0.5}}, [],
+     "value_coef must not be negative, got -0.5"),
 ], ids=["unknown-action", "unknown-training-function", "unknown-optimizer",
         "missing-checkpoint", "no-runs", "compare-negative-runs", "no-jobs", "minibatch-zero",
         "minibatch-negative", "horizon-zero", "epochs-zero", "budget-fills-no-horizon",
         "checkpoint-every-zero", "hidden-zero", "cmaes-with-de-action", "training-mode-unknown",
         "history-length-negative", "history-length-not-int", "seed-not-int",
-        "episodes-not-int", "retries-negative", "clip-not-float", "compare-function-twice"])
+        "episodes-not-int", "retries-negative", "clip-not-float", "compare-function-twice",
+        "grad-clip-zero", "grad-clip-negative", "clip-negative", "gamma-above-one",
+        "gamma-negative", "gae-lambda-above-one", "gae-lambda-negative",
+        "value-coef-negative"])
 def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides, flags,
                                                  cause):
     cfg_path, _ = base_config(tmp_path, **overrides)

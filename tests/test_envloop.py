@@ -181,7 +181,10 @@ class TestEvolutionEnv:
             rewards.append(r)
         trained = env.episode.trace.split_runs()[0]
 
-        episode = Episode(get_function("Rastrigin", 10), algorithm, [np.random.default_rng(21)])
+        # the env seeds the episode's generator from its own; choosing from a
+        # one-entry function list draws nothing
+        rng = np.random.default_rng(np.random.default_rng(21).integers(2**63))
+        episode = Episode(get_function("Rastrigin", 10), algorithm, [rng])
         trace = run_episode(episode, PolicyController(policy, spec, obs_spec)).split_runs()[0]
         assert trace.rewards[1:] == rewards
         assert trace.best_fitness[1:] == trained.best_fitness[1:]
@@ -286,6 +289,38 @@ class TestRollout:
         at most 8."""
         assert_same_training(recorded_training(EvolutionEnv, kind, functions, horizon),
                              recorded_training(SerialEnv, kind, functions, horizon))
+
+
+def test_action_spaces_share_functions_and_engine_draws():
+    """Envs built at one seed see the same functions in the same order
+    whatever their action space, and the DE spaces open every episode on the
+    same initial population and DE blocks, in batches and alone: common
+    random numbers for comparing policies trained at that seed."""
+    horizon = 4 * 49
+    logs, opened = {}, {}
+    for kind in ("de_direct", "de_normal", "de_uniform", "cma_sigma"):
+        env = EvolutionEnv(MULTI, action_spec(kind), ObservationSpec(), np.random.default_rng(3))
+        real, opened[kind] = env._open, []
+
+        def spy(fns, rng, real=real, record=opened[kind]):
+            episode, decoder, obs = real(fns, rng)
+            if episode.algorithm == "de":
+                record += [(episode.last.genotypes[i].copy(), *(a[i] for a in episode.draws))
+                           for i in range(episode.runs)]
+            return episode, decoder, obs
+
+        env._open = spy
+        policy, value, buf = small_nets(env, horizon)
+        obs, noise = env.reset(), np.random.default_rng(5).standard_normal((horizon, 4))
+        for _ in range(2):
+            obs = env.rollout(policy, value, obs, noise[:, :env.action_dim], buf)
+        logs[kind] = env.episode_log
+    assert len(logs["cma_sigma"]) == 9 and len(set(logs["cma_sigma"])) > 1
+    assert logs["de_direct"] == logs["de_normal"] == logs["de_uniform"] == logs["cma_sigma"]
+    assert len(opened["de_direct"]) == 9
+    for kind in ("de_normal", "de_uniform"):
+        for ours, theirs in zip(opened["de_direct"], opened[kind], strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs, strict=True))
 
 
 class TestProtocol:
@@ -441,9 +476,11 @@ class TestDrawsOncePerEpisode:
         for _ in range(2):
             env.reset()
             drawn, done = rng.draws, False
+            own = env.episode.rng[0].bit_generator.state
             while not done:
                 _obs, _r, done = env.step(spec.neutral())
             assert rng.draws == drawn
+            assert env.episode.rng[0].bit_generator.state == own
 
 
 def test_export_trace_csv_round_trip(tmp_path):

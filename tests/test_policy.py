@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evoadapt.benchmarks import get_function
-from evoadapt.de import de_generation, draw_generations, draw_population, init_population
+from evoadapt.de import de_generation, draw_generations, init_population
 from evoadapt.envloop import PolicyController
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import (Mlp, PolicyNet, action_spec, decode_de_params,
@@ -117,7 +117,7 @@ class TestDecode:
         generation gives the same bytes with them as with them repeated over
         the population, `(R, NP)`."""
         fn, runs = get_function("Rastrigin", 10), [np.random.default_rng(s) for s in range(3)]
-        pop = init_population(fn, draw_population(fn, 10, runs))
+        pop = init_population(fn, 10, runs)
         draws = draw_generations(runs, 1, 10, fn.dimension).at(0)
         actions = action_spec("de_direct").clip(rng.uniform(0.0, 2.0, size=(3, 2)))
         F, CR = decode_de_params(actions, action_spec("de_direct"), None)

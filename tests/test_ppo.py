@@ -480,12 +480,14 @@ def serial_train(env, cfg, episodes_budget, rng, on_iteration=None):
                                  *mb[:, in_dim + a_dim:-1].T, net, cfg)
                 v_loss = value_loss(obs_mb, mb[:, -1], net, cfg)
                 if not math.isfinite(stats["policy_loss"] + cfg.value_coef * v_loss):
-                    raise TrainingInstability(f"non-finite loss at iteration {iteration}")
+                    raise TrainingInstability(f"non-finite loss at iteration {iteration}",
+                                              log_rows)
                 for grad in net.grad_slices:
                     ppo.clip_gradients(grad, cfg.grad_clip)
                 optimizer.step(net.grad)
             if not np.isfinite(net.theta).all():
-                raise TrainingInstability(f"non-finite weights at iteration {iteration}")
+                raise TrainingInstability(f"non-finite weights at iteration {iteration}",
+                                          log_rows)
         row = {"iteration": iteration, "episodes_done": episodes_done,
                "mean_return": float(np.mean(iter_returns)) if iter_returns else float("nan"),
                "policy_loss": stats["policy_loss"], "value_loss": v_loss,
@@ -599,8 +601,8 @@ def test_first_failure_in_the_serial_order_wins(monkeypatch, deadline, optimizer
         with pytest.raises(TrainingInstability) as caught:
             run(RandomObsEnv(), cfg, TWO_ITERATIONS, np.random.default_rng(5),
                 on_iteration=arm_after_iteration_0)
-        messages.append(str(caught.value))
-    assert messages == [f"non-finite {failure} at iteration 1"] * 2
+        messages.append((str(caught.value), [row["iteration"] for row in caught.value.log_rows]))
+    assert messages == [(f"non-finite {failure} at iteration 1", [0])] * 2
     assert_no_child_left()
 
 

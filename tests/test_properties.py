@@ -18,8 +18,8 @@ from evoadapt.baselines import archive_differences
 from evoadapt.benchmarks import (evaluate, evaluate_population, evaluate_runs, get_function,
                                  registry_list, stack_objectives)
 from evoadapt.cmaes import cma_generation, init_state
-from evoadapt.de import (de_generation, draw_generations, draw_population, init_population,
-                         pick_pairs, rank_candidates)
+from evoadapt.de import (de_generation, draw_generations, init_population, pick_pairs,
+                         rank_candidates)
 from evoadapt.observe import ObservationSpec
 from evoadapt.policy import action_spec, load_checkpoint, save_checkpoint
 from evoadapt.ppo import PpoConfig, train
@@ -186,7 +186,7 @@ def test_mutation_pairs_reach_every_ordered_pair():
 def test_de_generation_spends_np_evaluations_and_keeps_the_best(entry, np_, F, CR, seed):
     fn, calls = counted(get_function(*entry))
     rng = [np.random.default_rng(seed)]
-    pop = init_population(fn, draw_population(fn, np_, rng))
+    pop = init_population(fn, np_, rng)
     draws = draw_generations(rng, 5, np_, fn.dimension)
     best = pop.best_fitness[0]
     for generation in range(1, 6):
