@@ -13,7 +13,7 @@ check:
 	python3 perfbench/selftest.py
 
 # The number of settable values: config keys, CLI flags and defaulted
-# parameters (see scripts/count_settings.py).
+# parameters, then the line count of src/evoadapt/*.py (see scripts/count_settings.py).
 settings:
 	python3 scripts/count_settings.py
 

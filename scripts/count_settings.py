@@ -2,7 +2,8 @@
 
     python3 scripts/count_settings.py
 
-Prints three counts and their sum:
+Prints three counts and their sum, then the number of lines of
+`src/evoadapt/*.py`, the size figure ROADMAP tracks. The counts are:
 - config keys: the fields of `ExperimentConfig` that are not sections, plus
   the fields of each section dataclass (`observation`, `ppo`, `training`);
 - CLI flags: the option strings of each subcommand of `cli.build_parser()`,
@@ -48,9 +49,13 @@ def cli_flags() -> int:
                if not isinstance(action, argparse._HelpAction))
 
 
+def sources() -> list[str]:
+    return sorted(glob.glob(os.path.join(SRC, "evoadapt", "*.py")))
+
+
 def defaulted_parameters() -> int:
     count = 0
-    for path in sorted(glob.glob(os.path.join(SRC, "evoadapt", "*.py"))):
+    for path in sources():
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
         for node in ast.walk(tree):
@@ -67,6 +72,11 @@ def main() -> int:
     for name, value in counts.items():
         print(f"{name:<21} {value:>3}")
     print(f"{'total':<21} {sum(counts.values()):>3}")
+    lines = 0
+    for path in sources():
+        with open(path) as fh:
+            lines += fh.read().count("\n")
+    print(f"{'source lines':<21} {lines:>3}")
     return 0
 
 

@@ -92,6 +92,8 @@ def run_training(cfg: ExperimentConfig, out_dir: str) -> str:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must not be negative, got {args.seed}")
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out = args.out
@@ -134,6 +136,8 @@ def _check_protocol_args(args) -> None:
     for flag, value in (("--runs", args.runs), ("--jobs", args.jobs)):
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must not be negative, got {args.seed}")
 
 
 def cmd_evaluate(args) -> int:

@@ -61,6 +61,8 @@ class ExperimentConfig:
         if steers != self.algorithm:
             raise ConfigError(f"action space {self.action!r} steers {steers}, "
                               f"not {self.algorithm}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.training.mode not in ("single", "multi"):
             raise ConfigError(f"unknown training.mode {self.training.mode!r}")
         if self.training.episodes <= 0:
@@ -75,8 +77,17 @@ class ExperimentConfig:
         self.function_set()  # resolves against the registry
 
 
-# The JSON values a field of each annotated type accepts.
+# The JSON values a field of each annotated type accepts; a "X | None" field
+# takes null or an X, and a "tuple" field (`ppo.hidden`) a list of ints.
 JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _fits(annotation: str, value) -> bool:
+    if annotation.endswith(" | None"):
+        return value is None or _fits(annotation.removesuffix(" | None"), value)
+    if annotation == "tuple":
+        return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+    return type(value) in JSON_TYPES.get(annotation, (type(value),))
 
 
 def _build(cls, data: dict, label: str):
@@ -86,9 +97,10 @@ def _build(cls, data: dict, label: str):
         raise ConfigError(f"unknown keys in {label}: {sorted(unknown)}")
     try:
         for key, value in data.items():
-            allowed = JSON_TYPES.get(fields[key].type)
-            if allowed and type(value) not in allowed:
-                raise TypeError(f"{key} must be of type {fields[key].type}, got {value!r}")
+            annotation = fields[key].type
+            if not _fits(annotation, value):
+                kind = "list of int" if annotation == "tuple" else annotation
+                raise TypeError(f"{key} must be of type {kind}, got {value!r}")
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {label} section: {exc}") from exc

@@ -2,7 +2,7 @@
 
 One actor, generalized advantage estimation, and minibatch SGD (or Adam) with
 analytically derived gradients over the numpy policy and value nets. The two
-nets share no parameter, so they are two learners: after each rollout a forked
+nets share no parameter, so they are two `Learner`s: after each rollout a forked
 child process runs the value net's epochs while this process runs the policy
 net's (`forked.split_map`), and the child hands back the value net's weights
 and optimizer state.
@@ -112,53 +112,15 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     return (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
 
-class ActorCritic:
-    """Policy and value nets whose parameters are views into one vector.
-
-    `theta` holds the policy's layers (weights, then bias, layer by layer),
-    its log_std, then the value net's layers. `grad` has the same layout, with
-    `grad_policy`/`grad_value` nets of views into it. `theta_slices` and
-    `grad_slices` are the (policy, value) parts of each.
-    """
-
-    def __init__(self, policy: PolicyNet, value: Mlp):
-        self.policy, self.value = policy, value
-        self.grad_policy = PolicyNet(policy.in_dim, policy.action_dim,
-                                     hidden=policy.mlp.sizes[1:-1])
-        self.grad_value = Mlp(value.sizes)
-        self.theta = _bind(policy, value)
-        self.grad = _bind(self.grad_policy, self.grad_value)
-        split = sum(p.size for p in policy.params())
-        self.theta_slices = (self.theta[:split], self.theta[split:])
-        self.grad_slices = (self.grad[:split], self.grad[split:])
-
-
-def _bind(policy: PolicyNet, value: Mlp) -> np.ndarray:
-    """Copy the nets' parameters into one vector in `ActorCritic`'s layout
-    and make every parameter attribute a view into it."""
-    def layers(net):
-        return [(a, i) for i in range(len(net.weights)) for a in (net.weights, net.biases)]
-
-    slots = layers(policy.mlp) + [(vars(policy), "log_std")] + layers(value)
-    arrays = [np.asarray(owner[key], dtype=float) for owner, key in slots]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    end = 0
-    for (owner, key), a in zip(slots, arrays):
-        owner[key] = flat[end:end + a.size].reshape(a.shape)
-        end += a.size
-    return flat
-
-
-def ppo_loss(obs, raw_actions, old_log_probs, advantages, net: ActorCritic,
-             cfg: PpoConfig) -> dict:
+def ppo_loss(obs, raw_actions, old_log_probs, advantages, learner: Learner) -> dict:
     """The policy learner's minibatch loss, -(clipped surrogate), and its
     statistics; writes the analytic gradient of the loss into
-    `net.grad_policy`. The entropy is only reported."""
-    p = net.policy.mlp
+    `learner.grad_net`. The entropy is only reported."""
+    p, clip = learner.net.mlp, learner.cfg.clip
     B = len(obs)
     mean, ins_p = p.forward_cache(obs)
 
-    log_std = net.policy.log_std
+    log_std = learner.net.log_std
     std = np.exp(log_std)
     diff = raw_actions - mean
     z2 = (diff / std) ** 2
@@ -166,7 +128,7 @@ def ppo_loss(obs, raw_actions, old_log_probs, advantages, net: ActorCritic,
 
     ratio = np.exp(logp - old_log_probs)
     surr1 = ratio * advantages
-    surr2 = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * advantages
+    surr2 = np.clip(ratio, 1.0 - clip, 1.0 + clip) * advantages
     policy_loss = -float(np.add.reduce(np.minimum(surr1, surr2))) / B
 
     entropy = float(np.add.reduce(log_std + 0.5 * (LOG_2PI + 1.0)))
@@ -174,21 +136,22 @@ def ppo_loss(obs, raw_actions, old_log_probs, advantages, net: ActorCritic,
     # gradient flows through the unclipped branch only where it is the minimum
     active = surr1 <= surr2
     d_logp = -(active * surr1) / B
-    np.add.reduce(d_logp[:, None] * (z2 - 1.0), axis=0, out=net.grad_policy.log_std)
-    p.backward(ins_p, d_logp[:, None] * (diff / std ** 2), net.grad_policy.mlp)
+    np.add.reduce(d_logp[:, None] * (z2 - 1.0), axis=0, out=learner.grad_net.log_std)
+    p.backward(ins_p, d_logp[:, None] * (diff / std ** 2), learner.grad_net.mlp)
 
     return {"policy_loss": policy_loss, "entropy": entropy,
             "clip_fraction": 1.0 - np.count_nonzero(active) / B}
 
 
-def value_loss(obs, returns, net: ActorCritic, cfg: PpoConfig) -> float:
+def value_loss(obs, returns, learner: Learner) -> float:
     """The value learner's minibatch loss term, the mean squared error of the
-    returns; writes the gradient of c_v times it into `net.grad_value`. The
+    returns; writes the gradient of c_v times it into `learner.grad_net`. The
     PPO loss is `ppo_loss`'s policy loss plus c_v times this term."""
     B = len(obs)
-    v_out, ins_v = net.value.forward_cache(obs)
+    v_out, ins_v = learner.net.forward_cache(obs)
     v_err = v_out[:, 0] - returns
-    net.value.backward(ins_v, (cfg.value_coef * 2.0 * v_err / B)[:, None], net.grad_value)
+    c_v = learner.cfg.value_coef
+    learner.net.backward(ins_v, (c_v * 2.0 * v_err / B)[:, None], learner.grad_net)
     return float(np.add.reduce(v_err ** 2)) / B
 
 
@@ -230,27 +193,56 @@ def clip_gradients(grad: np.ndarray, max_norm: float) -> None:
 # ---------------------------------------------------------------------------
 # The two learners
 
-def _run_epochs(term, grad: np.ndarray, optimizer, rng: np.random.Generator, T: int,
-                cfg: PpoConfig):
-    """One learner's `cfg.epochs` passes over a T-step rollout: per minibatch
-    of `rng.permutation(T)`, `term(rows)` (its loss term, which writes
-    `grad`), then the clip and the optimizer step. Returns every minibatch's
-    term, an `(epochs, minibatches)` array that is NaN past the first
-    non-finite one, and the first epoch after which the weights are not
-    finite (None if none); the learner stops at either."""
-    starts = range(0, T, cfg.minibatch)
-    terms = np.full((cfg.epochs, len(starts)), np.nan)
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(T)
-        for k, start in enumerate(starts):
-            terms[epoch, k] = term(perm[start:start + cfg.minibatch])
-            if not math.isfinite(terms[epoch, k]):
-                return terms, None
-            clip_gradients(grad, cfg.grad_clip)
-            optimizer.step(grad)
-        if not np.isfinite(optimizer.theta).all():
-            return terms, epoch
-    return terms, None
+class Learner:
+    """One net's learner over flat parameters. `theta` holds the net's
+    layers (weights, then bias, layer by layer), then a `PolicyNet`'s
+    log_std, and every parameter array of `net` is a view into it; `grad`
+    has the same layout, with `grad_net`'s arrays (a zeroed twin of `net`)
+    as views into it. `optimizer` steps `theta`."""
+
+    def __init__(self, net, grad_net, cfg: PpoConfig):
+        self.net, self.grad_net, self.cfg = net, grad_net, cfg
+        self.theta, self.grad = _bind(net), _bind(grad_net)
+        make_optimizer = {"sgd": Sgd, "adam": Adam}[cfg.optimizer]
+        self.optimizer = make_optimizer(self.theta, cfg.learning_rate)
+
+    def run_epochs(self, term, rng: np.random.Generator, T: int):
+        """`cfg.epochs` passes over a T-step rollout: per minibatch of
+        `rng.permutation(T)`, `term(rows)` (the loss term, which writes
+        `grad`), then the clip and the optimizer step. Returns every
+        minibatch's term, an `(epochs, minibatches)` array that is NaN past
+        the first non-finite one, and the first epoch after which the weights
+        are not finite (None if none); the learner stops at either."""
+        cfg = self.cfg
+        starts = range(0, T, cfg.minibatch)
+        terms = np.full((cfg.epochs, len(starts)), np.nan)
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(T)
+            for k, start in enumerate(starts):
+                terms[epoch, k] = term(perm[start:start + cfg.minibatch])
+                if not math.isfinite(terms[epoch, k]):
+                    return terms, None
+                clip_gradients(self.grad, cfg.grad_clip)
+                self.optimizer.step(self.grad)
+            if not np.isfinite(self.theta).all():
+                return terms, epoch
+        return terms, None
+
+
+def _bind(net) -> np.ndarray:
+    """Copy a net's parameters into one vector in `Learner`'s layout and make
+    every parameter attribute a view into it."""
+    mlp = net.mlp if isinstance(net, PolicyNet) else net
+    slots = [(a, i) for i in range(len(mlp.weights)) for a in (mlp.weights, mlp.biases)]
+    if mlp is not net:
+        slots.append((vars(net), "log_std"))
+    arrays = [np.asarray(owner[key], dtype=float) for owner, key in slots]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    end = 0
+    for (owner, key), a in zip(slots, arrays):
+        owner[key] = flat[end:end + a.size].reshape(a.shape)
+        end += a.size
+    return flat
 
 
 def _first_failure(policy_terms, value_terms, bad_epochs, value_coef: float):
@@ -279,10 +271,8 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
     policy = PolicyNet(in_dim, a_dim, config.hidden, config.activation, rng)
     value = Mlp([in_dim, *config.hidden, 1], activation=config.activation, rng=rng,
                 last_layer_scale=1.0)
-    net = ActorCritic(policy, value)
-    make_optimizer = {"sgd": Sgd, "adam": Adam}[config.optimizer]
-    policy_opt, value_opt = (make_optimizer(theta, config.learning_rate)
-                             for theta in net.theta_slices)
+    policy_learner = Learner(policy, PolicyNet(in_dim, a_dim, config.hidden), config)
+    value_learner = Learner(value, Mlp(value.sizes), config)
 
     T = config.horizon
     steps_per_episode = env.steps_per_episode
@@ -302,20 +292,17 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
     def policy_term(rows):
         mb = packed[rows]
         stats.update(ppo_loss(mb[:, :in_dim], mb[:, in_dim:in_dim + a_dim],
-                              *mb[:, in_dim + a_dim:-1].T, net, config))
+                              *mb[:, in_dim + a_dim:-1].T, policy_learner))
         return stats["policy_loss"]
 
     def value_term(rows):
         mb = packed[rows]
-        return value_loss(mb[:, :in_dim], mb[:, -1], net, config)
+        return value_loss(mb[:, :in_dim], mb[:, -1], value_learner)
 
-    def policy_learner():
-        return _run_epochs(policy_term, net.grad_slices[0], policy_opt, rng, T, config)
-
-    def value_learner():
-        terms, bad_epoch = _run_epochs(value_term, net.grad_slices[1], value_opt, rng, T,
-                                       config)
-        return terms, bad_epoch, vars(value_opt)  # theta, and Adam's m, v and t
+    def learn(task):
+        learner, term = task
+        terms, bad_epoch = learner.run_epochs(term, rng, T)
+        return terms, bad_epoch, vars(learner.optimizer)  # theta, and Adam's m, v and t
 
     while (episodes_budget - episodes_done) * steps_per_episode >= T:
         # one standard_normal block holds the bytes of T per-step draws
@@ -335,10 +322,10 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
         adv_buf[:] = normalize_advantages(advantages)
 
         # both learners draw the same permutations, each from its own copy of rng
-        (policy_terms, policy_bad), (value_terms, value_bad, value_state) = split_map(
-            lambda learner: learner(), [policy_learner, value_learner])
-        value_opt.theta[:] = value_state.pop("theta")
-        vars(value_opt).update(value_state)
+        (policy_terms, policy_bad, _), (value_terms, value_bad, value_state) = split_map(
+            learn, [(policy_learner, policy_term), (value_learner, value_term)])
+        value_learner.theta[:] = value_state.pop("theta")
+        vars(value_learner.optimizer).update(value_state)
         failure = _first_failure(policy_terms, value_terms, (policy_bad, value_bad),
                                  config.value_coef)
         if failure is not None:

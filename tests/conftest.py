@@ -7,6 +7,7 @@ import pytest
 
 from evoadapt import ppo
 from evoadapt.observe import RunTrace
+from evoadapt.policy import Mlp, PolicyNet
 
 
 def random_trace(rng: np.random.Generator, length: int, dim: int = 3,
@@ -54,6 +55,13 @@ class SerialRollout:
 
     def rollout(self, policy, value, obs, noise, buf):
         return serial_rollout(self, policy, value, obs, noise, buf)
+
+
+def learners(policy: PolicyNet, value: Mlp, cfg) -> tuple:
+    """The policy net's and the value net's `ppo.Learner`, each with a zeroed
+    twin of its net for the gradient, as `ppo.train` builds them."""
+    twin = PolicyNet(policy.in_dim, policy.action_dim, hidden=policy.mlp.sizes[1:-1])
+    return ppo.Learner(policy, twin, cfg), ppo.Learner(value, Mlp(value.sizes), cfg)
 
 
 @pytest.fixture

@@ -20,10 +20,10 @@ from evoadapt.envloop import (CsaController, EvolutionEnv,
 from evoadapt.observe import (ObservationSpec, inter_delta_f, intra_delta_f,
                               intra_delta_x)
 from evoadapt.policy import Mlp, PolicyNet, action_spec, gaussian_log_prob
-from evoadapt.ppo import ActorCritic, PpoConfig, ppo_loss, train, value_loss
+from evoadapt.ppo import PpoConfig, ppo_loss, train, value_loss
 from evoadapt.stats import auc, win_probability
 
-from conftest import SerialRollout, random_trace
+from conftest import SerialRollout, learners, random_trace
 
 
 def test_criterion_1_metric_oracles():
@@ -82,26 +82,27 @@ def test_criterion_3_gradient_correctness():
         old = gaussian_log_prob(act, mean, policy.log_std) + rng.standard_normal(B) * 0.1
         adv = rng.standard_normal(B)
         ret = rng.standard_normal(B)
-        net = ActorCritic(policy, value)
+        policy_learner, value_learner = learners(policy, value, cfg)
 
-        def loss():  # the PPO loss; each learner's call writes its slice of net.grad
-            return (ppo_loss(obs, act, old, adv, net, cfg)["policy_loss"]
-                    + cfg.value_coef * value_loss(obs, ret, net, cfg))
+        def loss():  # the PPO loss; each learner's call writes its learner's grad
+            return (ppo_loss(obs, act, old, adv, policy_learner)["policy_loss"]
+                    + cfg.value_coef * value_loss(obs, ret, value_learner))
 
         loss()
-        g = net.grad.copy()
-        p = net.theta
         h = 1e-6
-        for ix in range(p.size):
-            orig = p[ix]
-            p[ix] = orig + h
-            up = loss()
-            p[ix] = orig - h
-            dn = loss()
-            p[ix] = orig
-            fd = (up - dn) / (2 * h)
-            if abs(fd - g[ix]) > 1e-4 * max(abs(fd), abs(g[ix]), 1e-6):
-                failures += 1
+        for learner in (policy_learner, value_learner):  # every parameter of both nets
+            g = learner.grad.copy()
+            p = learner.theta
+            for ix in range(p.size):
+                orig = p[ix]
+                p[ix] = orig + h
+                up = loss()
+                p[ix] = orig - h
+                dn = loss()
+                p[ix] = orig
+                fd = (up - dn) / (2 * h)
+                if abs(fd - g[ix]) > 1e-4 * max(abs(fd), abs(g[ix]), 1e-6):
+                    failures += 1
     assert failures == 0
     print("ACCEPTANCE 3 (gradient correctness): PASS")
 

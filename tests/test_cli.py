@@ -195,6 +195,24 @@ class TestTrain:
      "gae_lambda must be in [0, 1], got -1.0"),
     ("train", {"ppo": {"horizon": 196, "minibatch": 196, "value_coef": -0.5}}, [],
      "value_coef must not be negative, got -0.5"),
+    ("train", {"training": {"mode": "single", "function": 5, "dimension": 10}}, [],
+     "function must be of type str | None, got 5"),
+    ("train", {"training": {"mode": "single", "function": "Sphere", "dimension": 10.5}}, [],
+     "dimension must be of type int | None, got 10.5"),
+    ("train", {"training": {"mode": "single", "function": "Sphere", "dimension": True}}, [],
+     "dimension must be of type int | None, got True"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "hidden": [50.5]}}, [],
+     "hidden must be of type list of int, got [50.5]"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "hidden": [True]}}, [],
+     "hidden must be of type list of int, got [True]"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "hidden": 50}}, [],
+     "hidden must be of type list of int, got 50"),
+    ("train", {"seed": -1}, [], "seed must not be negative, got -1"),
+    ("train", {}, ["--seed", "-1"], "--seed must not be negative, got -1"),
+    ("evaluate", {}, ["--adaptation", "fixed", "--seed", "-1"],
+     "--seed must not be negative, got -1"),
+    ("compare", {}, ["--checkpoint", "{tmp}/absent.json", "--seed", "-1"],
+     "--seed must not be negative, got -1"),
 ], ids=["unknown-action", "unknown-training-function", "unknown-optimizer",
         "missing-checkpoint", "no-runs", "compare-negative-runs", "no-jobs", "minibatch-zero",
         "minibatch-negative", "horizon-zero", "epochs-zero", "budget-fills-no-horizon",
@@ -203,12 +221,15 @@ class TestTrain:
         "episodes-not-int", "retries-negative", "clip-not-float", "compare-function-twice",
         "grad-clip-zero", "grad-clip-negative", "clip-negative", "gamma-above-one",
         "gamma-negative", "gae-lambda-above-one", "gae-lambda-negative",
-        "value-coef-negative"])
+        "value-coef-negative", "function-not-str", "dimension-not-int", "dimension-bool",
+        "hidden-float-width", "hidden-bool-width", "hidden-not-list", "seed-negative",
+        "train-seed-flag-negative", "evaluate-seed-flag-negative",
+        "compare-seed-flag-negative"])
 def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides, flags,
                                                  cause):
     cfg_path, _ = base_config(tmp_path, **overrides)
     if command == "train":
-        argv = ["train", "--config", str(cfg_path)]
+        argv = ["train", "--config", str(cfg_path)] + flags
     else:
         argv = [command] + [f.format(tmp=tmp_path) for f in flags] + [
             "--out", str(tmp_path / "x")]

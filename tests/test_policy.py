@@ -8,7 +8,7 @@ from evoadapt.observe import ObservationSpec
 from evoadapt.policy import (Mlp, PolicyNet, action_spec, decode_de_params,
                              decode_sigma, draw_decode_noise, gaussian_log_prob,
                              load_checkpoint, save_checkpoint)
-from evoadapt.ppo import ActorCritic, PpoConfig, value_loss
+from evoadapt.ppo import Learner, PpoConfig, value_loss
 
 
 class TestActionSpec:
@@ -67,11 +67,11 @@ class TestForward:
         rng = np.random.default_rng(0)
         net = Mlp([3, 4, 1], activation=activation, rng=rng, last_layer_scale=1.0)
         x = rng.standard_normal((1, 3)) + 0.1
-        pair = ActorCritic(PolicyNet(3, 2, hidden=(4,), activation=activation), net)
         cfg = PpoConfig(horizon=1, minibatch=1, value_coef=0.5)
+        learner = Learner(net, Mlp(net.sizes), cfg)
         ret = net.forward(x[0]) - 1.0
-        value_loss(x, ret, pair, cfg)
-        grads = pair.grad_value.params()
+        value_loss(x, ret, learner)
+        grads = learner.grad_net.params()
         params = net.weights + net.biases
         h = 1e-6
         for p, g in zip(params, grads):

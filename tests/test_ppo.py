@@ -7,11 +7,11 @@ import pytest
 from evoadapt import ppo
 from evoadapt.forked import ChildDied
 from evoadapt.policy import Mlp, PolicyNet, gaussian_log_prob
-from evoadapt.ppo import (ActorCritic, Adam, PpoConfig, Sgd, TrainingInstability,
+from evoadapt.ppo import (Adam, Learner, PpoConfig, Sgd, TrainingInstability,
                           clip_gradients, compute_gae,
                           normalize_advantages, ppo_loss, train, value_loss)
 
-from conftest import SerialRollout, assert_no_child_left
+from conftest import SerialRollout, assert_no_child_left, learners
 
 
 class BanditEnv(SerialRollout):
@@ -113,7 +113,7 @@ class TestPpoLoss:
         act = mean + 0.3
         old = gaussian_log_prob(act, mean, policy.log_std)  # ratio == 1 exactly
         adv = np.array([1.0, -2.0, 0.5, 3.0])
-        stats = ppo_loss(obs, act, old, adv, ActorCritic(policy, value), cfg)
+        stats = ppo_loss(obs, act, old, adv, learners(policy, value, cfg)[0])
         assert np.isclose(stats["policy_loss"], -adv.mean())
 
     def test_clip_binds_for_large_ratio(self, rng):
@@ -126,7 +126,7 @@ class TestPpoLoss:
         # old log-prob chosen so the ratio is exactly 2
         old = gaussian_log_prob(act, mean, policy.log_std) - np.log(2.0)
         adv = np.array([1.7])
-        stats = ppo_loss(obs, act, old, adv, ActorCritic(policy, value), cfg)
+        stats = ppo_loss(obs, act, old, adv, learners(policy, value, cfg)[0])
         assert np.isclose(stats["policy_loss"], -1.3 * 1.7)
 
     def test_surrogate_never_exceeds_clip_envelope(self):
@@ -142,25 +142,26 @@ class TestPpoLoss:
     @pytest.mark.parametrize("seed", range(10))
     def test_gradients_match_finite_differences(self, seed):
         obs, act, old, adv, ret, policy, value, cfg = toy_setup(seed)
-        net = ActorCritic(policy, value)
+        policy_learner, value_learner = learners(policy, value, cfg)
 
-        def loss():  # the PPO loss; each learner's call writes its slice of net.grad
-            return (ppo_loss(obs, act, old, adv, net, cfg)["policy_loss"]
-                    + cfg.value_coef * value_loss(obs, ret, net, cfg))
+        def loss():  # the PPO loss; each learner's call writes its learner's grad
+            return (ppo_loss(obs, act, old, adv, policy_learner)["policy_loss"]
+                    + cfg.value_coef * value_loss(obs, ret, value_learner))
 
         loss()
-        grad = net.grad.copy()
-        p = net.theta
         h = 1e-6
-        for ix in range(p.size):
-            orig = p[ix]
-            p[ix] = orig + h
-            up = loss()
-            p[ix] = orig - h
-            dn = loss()
-            p[ix] = orig
-            fd = (up - dn) / (2 * h)
-            assert abs(fd - grad[ix]) <= 1e-4 * max(abs(fd), abs(grad[ix]), 1e-6)
+        for learner in (policy_learner, value_learner):  # every parameter of both nets
+            grad = learner.grad.copy()
+            p = learner.theta
+            for ix in range(p.size):
+                orig = p[ix]
+                p[ix] = orig + h
+                up = loss()
+                p[ix] = orig - h
+                dn = loss()
+                p[ix] = orig
+                fd = (up - dn) / (2 * h)
+                assert abs(fd - grad[ix]) <= 1e-4 * max(abs(fd), abs(grad[ix]), 1e-6)
 
 
 class TestConfig:
@@ -254,6 +255,57 @@ def test_adam_moves_toward_minimum():
     for _ in range(200):
         opt.step(2.0 * p)  # gradient of p^2
     assert abs(p[0]) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# One learner's flat vectors
+
+def layout(net):
+    """A net's parameter arrays in `Learner`'s order: layer by layer, weights
+    then bias, then a `PolicyNet`'s log_std."""
+    if isinstance(net, PolicyNet):
+        return layout(net.mlp) + [net.log_std]
+    return [a for w, b in zip(net.weights, net.biases) for a in (w, b)]
+
+
+def assert_views_in_order(arrays, flat):
+    address = flat.__array_interface__["data"][0]
+    offset = 0
+    for a in arrays:
+        assert np.shares_memory(a, flat)
+        assert a.__array_interface__["data"][0] == address + offset * flat.itemsize
+        assert np.array_equal(a.ravel(), flat[offset:offset + a.size])
+        offset += a.size
+    assert offset == flat.size
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("kind", ["policy", "value"])
+def test_a_learner_binds_its_net_and_twin_as_views_in_layout_order(kind, optimizer):
+    rng = np.random.default_rng(0)
+    if kind == "policy":
+        net, twin = PolicyNet(5, 2, hidden=(4, 3), rng=rng), PolicyNet(5, 2, hidden=(4, 3))
+        net.log_std = rng.standard_normal(2)
+    else:
+        net, twin = Mlp([5, 4, 3, 1], rng=rng, last_layer_scale=1.0), Mlp([5, 4, 3, 1])
+    before = [a.copy() for a in layout(net)]
+    learner = Learner(net, twin, PpoConfig(optimizer=optimizer))
+    assert learner.optimizer.theta is learner.theta
+    assert_views_in_order(layout(net), learner.theta)
+    assert_views_in_order(layout(twin), learner.grad)
+    assert all(np.array_equal(a, b) for a, b in zip(layout(net), before))
+    assert not learner.grad.any()
+
+    x = rng.standard_normal((3, 5))
+
+    def output():
+        return np.concatenate([np.ravel(o) for o in net.forward(x)])
+
+    out = output()
+    learner.grad[:] = 1.0
+    learner.optimizer.step(learner.grad)
+    assert not np.array_equal(output(), out)
+    assert_views_in_order(layout(net), learner.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +469,15 @@ def test_flat_and_per_array_gradient_norms_agree():
     rng = np.random.default_rng(3)
     policy = PolicyNet(44, 4, rng=rng)
     value = Mlp([44, 50, 50, 1], rng=rng, last_layer_scale=1.0)
-    net = ActorCritic(policy, value)
+    policy_learner, value_learner = learners(policy, value, PpoConfig())
     obs, act = rng.standard_normal((128, 44)), rng.standard_normal((128, 4))
-    ppo_loss(obs, act, rng.standard_normal(128) - 5.0, rng.standard_normal(128), net,
-             PpoConfig())
-    value_loss(obs, rng.standard_normal(128), net, PpoConfig())
-    parts = (net.grad_policy.params(), net.grad_value.params())
-    for grad, arrays in zip(net.grad_slices, parts):
-        per_array = math.sqrt(sum(float(np.sum(g ** 2)) for g in arrays))
-        np.testing.assert_allclose(math.sqrt(float(grad @ grad)), per_array, rtol=1e-15)
+    ppo_loss(obs, act, rng.standard_normal(128) - 5.0, rng.standard_normal(128),
+             policy_learner)
+    value_loss(obs, rng.standard_normal(128), value_learner)
+    for learner in (policy_learner, value_learner):
+        per_array = math.sqrt(sum(float(np.sum(g ** 2)) for g in learner.grad_net.params()))
+        np.testing.assert_allclose(math.sqrt(float(learner.grad @ learner.grad)), per_array,
+                                   rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +485,14 @@ def test_flat_and_per_array_gradient_norms_agree():
 
 def serial_train(env, cfg, episodes_budget, rng, on_iteration=None):
     """`train` with the update as one loop over both nets: per minibatch
-    both loss terms and the check of their sum, each slice's clip, one
-    optimizer step over the whole vector, and the weights check after each
-    epoch. Returns (net, optimizer, log_rows)."""
+    both loss terms and the check of their sum, then each learner's clip and
+    optimizer step, and the check of both nets' weights after each epoch.
+    Returns (policy_learner, value_learner, log_rows)."""
     in_dim, a_dim, T = env.observation_dim, env.action_dim, cfg.horizon
     policy = PolicyNet(in_dim, a_dim, cfg.hidden, cfg.activation, rng)
     value = Mlp([in_dim, *cfg.hidden, 1], activation=cfg.activation, rng=rng,
                 last_layer_scale=1.0)
-    net = ActorCritic(policy, value)
-    optimizer = {"sgd": Sgd, "adam": Adam}[cfg.optimizer](net.theta, cfg.learning_rate)
+    policy_learner, value_learner = both = learners(policy, value, cfg)
     packed = np.empty((T, in_dim + a_dim + 3))
     obs_buf, act_buf = packed[:, :in_dim], packed[:, in_dim:in_dim + a_dim]
     logp_buf, adv_buf, ret_buf = packed[:, in_dim + a_dim:].T
@@ -477,15 +528,15 @@ def serial_train(env, cfg, episodes_budget, rng, on_iteration=None):
                 mb = packed[perm[start:start + cfg.minibatch]]
                 obs_mb = mb[:, :in_dim]
                 stats = ppo_loss(obs_mb, mb[:, in_dim:in_dim + a_dim],
-                                 *mb[:, in_dim + a_dim:-1].T, net, cfg)
-                v_loss = value_loss(obs_mb, mb[:, -1], net, cfg)
+                                 *mb[:, in_dim + a_dim:-1].T, policy_learner)
+                v_loss = value_loss(obs_mb, mb[:, -1], value_learner)
                 if not math.isfinite(stats["policy_loss"] + cfg.value_coef * v_loss):
                     raise TrainingInstability(f"non-finite loss at iteration {iteration}",
                                               log_rows)
-                for grad in net.grad_slices:
-                    ppo.clip_gradients(grad, cfg.grad_clip)
-                optimizer.step(net.grad)
-            if not np.isfinite(net.theta).all():
+                for learner in both:
+                    ppo.clip_gradients(learner.grad, cfg.grad_clip)
+                    learner.optimizer.step(learner.grad)
+            if not all(np.isfinite(learner.theta).all() for learner in both):
                 raise TrainingInstability(f"non-finite weights at iteration {iteration}",
                                           log_rows)
         row = {"iteration": iteration, "episodes_done": episodes_done,
@@ -496,7 +547,7 @@ def serial_train(env, cfg, episodes_budget, rng, on_iteration=None):
         if on_iteration is not None:
             on_iteration(iteration, policy, value, row)
         iteration += 1
-    return net, optimizer, log_rows
+    return policy_learner, value_learner, log_rows
 
 
 # 160-step horizon: minibatches of 128 and 32 rows; 8 episodes of 49 steps fill it twice
@@ -529,24 +580,26 @@ def test_forked_learners_equal_the_serial_update_bit_for_bit(optimizer, activati
     cfg = two_iteration_config(optimizer=optimizer, activation=activation)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     policy, value, log = train(RandomObsEnv(), cfg, TWO_ITERATIONS, rng)
-    ref, ref_opt, ref_log = serial_train(RandomObsEnv(), cfg, TWO_ITERATIONS, ref_rng)
+    assert len(made_optimizers) == 2  # the policy learner's, then the value learner's
+    *ref_learners, ref_log = serial_train(RandomObsEnv(), cfg, TWO_ITERATIONS, ref_rng)
     assert_no_child_left()
 
     assert len(log) == 2 and log == ref_log
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    for a, b in zip(policy.params() + value.params(), ref.policy.params() + ref.value.params()):
+    ref_params = [p for learner in ref_learners for p in learner.net.params()]
+    for a, b in zip(policy.params() + value.params(), ref_params):
         assert a.tobytes() == b.tobytes()
-    assert len(made_optimizers) == 2
-    assert all(isinstance(o, type(ref_opt)) for o in made_optimizers)
-    state = [np.concatenate([o.theta for o in made_optimizers])]
-    ref_state = [ref_opt.theta]
-    if optimizer == "adam":
-        state += [np.concatenate([o.m for o in made_optimizers]),
-                  np.concatenate([o.v for o in made_optimizers])]
-        ref_state += [ref_opt.m, ref_opt.v]
-        assert [o.t for o in made_optimizers] == [ref_opt.t] * 2 == [2 * 3 * 2] * 2
-    for a, b in zip(state, ref_state):
-        assert a.tobytes() == b.tobytes()
+    assert made_optimizers[2:] == [learner.optimizer for learner in ref_learners]
+    for opt, ref_opt in zip(made_optimizers, made_optimizers[2:]):  # each learner's
+        assert type(opt) is type(ref_opt)
+        assert isinstance(opt, {"sgd": Sgd, "adam": Adam}[optimizer])
+        state, ref_state = [opt.theta], [ref_opt.theta]
+        if optimizer == "adam":
+            state += [opt.m, opt.v]
+            ref_state += [ref_opt.m, ref_opt.v]
+            assert opt.t == ref_opt.t == 2 * 3 * 2
+        for a, b in zip(state, ref_state):
+            assert a.tobytes() == b.tobytes()
 
 
 class Poison:
