@@ -7,6 +7,7 @@ outputs so results stay attributable to the settings that produced them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .artifacts import replace_atomically
@@ -78,7 +79,8 @@ class ExperimentConfig:
 
 
 # The JSON values a field of each annotated type accepts; a "X | None" field
-# takes null or an X, and a "tuple" field (`ppo.hidden`) a list of ints.
+# takes null or an X, a "float" field a finite number (JSON's NaN and Infinity
+# parse to floats), and a "tuple" field (`ppo.hidden`) a list of ints.
 JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
@@ -87,6 +89,8 @@ def _fits(annotation: str, value) -> bool:
         return value is None or _fits(annotation.removesuffix(" | None"), value)
     if annotation == "tuple":
         return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+    if annotation == "float" and type(value) is float and not math.isfinite(value):
+        return False
     return type(value) in JSON_TYPES.get(annotation, (type(value),))
 
 

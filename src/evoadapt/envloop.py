@@ -228,13 +228,8 @@ class PolicyController(Controller):
                                  episode.fn.bounds_width)
 
     def act(self, obs: np.ndarray) -> np.ndarray:
-        """Clipped mean actions `(R, k)` of observation rows `(R, obs)`.
-
-        The forward pass takes the rows as a stack of one-row matrices,
-        `(R, 1, obs)`, so one matmul call runs each run's one-row product: a
-        plain `(R, obs) @ W.T` rounds some rows unlike the one-row product,
-        so actions would depend on R."""
-        return self.spec.clip(self.policy.forward(obs[:, None, :])[0][:, 0])
+        """Clipped mean actions `(R, k)` of observation rows `(R, obs)`."""
+        return self.spec.clip(self.policy.forward(obs))
 
     def propose(self, episode):
         action = self.act(self.observe(episode))
@@ -377,15 +372,13 @@ class EvolutionEnv:
     def _run(self, episode, decoder, obs, rows, policy, value, noise, buf) -> np.ndarray:
         """Step `episode`'s runs from observations `obs` `(R, obs)` through
         `rows` `(steps, R)`, run j's i-th step writing row `rows[i, j]` of
-        `buf`; return the observations after the last step. Each forward
-        pass takes the rows as `(R, 1, obs)`, so every run gets the one-row
-        product (`PolicyController.act`)."""
+        `buf`; return the observations after the last step."""
         std = np.exp(policy.log_std)
         for row in rows:
-            mean = policy.forward(obs[:, None, :])[0][:, 0]
+            mean = policy.forward(obs)
             raw = mean + std * noise[row]
             buf.obs[row], buf.raw[row], buf.mean[row] = obs, raw, mean
-            buf.value[row] = value.forward(obs[:, None, :])[:, 0, 0]
+            buf.value[row] = value.forward(obs)[:, 0]
             obs, buf.reward[row] = self._advance(episode, decoder, self.spec.clip(raw))
             buf.done[row] = episode.done
         return obs

@@ -3,7 +3,8 @@
 The network is a plain fully connected net (default in -> 50 -> 50 -> out)
 with a state-independent log-std head for the Gaussian policy. Forward and
 backward passes are implemented directly on numpy arrays; `ppo.ppo_loss`
-runs each net through one `Mlp.forward_cache` and one `Mlp.backward`.
+runs the policy net and `ppo.value_loss` the value net through one
+`Mlp.forward_cache` and one `Mlp.backward` each.
 """
 
 from __future__ import annotations
@@ -98,9 +99,10 @@ class Mlp:
         return a > 0.0 if self.activation == "relu" else 1.0 - a ** 2
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        single = np.ndim(x) == 1
-        out, _ = self.forward_cache(np.atleast_2d(np.asarray(x, dtype=float)))
-        return out[0] if single else out
+        """The output on one point `(k,)` or on rows `(n, k)`, each row as its
+        own one-row product: a plain `(n, k) @ W.T` rounds some rows unlike
+        one row alone, so an action would depend on its lockstep batch."""
+        return self.forward_cache(np.asarray(x, dtype=float)[..., None, :])[0][..., 0, :]
 
     def forward_cache(self, x: np.ndarray):
         """The output on input rows `x`, and every layer's input for `backward`."""
@@ -146,11 +148,9 @@ class PolicyNet:
     def action_dim(self) -> int:
         return self.mlp.sizes[-1]
 
-    def forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        obs = np.asarray(obs, dtype=float)
-        if obs.shape[-1] != self.in_dim:
-            raise ValueError(f"observation length {obs.shape[-1]} != input size {self.in_dim}")
-        return self.mlp.forward(obs), self.log_std.copy()
+    def forward(self, obs: np.ndarray) -> np.ndarray:
+        """The mean actions of one observation `(obs,)` or of rows `(n, obs)`."""
+        return self.mlp.forward(obs)
 
     def params(self) -> list[np.ndarray]:
         return self.mlp.params() + [self.log_std]

@@ -58,8 +58,9 @@ class PpoConfig:
                              f"got {list(self.hidden)}")
         if self.minibatch > self.horizon:
             raise ValueError("minibatch size must be <= horizon")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         for name in ("clip", "grad_clip"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

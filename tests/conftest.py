@@ -38,8 +38,8 @@ def serial_rollout(env, policy, value, obs, noise, buf):
     """`rollout` as one `reset`/`step` loop over the horizon's steps: the
     reference for `EvolutionEnv.rollout`, and the rollout of the fake envs."""
     for t in range(len(noise)):
-        mean, log_std = policy.forward(obs)
-        raw = mean + np.exp(log_std) * noise[t]
+        mean = policy.forward(obs)
+        raw = mean + np.exp(policy.log_std) * noise[t]
         val = float(value.forward(obs)[0])
         next_obs, r, done = env.step(raw)
         buf.obs[t], buf.raw[t], buf.mean[t] = obs, raw, mean

@@ -126,7 +126,7 @@ def test_criterion_4_ppo_bandit_sanity():
         policy, _value, log = train(BanditEnv(), cfg, episodes_budget=50 * 256,
                                     rng=np.random.default_rng(seed))
         assert len(log) == 50
-        mean = float(policy.forward(np.zeros(1))[0][0])
+        mean = float(policy.forward(np.zeros(1))[0])
         hits += abs(mean - 0.7) < 0.1
     assert hits >= 4
     print("ACCEPTANCE 4 (PPO bandit sanity): PASS")

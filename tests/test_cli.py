@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import shutil
@@ -213,6 +214,14 @@ class TestTrain:
      "--seed must not be negative, got -1"),
     ("compare", {}, ["--checkpoint", "{tmp}/absent.json", "--seed", "-1"],
      "--seed must not be negative, got -1"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "learning_rate": math.nan}}, [],
+     "learning_rate must be of type float, got nan"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "value_coef": math.inf}}, [],
+     "value_coef must be of type float, got inf"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "clip": math.inf}}, [],
+     "clip must be of type float, got inf"),
+    ("train", {"ppo": {"horizon": 196, "minibatch": 196, "grad_clip": math.inf}}, [],
+     "grad_clip must be of type float, got inf"),
 ], ids=["unknown-action", "unknown-training-function", "unknown-optimizer",
         "missing-checkpoint", "no-runs", "compare-negative-runs", "no-jobs", "minibatch-zero",
         "minibatch-negative", "horizon-zero", "epochs-zero", "budget-fills-no-horizon",
@@ -224,7 +233,8 @@ class TestTrain:
         "value-coef-negative", "function-not-str", "dimension-not-int", "dimension-bool",
         "hidden-float-width", "hidden-bool-width", "hidden-not-list", "seed-negative",
         "train-seed-flag-negative", "evaluate-seed-flag-negative",
-        "compare-seed-flag-negative"])
+        "compare-seed-flag-negative", "learning-rate-nan", "value-coef-infinite",
+        "clip-infinite", "grad-clip-infinite"])
 def test_user_input_errors_exit_with_config_code(tmp_path, capsys, command, overrides, flags,
                                                  cause):
     cfg_path, _ = base_config(tmp_path, **overrides)

@@ -177,7 +177,7 @@ class TestEvolutionEnv:
         env = EvolutionEnv([("Rastrigin", 10)], spec, obs_spec, np.random.default_rng(21))
         obs, done, rewards = env.reset(), False, []
         while not done:
-            obs, r, done = env.step(policy.forward(obs)[0])
+            obs, r, done = env.step(policy.forward(obs))
             rewards.append(r)
         trained = env.episode.trace.split_runs()[0]
 

@@ -33,9 +33,8 @@ class TestActionSpec:
 class TestForward:
     def test_zero_network_outputs_zeros(self):
         policy = PolicyNet(5, 3)
-        mean, log_std = policy.forward(np.ones(5))
-        assert np.all(mean == 0.0)
-        assert np.all(log_std == 0.0)
+        assert np.all(policy.forward(np.ones(5)) == 0.0)
+        assert np.all(policy.log_std == 0.0)
 
     def test_tiny_net_hand_computation(self):
         # 1 -> 1 -> 1, relu hidden, linear output: out = w2*relu(w1*x+b1)+b2
@@ -50,8 +49,8 @@ class TestForward:
     def test_deterministic(self, rng):
         policy = PolicyNet(6, 2, rng=rng)
         x = rng.standard_normal(6)
-        a, _ = policy.forward(x)
-        b, _ = policy.forward(x)
+        a = policy.forward(x)
+        b = policy.forward(x)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch_rejected(self, rng):

@@ -109,7 +109,7 @@ class TestPpoLoss:
         value = Mlp([2, 3, 1], rng=rng)
         cfg = PpoConfig(horizon=4, minibatch=4, epochs=1)
         obs = rng.standard_normal((4, 2))
-        mean = policy.mlp.forward(obs)
+        mean = policy.mlp.forward_cache(obs)[0]  # the product ppo_loss takes
         act = mean + 0.3
         old = gaussian_log_prob(act, mean, policy.log_std)  # ratio == 1 exactly
         adv = np.array([1.0, -2.0, 0.5, 3.0])
@@ -121,7 +121,7 @@ class TestPpoLoss:
         value = Mlp([1, 2, 1], rng=rng)
         cfg = PpoConfig(horizon=1, minibatch=1, epochs=1, clip=0.3)
         obs = np.zeros((1, 1))
-        mean = policy.mlp.forward(obs)
+        mean = policy.mlp.forward_cache(obs)[0]
         act = mean + 0.1
         # old log-prob chosen so the ratio is exactly 2
         old = gaussian_log_prob(act, mean, policy.log_std) - np.log(2.0)
@@ -169,9 +169,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PpoConfig(horizon=10, minibatch=20)
 
-    def test_nonpositive_learning_rate_rejected(self):
-        with pytest.raises(ValueError):
-            PpoConfig(learning_rate=0.0)
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, math.nan, math.inf])
+    def test_learning_rate_not_positive_and_finite_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"learning_rate must be positive and finite, "
+                                             f"got {rate}"):
+            PpoConfig(learning_rate=rate)
 
     @pytest.mark.parametrize("sizes", [{"minibatch": 0}, {"minibatch": -5},
                                        {"horizon": 0, "minibatch": 0}, {"epochs": 0},
@@ -211,7 +213,7 @@ class TestTrain:
             policy, _v, log = train(BanditEnv(), bandit_config(), episodes_budget=50 * 256,
                                     rng=np.random.default_rng(seed))
             assert len(log) == 50
-            mean = float(policy.forward(np.zeros(1))[0][0])
+            mean = float(policy.forward(np.zeros(1))[0])
             ok += abs(mean - 0.7) < 0.1
         assert ok >= 4
 
@@ -299,7 +301,7 @@ def test_a_learner_binds_its_net_and_twin_as_views_in_layout_order(kind, optimiz
     x = rng.standard_normal((3, 5))
 
     def output():
-        return np.concatenate([np.ravel(o) for o in net.forward(x)])
+        return np.ravel(net.forward(x))
 
     out = output()
     learner.grad[:] = 1.0
@@ -392,10 +394,10 @@ def reference_iteration(env, cfg, rng, flat_norm=False):
     done_buf = np.zeros(T, dtype=bool)
     obs = env.reset()
     for t in range(T):
-        mean, log_std = policy.forward(obs)
-        raw = mean + np.exp(log_std) * rng.standard_normal(a_dim)
+        mean = policy.forward(obs)
+        raw = mean + np.exp(policy.log_std) * rng.standard_normal(a_dim)
         obs_buf[t], act_buf[t] = obs, raw
-        logp_buf[t] = float(gaussian_log_prob(raw, mean, log_std))
+        logp_buf[t] = float(gaussian_log_prob(raw, mean, policy.log_std))
         val_buf[t] = float(value.forward(obs)[0])
         obs, rew_buf[t], done_buf[t] = env.step(raw)
         if done_buf[t]:
@@ -504,8 +506,8 @@ def serial_train(env, cfg, episodes_budget, rng, on_iteration=None):
     while (episodes_budget - episodes_done) * env.steps_per_episode >= T:
         iter_returns = []
         for t in range(T):
-            mean, log_std = policy.forward(obs)
-            raw = mean + np.exp(log_std) * rng.standard_normal(a_dim)
+            mean = policy.forward(obs)
+            raw = mean + np.exp(policy.log_std) * rng.standard_normal(a_dim)
             val = float(value.forward(obs)[0])
             next_obs, r, done = env.step(raw)
             obs_buf[t], act_buf[t], mean_buf[t] = obs, raw, mean
@@ -517,7 +519,7 @@ def serial_train(env, cfg, episodes_budget, rng, on_iteration=None):
                 ep_return = 0.0
                 next_obs = env.reset()
             obs = next_obs
-        logp_buf[:] = gaussian_log_prob(act_buf, mean_buf, log_std)
+        logp_buf[:] = gaussian_log_prob(act_buf, mean_buf, policy.log_std)
         last_value = 0.0 if done_buf[-1] else float(value.forward(obs)[0])
         advantages, ret_buf[:] = compute_gae(rew_buf, val_buf, done_buf, cfg.gamma,
                                              cfg.gae_lambda, last_value)

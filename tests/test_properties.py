@@ -1,6 +1,6 @@
 """Property tests of the batched and stacked objectives and their optima,
-the DE generation, the CMA-ES covariance, iDE, the rollout's action noise
-and policy checkpoints."""
+the DE generation, the CMA-ES covariance, iDE, the rollout's action noise,
+the nets' forward pass and policy checkpoints."""
 
 import dataclasses
 import math
@@ -21,7 +21,7 @@ from evoadapt.cmaes import cma_generation, init_state
 from evoadapt.de import (de_generation, draw_generations, init_population, pick_pairs,
                          rank_candidates)
 from evoadapt.observe import ObservationSpec
-from evoadapt.policy import action_spec, load_checkpoint, save_checkpoint
+from evoadapt.policy import Mlp, PolicyNet, action_spec, load_checkpoint, save_checkpoint
 from evoadapt.ppo import PpoConfig, train
 
 from conftest import SerialRollout, counted
@@ -274,3 +274,22 @@ def test_checkpoint_round_trips_bit_for_bit(kind, hidden, activation, seed, data
     assert loaded.mlp.sizes == policy.mlp.sizes and loaded.mlp.activation == activation
     for a, b in zip(policy.params(), loaded.params()):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(in_dim=st.integers(1, 60), hidden=st.lists(st.integers(1, 60), min_size=1, max_size=2),
+       action_dim=st.integers(1, 4), activation=st.sampled_from(["relu", "tanh"]),
+       n=st.integers(1, 20), seed=SEEDS)
+def test_forward_gives_each_row_the_bits_of_that_row_alone(in_dim, hidden, action_dim,
+                                                           activation, n, seed):
+    """The rollout and the test protocol act on the rows of a lockstep batch
+    of runs, so a run's policy mean and value must not depend on its batch."""
+    rng = np.random.default_rng(seed)
+    policy = PolicyNet(in_dim, action_dim, hidden=tuple(hidden), activation=activation, rng=rng)
+    value = Mlp([in_dim, *hidden, 1], activation=activation, rng=rng, last_layer_scale=1.0)
+    X = rng.standard_normal((n, in_dim))
+    for net in (policy.mlp, policy, value):
+        rows = net.forward(X)
+        assert rows.shape == (n, net.forward(X[0]).size)
+        for i in range(n):
+            assert rows[i].tobytes() == net.forward(X[i]).tobytes()
