@@ -49,7 +49,8 @@ bench-selftest:
 	python3 perfbench/selftest.py
 
 # One full multi-function training (5000 episodes over the whole registry).
-# Took 47-57 s (61 PPO iterations) on a 2-CPU Intel Xeon VM, numpy 2.4.6.
+# Took 113-138 s (61 PPO iterations) in four runs on a 2-CPU Intel Xeon VM,
+# numpy 2.4.6, Python 3.11.7; the host's speed drifts, see README "Full-scale run".
 paper-run:
 	printf '%s\n' \
 	  '{' \

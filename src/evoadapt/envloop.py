@@ -309,13 +309,12 @@ class EvolutionEnv:
                                      self.spec.clip(raw_action)[None])
         return obs[0], rewards[0], self.episode.done
 
-    def rollout(self, policy: PolicyNet, value, obs: np.ndarray, noise: np.ndarray,
-                buf) -> np.ndarray:
-        """Step the `len(noise)` steps of a PPO horizon from observation
-        `obs` of the open episode, one row of `buf` (`ppo.Rollout`) per step
-        in step order, and return the observation after the last step. The
-        raw action of row t is the policy's mean plus its std times
-        `noise[t]`.
+    def rollout(self, act, obs: np.ndarray, reward: np.ndarray, done: np.ndarray) -> np.ndarray:
+        """Step the `len(reward)` steps of a PPO horizon from observation
+        `obs` of the open episode, filling `reward` and `done` one row per
+        step in step order, and return the observation after the last step.
+        `act(obs_rows, rows)` gives the raw actions `(R, k)` of observation
+        rows `(R, obs)` at horizon rows `rows` `(R,)`, once for each row.
 
         The episode carried in from the last horizon and the horizon's last
         one, unfinished or just opened by `reset`, step as one-run episodes.
@@ -327,10 +326,10 @@ class EvolutionEnv:
         numbers, whose size grows with the dimension, so a batch holds at
         most `BATCH_RUNS` runs and `10 * BATCH_RUNS` coordinates (16 runs up
         to 10 dimensions, 8 at 20)."""
-        T, S = len(noise), self.steps_per_episode
+        T, S = len(reward), self.steps_per_episode
         carried = min(T, S - self.episode.step)
         obs = self._run(self.episode, self.decoder, obs[None], np.arange(carried)[:, None],
-                        policy, value, noise, buf)
+                        act, reward, done)
         if not self.episode.done:
             return obs[0]
         full, last = divmod(T - carried, S)
@@ -343,10 +342,10 @@ class EvolutionEnv:
                 fns, rng = zip(*(plan[k] for k in batch))
                 # no name holds the episode, so it is freed before the next opens
                 self._run(*self._open(list(fns), list(rng)), starts[batch] + np.arange(S)[:, None],
-                          policy, value, noise, buf)
+                          act, reward, done)
         obs = self.reset()
         return self._run(self.episode, self.decoder, obs[None], T - last + np.arange(last)[:, None],
-                         policy, value, noise, buf)[0]
+                         act, reward, done)[0]
 
     def _sample(self) -> tuple[BenchmarkFunction, np.random.Generator]:
         """The next episode's function and its own generator."""
@@ -369,18 +368,13 @@ class EvolutionEnv:
         episode.apply(decoder.decode(episode, action), action)
         return decoder.observe(episode), episode.trace.rewards[-1]
 
-    def _run(self, episode, decoder, obs, rows, policy, value, noise, buf) -> np.ndarray:
+    def _run(self, episode, decoder, obs, rows, act, reward, done) -> np.ndarray:
         """Step `episode`'s runs from observations `obs` `(R, obs)` through
-        `rows` `(steps, R)`, run j's i-th step writing row `rows[i, j]` of
-        `buf`; return the observations after the last step."""
-        std = np.exp(policy.log_std)
+        `rows` `(steps, R)`, run j's i-th step acting and writing at row
+        `rows[i, j]`; return the observations after the last step."""
         for row in rows:
-            mean = policy.forward(obs)
-            raw = mean + std * noise[row]
-            buf.obs[row], buf.raw[row], buf.mean[row] = obs, raw, mean
-            buf.value[row] = value.forward(obs)[:, 0]
-            obs, buf.reward[row] = self._advance(episode, decoder, self.spec.clip(raw))
-            buf.done[row] = episode.done
+            obs, reward[row] = self._advance(episode, decoder, self.spec.clip(act(obs, row)))
+            done[row] = episode.done
         return obs
 
 

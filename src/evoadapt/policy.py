@@ -235,13 +235,17 @@ def load_checkpoint(path) -> tuple[PolicyNet, str, ObservationSpec]:
         if policy.log_std.shape != (sizes[-1],) or len(doc["layers"]) != len(sizes) - 1:
             raise ValueError(f"architecture {sizes} needs {len(sizes) - 1} layers and {sizes[-1]} "
                              f"log_std entries, got {len(doc['layers'])} and {policy.log_std.size}")
+        named = {"log_std": policy.log_std}
         for li, layer in enumerate(doc["layers"]):
             w = np.array(layer["weights"], dtype=float)
             b = np.array(layer["bias"], dtype=float)
             if w.shape != policy.mlp.weights[li].shape or b.shape != policy.mlp.biases[li].shape:
                 raise ValueError("layer shape mismatch")
-            policy.mlp.weights[li] = w
-            policy.mlp.biases[li] = b
+            policy.mlp.weights[li] = named[f"layer {li} weights"] = w
+            policy.mlp.biases[li] = named[f"layer {li} bias"] = b
+        for name, a in named.items():  # json reads NaN and Infinity
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} holds a non-finite number")
         if obs_spec.length(sizes[-1]) != sizes[0]:
             raise ValueError(f"input size {sizes[0]} does not match the observation "
                              f"length {obs_spec.length(sizes[-1])}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,17 +72,6 @@ class PpoConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.activation not in ("relu", "tanh"):
             raise ValueError(f"unknown activation {self.activation!r}")
-
-
-class Rollout(NamedTuple):
-    """A horizon's per-step buffers, one row per step in step order, which
-    `env.rollout` fills."""
-    obs: np.ndarray     # (T, obs)
-    raw: np.ndarray     # (T, a): sampled actions, mean + std * noise
-    mean: np.ndarray    # (T, a): the policy's mean actions
-    reward: np.ndarray  # (T,)
-    value: np.ndarray   # (T,): the value net's estimates
-    done: np.ndarray    # (T,) bool: the step ended its episode
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray, gamma: float,
@@ -265,9 +253,9 @@ def _first_failure(policy_terms, value_terms, bad_epochs, value_coef: float):
 def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator,
           on_iteration=None):
     """Iterate collect-T-steps / K-epoch optimization until the episode budget
-    cannot fill another horizon. `env.rollout` collects the T steps, their
-    action noise one `(T, actions)` block of standard normals from `rng`.
-    Returns (policy, value_net, log_rows)."""
+    cannot fill another horizon. `env.rollout` steps the T steps under `act`,
+    whose action noise is one `(T, actions)` block of standard normals from
+    `rng`. Returns (policy, value_net, log_rows)."""
     in_dim, a_dim = env.observation_dim, env.action_dim
     policy = PolicyNet(in_dim, a_dim, config.hidden, config.activation, rng)
     value = Mlp([in_dim, *config.hidden, 1], activation=config.activation, rng=rng,
@@ -285,10 +273,17 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
 
     # one minibatch is one gather of rows of `packed`
     packed = np.empty((T, in_dim + a_dim + 3))
-    buf = Rollout(packed[:, :in_dim], packed[:, in_dim:in_dim + a_dim], np.empty((T, a_dim)),
-                  *np.empty((2, T)), np.empty(T, dtype=bool))
+    obs_buf, raw_buf = packed[:, :in_dim], packed[:, in_dim:in_dim + a_dim]
     logp_buf, adv_buf, ret_buf = packed[:, in_dim + a_dim:].T
+    mean_buf, rewards, values = np.empty((T, a_dim)), np.empty(T), np.empty(T)
+    dones = np.empty(T, dtype=bool)
     stats = {}
+
+    def act(obs_rows, rows):
+        obs_buf[rows] = obs_rows
+        mean_buf[rows] = mean = policy.forward(obs_rows)
+        raw_buf[rows] = raw = mean + std * noise[rows]
+        return raw
 
     def policy_term(rows):
         mb = packed[rows]
@@ -307,18 +302,23 @@ def train(env, config: PpoConfig, episodes_budget: int, rng: np.random.Generator
 
     while (episodes_budget - episodes_done) * steps_per_episode >= T:
         # one standard_normal block holds the bytes of T per-step draws
-        obs = env.rollout(policy, value, obs, rng.standard_normal((T, a_dim)), buf)
+        noise, std = rng.standard_normal((T, a_dim)), np.exp(policy.log_std)
+        obs = env.rollout(act, obs, rewards, dones)
         iter_returns: list[float] = []
-        for r, done in zip(buf.reward.tolist(), buf.done.tolist()):
+        for r, done in zip(rewards.tolist(), dones.tolist()):
             ep_return += r
             if done:
                 iter_returns.append(ep_return)
                 ep_return = 0.0
         episodes_done += len(iter_returns)
 
-        logp_buf[:] = gaussian_log_prob(buf.raw, buf.mean, policy.log_std)
-        last_value = 0.0 if buf.done[-1] else float(value.forward(obs)[0])
-        advantages, ret_buf[:] = compute_gae(buf.reward, buf.value, buf.done, config.gamma,
+        # slices keep few rows of activations alive; each row gets its own bits
+        for start in range(0, T, config.minibatch):
+            values[start:start + config.minibatch] = value.forward(
+                obs_buf[start:start + config.minibatch])[:, 0]
+        logp_buf[:] = gaussian_log_prob(raw_buf, mean_buf, policy.log_std)
+        last_value = 0.0 if dones[-1] else float(value.forward(obs)[0])
+        advantages, ret_buf[:] = compute_gae(rewards, values, dones, config.gamma,
                                              config.gae_lambda, last_value)
         adv_buf[:] = normalize_advantages(advantages)
 

@@ -34,17 +34,13 @@ def counted(fn):
     return dataclasses.replace(fn, fn=wrapper), calls
 
 
-def serial_rollout(env, policy, value, obs, noise, buf):
-    """`rollout` as one `reset`/`step` loop over the horizon's steps: the
-    reference for `EvolutionEnv.rollout`, and the rollout of the fake envs."""
-    for t in range(len(noise)):
-        mean = policy.forward(obs)
-        raw = mean + np.exp(policy.log_std) * noise[t]
-        val = float(value.forward(obs)[0])
-        next_obs, r, done = env.step(raw)
-        buf.obs[t], buf.raw[t], buf.mean[t] = obs, raw, mean
-        buf.reward[t], buf.value[t], buf.done[t] = r, val, done
-        if done:
+def serial_rollout(env, act, obs, reward, done):
+    """`rollout` as one `reset`/`step` loop over the horizon's steps, one
+    one-row `act` call each: the reference for `EvolutionEnv.rollout`, and
+    the rollout of the fake envs."""
+    for t in range(len(reward)):
+        next_obs, reward[t], done[t] = env.step(act(obs[None], [t])[0])
+        if done[t]:
             next_obs = env.reset()
         obs = next_obs
     return obs
@@ -53,8 +49,8 @@ def serial_rollout(env, policy, value, obs, noise, buf):
 class SerialRollout:
     """Mixin: an env with `reset`/`step` gets `rollout` from `serial_rollout`."""
 
-    def rollout(self, policy, value, obs, noise, buf):
-        return serial_rollout(self, policy, value, obs, noise, buf)
+    def rollout(self, act, obs, reward, done):
+        return serial_rollout(self, act, obs, reward, done)
 
 
 def learners(policy: PolicyNet, value: Mlp, cfg) -> tuple:

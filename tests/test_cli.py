@@ -317,6 +317,31 @@ def test_bad_history_length_checkpoint_exits_config(tmp_path, capsys, history_le
 
 
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
+@pytest.mark.parametrize("where,name,number", [
+    (("layers", 0, "weights", 0), "layer 0 weights", math.nan),
+    (("layers", 2, "bias"), "layer 2 bias", math.inf),
+    (("log_std",), "log_std", -math.inf)], ids=["nan-weight", "inf-bias", "-inf-log_std"])
+def test_non_finite_checkpoint_exits_config(tmp_path, capsys, command, where, name, number):
+    """`json` reads NaN and Infinity, so a checkpoint may hold them; a NaN
+    weight would give NaN actions, so loading rejects any non-finite number."""
+    path = tmp_path / "de_uniform.json"
+    save_checkpoint(path, PolicyNet(44, 4), "de_uniform", ObservationSpec())
+    doc = json.loads(path.read_text())
+    entries = doc
+    for key in where:
+        entries = entries[key]
+    entries[0] = number
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x"
+    argv = [command, "--checkpoint", str(path), "--runs", "2", "--out", str(out)]
+    argv += (["--function", "Sphere", "--dimension", "10"] if command == "evaluate"
+             else ["--function", "Sphere:10"])
+    assert main(argv) == 2
+    assert f"{name} holds a non-finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
 def test_policy_is_not_an_adaptation_choice(tmp_path, command):
     """`--checkpoint` alone selects the policy."""
     with pytest.raises(SystemExit) as exc:

@@ -13,21 +13,19 @@ from evoadapt.envloop import (CsaController, Episode, EvolutionEnv,
                               run_de_episode, run_episode, run_test_protocol,
                               export_trace_csv)
 from evoadapt.observe import ObservationSpec, reward
-from evoadapt.policy import SIGMA_MAX, SIGMA_MIN, Mlp, PolicyNet, action_spec
-from evoadapt.ppo import PpoConfig, Rollout, train
+from evoadapt.policy import SIGMA_MAX, SIGMA_MIN, PolicyNet, action_spec
+from evoadapt.ppo import PpoConfig, train
 
 from conftest import SerialRollout, counted
 
 
-def small_nets(env, horizon):
-    """Small policy and value nets for `env`, and empty rollout buffers."""
-    rng = np.random.default_rng(1)
-    policy = PolicyNet(env.observation_dim, env.action_dim, hidden=(8,), rng=rng)
-    value = Mlp([env.observation_dim, 8, 1], rng=rng, last_layer_scale=1.0)
-    a = env.action_dim
-    buf = Rollout(np.empty((horizon, env.observation_dim)), np.empty((horizon, a)),
-                  np.empty((horizon, a)), *np.empty((2, horizon)), np.empty(horizon, bool))
-    return policy, value, buf
+def small_policy_act(env, noise):
+    """The `act` of a small policy net for `env`: its mean actions plus its
+    std times `noise[rows]`."""
+    policy = PolicyNet(env.observation_dim, env.action_dim, hidden=(8,),
+                       rng=np.random.default_rng(1))
+    std = np.exp(policy.log_std)
+    return lambda obs_rows, rows: policy.forward(obs_rows) + std * noise[rows]
 
 
 class TestEpisodeBudget:
@@ -63,9 +61,10 @@ class TestEpisodeBudget:
         monkeypatch.setattr(envloop, "get_function", lambda name, dim: fn)
         spec = action_spec(kind)
         env = EvolutionEnv([("Sphere", 10)], spec, ObservationSpec(), np.random.default_rng(0))
-        policy, value, buf = small_nets(env, horizon=3 * 49)
-        env.rollout(policy, value, env.reset(), np.zeros((3 * 49, spec.dim)), buf)
-        assert buf.done.tolist() == ([False] * 48 + [True]) * 3
+        reward, done = np.empty(3 * 49), np.empty(3 * 49, bool)
+        act = small_policy_act(env, np.zeros((3 * 49, spec.dim)))
+        env.rollout(act, env.reset(), reward, done)
+        assert done.tolist() == ([False] * 48 + [True]) * 3
         assert calls[0] == 3 * 500 + 10  # and generation 0 of the episode opened last
 
 
@@ -216,16 +215,29 @@ MULTI = [("SharpRidge", 5), ("Rastrigin", 10), ("GG21hi", 5), ("Katsuura", 10),
 
 def recorded_training(env_class, kind, functions, horizon, counts=None):
     """Two or more PPO iterations over `env_class`; returns every rollout's
-    buffers and last observation, the log rows, the episode log, `theta`
-    and both generators' states. With `counts` (the objective rows so far),
-    checks after each rollout that every step and every opened episode's
+    observations and raw actions, which `act` saw and gave, its rewards,
+    ends and last observation, then the log rows, the episode log, `theta`
+    and both generators' states. Checks that each rollout calls `act` once
+    for each of its rows. With `counts` (the objective rows so far), checks
+    after each rollout that every step and every opened episode's
     generation 0 evaluated POPULATION rows, and nothing else did."""
     env = env_class(functions, action_spec(kind), ObservationSpec(), np.random.default_rng(11))
     rollouts, real = [], env.rollout
 
-    def rollout(policy, value, obs, noise, buf):
-        obs = real(policy, value, obs, noise, buf)
-        rollouts.append([a.copy() for a in buf] + [obs.copy()])
+    def rollout(act, obs, reward, done):
+        seen = {}
+
+        def recorded(obs_rows, rows):
+            raw = act(obs_rows, rows)
+            for row, o, a in zip(np.asarray(rows).tolist(), obs_rows, raw):
+                assert row not in seen
+                seen[row] = o.copy(), a.copy()
+            return raw
+
+        obs = real(recorded, obs, reward, done)
+        assert sorted(seen) == list(range(horizon))
+        rollouts.append([np.array([seen[t][i] for t in range(horizon)]) for i in (0, 1)]
+                        + [reward.copy(), done.copy(), obs.copy()])
         if counts is not None:
             opened = len(env.episode_log)
             assert counts() == (len(rollouts) * horizon + opened) * envloop.POPULATION
@@ -310,10 +322,11 @@ def test_action_spaces_share_functions_and_engine_draws():
             return episode, decoder, obs
 
         env._open = spy
-        policy, value, buf = small_nets(env, horizon)
-        obs, noise = env.reset(), np.random.default_rng(5).standard_normal((horizon, 4))
+        noise = np.random.default_rng(5).standard_normal((horizon, 4))
+        act = small_policy_act(env, noise[:, :env.action_dim])
+        obs, reward, done = env.reset(), np.empty(horizon), np.empty(horizon, bool)
         for _ in range(2):
-            obs = env.rollout(policy, value, obs, noise[:, :env.action_dim], buf)
+            obs = env.rollout(act, obs, reward, done)
         logs[kind] = env.episode_log
     assert len(logs["cma_sigma"]) == 9 and len(set(logs["cma_sigma"])) > 1
     assert logs["de_direct"] == logs["de_normal"] == logs["de_uniform"] == logs["cma_sigma"]

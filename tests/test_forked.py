@@ -1,4 +1,5 @@
 import os
+import sys
 import time
 
 import pytest
@@ -50,6 +51,7 @@ def test_the_lowest_failing_index_wins(deadline, indices):
     assert_no_child_left()
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need Python 3.11")
 def test_a_child_exception_carries_the_child_traceback(deadline):
     with pytest.raises(Planted, match="^task 1 failed") as caught:
         split_map(failing_at({1}), [0, 1])
