@@ -1,4 +1,4 @@
-"""Benchmark objective functions with bounded domains.
+"""Benchmark objective functions, all on the search box [LOWER, UPPER]^d.
 
 The suite contains 46 entries built from 22 distinct functions following the
 published BBOB/COCO definitions, with the instance transformations (optimum
@@ -19,19 +19,14 @@ import numpy as np
 
 LOWER = -5.0
 UPPER = 5.0
+WIDTH = UPPER - LOWER
 
 
 @dataclass(frozen=True)
 class BenchmarkFunction:
     name: str
     dimension: int
-    lower: np.ndarray
-    upper: np.ndarray
     fn: Callable  # point (d,) -> float; registry objectives also map rows (n, d) -> (n,)
-
-    @property
-    def bounds_width(self) -> np.ndarray:
-        return self.upper - self.lower
 
 
 def evaluate(fn: BenchmarkFunction, x: np.ndarray) -> float:
@@ -64,10 +59,10 @@ def evaluate_runs(fn: BenchmarkFunction, X: np.ndarray) -> np.ndarray:
 
 def stack_objectives(fns: list) -> BenchmarkFunction:
     """One objective for a lockstep batch whose run i is on entry `fns[i]`,
-    all of one dimension and on the common box. `evaluate_runs` hands it
-    every run's n rows, run after run; run i's rows go to `fns[i]` through
-    `evaluate_population`, so each run gets its entry's own bits and a
-    counting wrapper still counts. An error raised there names the entry."""
+    all of one dimension. `evaluate_runs` hands it every run's n rows, run
+    after run; run i's rows go to `fns[i]` through `evaluate_population`, so
+    each run gets its entry's own bits and a counting wrapper still counts.
+    An error raised there names the entry."""
     def f(X):
         runs = X.reshape(len(fns), -1, X.shape[-1])
         out = np.empty(runs.shape[:2])
@@ -81,9 +76,7 @@ def stack_objectives(fns: list) -> BenchmarkFunction:
         return out.ravel()
 
     f.batched = True
-    first = fns[0]
-    return BenchmarkFunction(name="+".join(fn.name for fn in fns), dimension=first.dimension,
-                             lower=first.lower, upper=first.upper, fn=f)
+    return BenchmarkFunction("+".join(fn.name for fn in fns), fns[0].dimension, f)
 
 
 def per_run(rng, draw: Callable) -> np.ndarray:
@@ -439,13 +432,7 @@ def _build_registry() -> dict[tuple[str, int], BenchmarkFunction]:
     registry: dict[tuple[str, int], BenchmarkFunction] = {}
 
     def add(name: str, d: int, builder) -> None:
-        registry[(name.lower(), d)] = BenchmarkFunction(
-            name=name,
-            dimension=d,
-            lower=np.full(d, LOWER),
-            upper=np.full(d, UPPER),
-            fn=builder(d),
-        )
+        registry[(name.lower(), d)] = BenchmarkFunction(name, d, builder(d))
 
     for name, builder in _TEN_D_ONLY:
         add(name, 10, builder)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, evaluate_runs, per_run
+from .benchmarks import LOWER, UPPER, BenchmarkFunction, evaluate_runs, per_run
 
 logger = logging.getLogger(__name__)
 
@@ -73,8 +73,8 @@ def draw_generations(rng, generations: int, lam: int, d: int) -> np.ndarray:
 
 def init_state(fn: BenchmarkFunction, rng) -> CmaState:
     """Each run's mean uniform in the box, identity covariance, zero path."""
-    mean = per_run(rng, lambda r: r.uniform(fn.lower, fn.upper))
     d = fn.dimension
+    mean = per_run(rng, lambda r: r.uniform(LOWER, UPPER, size=d))
     return CmaState(mean=mean, cov=np.broadcast_to(np.eye(d), (len(mean), d, d)).copy(),
                     path_c=np.zeros_like(mean))
 
@@ -150,7 +150,7 @@ def cma_generation(state: CmaState, sigma, fn: BenchmarkFunction,
     mu, weights, mu_eff, c_c, c_1, c_mu = _recombination(lam, d)
 
     samples = sample_offspring(state.mean, state.cov, sigma, z)
-    genotypes = np.clip(samples, fn.lower, fn.upper)
+    genotypes = np.clip(samples, LOWER, UPPER)
     fitnesses = evaluate_runs(fn, genotypes)
 
     order = np.argsort(fitnesses, axis=1)

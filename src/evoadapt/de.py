@@ -17,7 +17,8 @@ import numpy as np
 
 # `evaluate` stays importable from here: perfbench/selftest.py looks it up as
 # `evoadapt.de.evaluate` to check that its tracer unpatches module attributes.
-from .benchmarks import BenchmarkFunction, evaluate, evaluate_runs, per_run  # noqa: F401
+from .benchmarks import (LOWER, UPPER, BenchmarkFunction, evaluate,  # noqa: F401
+                         evaluate_runs, per_run)
 
 
 @dataclass
@@ -35,9 +36,9 @@ class Population:
 
 
 def init_population(fn: BenchmarkFunction, np_: int, rng) -> Population:
-    """Uniform random population within bounds; consumes NP evaluations per
+    """Uniform random population in the box; consumes NP evaluations per
     run."""
-    genotypes = per_run(rng, lambda r: r.uniform(fn.lower, fn.upper, size=(np_, fn.dimension)))
+    genotypes = per_run(rng, lambda r: r.uniform(LOWER, UPPER, size=(np_, fn.dimension)))
     return Population(genotypes, evaluate_runs(fn, genotypes))
 
 
@@ -121,7 +122,7 @@ def de_generation(pop: Population, F, CR, fn: BenchmarkFunction,
     mutants = mutate_best1(X[run, best[:, None]], X[run, a], X[run, b], F)
     cross = draws.crossover < CR
     cross |= np.arange(d) == draws.j_rand[..., None]
-    children = np.clip(np.where(cross, mutants, X), fn.lower, fn.upper)
+    children = np.clip(np.where(cross, mutants, X), LOWER, UPPER)
 
     child_fit = evaluate_runs(fn, children)
     replaced = child_fit <= fit

@@ -219,13 +219,13 @@ class PolicyController(Controller):
 
     def start(self, episode):
         self.noise = draw_decode_noise(self.spec.kind, episode.rng, GENERATIONS - 1, POPULATION)
-        neutral = self.spec.neutral()
-        self.prev_action_norm = episode.each(self.spec.normalize(neutral))
-        return episode.each([SIGMA0] if episode.algorithm == "cmaes" else neutral)
+        return episode.each([SIGMA0] if episode.algorithm == "cmaes" else self.spec.neutral())
 
     def observe(self, episode) -> np.ndarray:
-        return build_observation(episode.trace, self.obs_spec, self.prev_action_norm,
-                                 episode.fn.bounds_width)
+        """Observation rows `(R, obs)` of the trace, whose last recorded
+        action is each row's previous action."""
+        return build_observation(episode.trace, self.obs_spec,
+                                 self.spec.normalize(episode.trace.actions[-1]))
 
     def act(self, obs: np.ndarray) -> np.ndarray:
         """Clipped mean actions `(R, k)` of observation rows `(R, obs)`."""
@@ -236,9 +236,7 @@ class PolicyController(Controller):
         return self.decode(episode, action), action
 
     def decode(self, episode, action: np.ndarray):
-        """Engine parameters of clipped actions, which also become the
-        previous actions of the next observation."""
-        self.prev_action_norm = self.spec.normalize(action)
+        """Engine parameters of clipped actions."""
         if episode.algorithm == "cmaes":
             return decode_sigma(action)
         noise = None if self.noise is None else self.noise[:, episode.step]

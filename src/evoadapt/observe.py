@@ -2,10 +2,10 @@
 
 All metrics are normalized so that the policy input stays in a fixed range
 regardless of the objective's scale: fitness deltas are self-normalized with
-a 1e-5 guard against division by zero, genotype deltas are normalized by the
-search-space bounds. A trace of R >= 1 lockstep runs holds a leading run
-axis in every entry; its metrics gain a trailing one, and observations are
-one row per run. `RunTrace.split_runs` gives each run its own trace.
+a 1e-5 guard against division by zero, genotype deltas are divided by the
+box width `benchmarks.WIDTH`. A trace of R >= 1 lockstep runs holds a
+leading run axis in every entry, its metrics a trailing one, and its
+observations one row per run; `RunTrace.split_runs` gives one trace per run.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .benchmarks import WIDTH
 
 EPS = 1e-5
 
@@ -109,29 +111,29 @@ def intra_delta_f(trace: RunTrace, g: int) -> np.ndarray:
     return _padded(spread / (spread + np.abs(best) + EPS), g)
 
 
-def inter_delta_x(trace: RunTrace, g: int, bounds_width: np.ndarray) -> np.ndarray:
-    """(min, max) of the bound-normalized best-genotype displacement, per generation."""
+def inter_delta_x(trace: RunTrace, g: int) -> np.ndarray:
+    """(min, max) of the box-normalized best-genotype displacement, per generation."""
     x = _newest(trace, trace.best_genotype, g + 1)
-    return _min_max((x[:-1] - x[1:]) / bounds_width, g)
+    return _min_max((x[:-1] - x[1:]) / WIDTH, g)
 
 
-def intra_delta_x(trace: RunTrace, g: int, bounds_width: np.ndarray) -> np.ndarray:
+def intra_delta_x(trace: RunTrace, g: int) -> np.ndarray:
     """(min, max) of per-dimension population spread ratios, per generation."""
     spread = _newest(trace, trace.genotype_max, g) - _newest(trace, trace.genotype_min, g)
-    return _min_max(np.abs(spread) / bounds_width, g)
+    return _min_max(np.abs(spread) / WIDTH, g)
 
 
-def build_observation(trace: RunTrace, spec: ObservationSpec, previous_action: np.ndarray,
-                      bounds_width: np.ndarray) -> np.ndarray:
+def build_observation(trace: RunTrace, spec: ObservationSpec,
+                      previous_action: np.ndarray) -> np.ndarray:
     """Flattened policy input: [inter df | previous action | optional blocks]."""
     g = spec.history_length
     parts = [inter_delta_f(trace, g), np.asarray(previous_action, dtype=float).T]
     if spec.include_intra_df:
         parts.append(intra_delta_f(trace, g))
     if spec.include_inter_dx:
-        parts.append(inter_delta_x(trace, g, bounds_width))
+        parts.append(inter_delta_x(trace, g))
     if spec.include_intra_dx:
-        parts.append(intra_delta_x(trace, g, bounds_width))
+        parts.append(intra_delta_x(trace, g))
     return np.concatenate(parts).T
 
 

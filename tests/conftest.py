@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from evoadapt import ppo
+from evoadapt.benchmarks import LOWER, UPPER
 from evoadapt.observe import RunTrace
 from evoadapt.policy import Mlp, PolicyNet
 
 
 def random_trace(rng: np.random.Generator, length: int, dim: int = 3,
-                 pop: int = 6, width: float = 10.0) -> RunTrace:
-    """Trace of one synthetic run (R = 1) with population points inside
-    [-w/2, w/2]^d."""
+                 pop: int = 6) -> RunTrace:
+    """Trace of one synthetic run (R = 1) with population points inside the
+    search box."""
     trace = RunTrace()
     for _ in range(length):
-        genotypes = rng.uniform(-width / 2, width / 2, size=(1, pop, dim))
+        genotypes = rng.uniform(LOWER, UPPER, size=(1, pop, dim))
         fitnesses = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=(1, pop))
         trace.append_generation(genotypes, fitnesses, np.array([[0.5]]))
         trace.rewards.append(np.zeros(1))

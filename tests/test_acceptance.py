@@ -47,7 +47,7 @@ def test_criterion_2_observation_bounds():
         g = int(rng.integers(1, 10))
         inter = inter_delta_f(trace, g)
         intra = intra_delta_f(trace, g)
-        spread = intra_delta_x(trace, g, np.full(3, 10.0))
+        spread = intra_delta_x(trace, g)
         assert np.all(inter > -1.0) and np.all(inter < 1.0)
         assert np.all(intra >= 0.0) and np.all(intra < 1.0)
         assert np.all(spread >= 0.0) and np.all(spread <= 1.0)

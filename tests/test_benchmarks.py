@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from evoadapt.benchmarks import (_gallagher_layout, evaluate, evaluate_population,
-                                 get_function, registry_list)
+from evoadapt.benchmarks import (LOWER, UPPER, _gallagher_layout, evaluate,
+                                 evaluate_population, get_function, registry_list)
 
 
 def test_registry_has_46_entries():
@@ -67,7 +67,7 @@ def test_dimension_mismatch_rejected():
 def test_all_functions_finite_on_random_points(rng):
     for name, d in registry_list():
         fn = get_function(name, d)
-        X = rng.uniform(fn.lower, fn.upper, size=(100, d))
+        X = rng.uniform(LOWER, UPPER, size=(100, d))
         values = np.array([evaluate(fn, x) for x in X])
         assert np.all(np.isfinite(values)), (name, d)
 
@@ -75,7 +75,7 @@ def test_all_functions_finite_on_random_points(rng):
 def test_evaluation_is_deterministic(rng):
     for name, d in registry_list():
         fn = get_function(name, d)
-        x = rng.uniform(fn.lower, fn.upper, size=d)
+        x = rng.uniform(LOWER, UPPER, size=d)
         assert evaluate(fn, x) == evaluate(fn, x)
 
 

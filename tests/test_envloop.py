@@ -336,6 +336,45 @@ def test_action_spaces_share_functions_and_engine_draws():
             assert all(np.array_equal(a, b) for a, b in zip(ours, theirs, strict=True))
 
 
+class TestPreviousAction:
+    """An observation's previous-action columns hold the trace's last
+    recorded action, normalized: at generation 0 that is `SIGMA0` for
+    cma_sigma and the neutral action for the DE spaces."""
+
+    KINDS = ["de_direct", "de_normal", "de_uniform", "cma_sigma"]
+
+    @staticmethod
+    def previous(obs, obs_spec, spec):
+        g = obs_spec.history_length
+        return obs[..., g:g + spec.dim]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_first_observation_of_a_policy_controller(self, kind):
+        spec = action_spec(kind)
+        controller = make_controller(spec.algorithm, kind)
+        episode = Episode(get_function("Rastrigin", 10), spec.algorithm,
+                          [np.random.default_rng(seed) for seed in range(3)])
+        episode.start(controller.start(episode))
+        first = episode.trace.actions[0]
+        assert np.array_equal(first, episode.each([envloop.SIGMA0] if kind == "cma_sigma"
+                                                  else spec.neutral()))
+        obs = controller.observe(episode)
+        assert np.array_equal(self.previous(obs, controller.obs_spec, spec),
+                              spec.normalize(first))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_first_observation_in_training(self, kind):
+        spec, obs_spec = action_spec(kind), ObservationSpec(history_length=6)
+        env = EvolutionEnv([("Sphere", 10)], spec, obs_spec, np.random.default_rng(2))
+        obs = env.reset()
+        assert np.array_equal(self.previous(obs, obs_spec, spec),
+                              spec.normalize(env.episode.trace.actions[0][0]))
+        raw = spec.upper + 1.0  # outside the box: the clipped action is recorded
+        obs, _r, _done = env.step(raw)
+        assert np.array_equal(env.episode.trace.actions[-1][0], spec.upper)
+        assert np.array_equal(self.previous(obs, obs_spec, spec), np.ones(spec.dim))
+
+
 class TestProtocol:
     def test_fifty_runs_with_consecutive_seeds(self):
         result = run_test_protocol(FixedDeController, ("Sphere", 10), seed_base=100,

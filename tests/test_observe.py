@@ -67,60 +67,60 @@ class TestIntraDeltaF:
 
 
 class TestDeltaX:
-    width = np.full(2, 10.0)
+    """Displacements and spreads are divided by the box width, 10."""
 
     def test_zero_displacement(self):
         trace = RunTrace()
         for _ in range(2):
             append(trace, [[1.0, 1.0]], [0.0])
-        assert np.all(inter_delta_x(trace, 1, self.width) == 0.0)
+        assert np.all(inter_delta_x(trace, 1) == 0.0)
 
     def test_inter_displacement_pair(self):
         trace = RunTrace()
         append(trace, [[0.0, 0.0]], [0.0])
         append(trace, [[1.0, -2.0]], [0.0])
-        pair = inter_delta_x(trace, 1, self.width)
+        pair = inter_delta_x(trace, 1)
         assert pair.shape == (2, 1)
         assert np.allclose(pair[:, 0], [-0.2, 0.1])
 
     def test_min_leq_max(self, rng):
         trace = random_trace(rng, 6)
-        out = inter_delta_x(trace, 6, np.full(3, 10.0))
+        out = inter_delta_x(trace, 6)
         assert np.all(out[0::2] <= out[1::2])
 
     def test_intra_spread_values(self):
         trace = RunTrace()
         append(trace, [[0.0, 0.0], [2.0, 5.0]], [0.0, 1.0])
-        spread = intra_delta_x(trace, 1, self.width)
+        spread = intra_delta_x(trace, 1)
         assert spread.shape == (2, 1)
         assert np.allclose(spread[:, 0], [0.2, 0.5])
 
     def test_identical_population_gives_zero_and_full_span_gives_one(self):
         trace = RunTrace()
         append(trace, np.ones((4, 2)), np.zeros(4))
-        assert np.all(intra_delta_x(trace, 1, self.width) == 0.0)
+        assert np.all(intra_delta_x(trace, 1) == 0.0)
         trace2 = RunTrace()
         append(trace2, [[-5.0, 0.0], [5.0, 0.1]], np.zeros(2))
-        assert intra_delta_x(trace2, 1, self.width)[1, 0] == 1.0
+        assert intra_delta_x(trace2, 1)[1, 0] == 1.0
 
 
 class TestBuildObservation:
     def test_base_length(self, rng):
         trace = random_trace(rng, 3)
         spec = ObservationSpec(history_length=40)
-        obs = build_observation(trace, spec, np.zeros((1, 4)), np.full(3, 10.0))
+        obs = build_observation(trace, spec, np.zeros((1, 4)))
         assert obs.shape == (1, 44)
 
     def test_with_intra_df_length(self, rng):
         trace = random_trace(rng, 3)
         spec = ObservationSpec(history_length=40, include_intra_df=True)
-        obs = build_observation(trace, spec, np.zeros((1, 4)), np.full(3, 10.0))
+        obs = build_observation(trace, spec, np.zeros((1, 4)))
         assert obs.shape == (1, 84)
 
     def test_generation_zero_inter_block_is_zero(self, rng):
         trace = random_trace(rng, 1)
         spec = ObservationSpec(history_length=10)
-        obs = build_observation(trace, spec, np.full((1, 2), 0.5), np.full(3, 10.0))
+        obs = build_observation(trace, spec, np.full((1, 2), 0.5))
         assert np.all(obs[0, :10] == 0.0)
 
     @given(intra_df=st.booleans(), inter_dx=st.booleans(), intra_dx=st.booleans(),
@@ -131,7 +131,7 @@ class TestBuildObservation:
                                                             intra_dx, g, a):
         spec = ObservationSpec(g, intra_df, inter_dx, intra_dx)
         trace = random_trace(np.random.default_rng(0), 4)
-        obs = build_observation(trace, spec, np.zeros((1, a)), np.full(3, 10.0))
+        obs = build_observation(trace, spec, np.zeros((1, a)))
         assert obs.shape == (1, spec.length(a))
         assert np.all(np.isfinite(obs))
 
@@ -146,7 +146,7 @@ class TestBoundsProperties:
             assert np.all(inter > -1.0) and np.all(inter < 1.0)
             intra = intra_delta_f(trace, g)
             assert np.all(intra >= 0.0) and np.all(intra < 1.0)
-            spread = intra_delta_x(trace, g, np.full(3, 10.0))
+            spread = intra_delta_x(trace, g)
             assert np.all(spread >= 0.0) and np.all(spread <= 1.0)
 
 

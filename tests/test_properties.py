@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evoadapt.baselines import archive_differences
-from evoadapt.benchmarks import (evaluate, evaluate_population, evaluate_runs, get_function,
-                                 registry_list, stack_objectives)
+from evoadapt.benchmarks import (LOWER, UPPER, evaluate, evaluate_population, evaluate_runs,
+                                 get_function, registry_list, stack_objectives)
 from evoadapt.cmaes import cma_generation, init_state
 from evoadapt.de import (de_generation, draw_generations, init_population, pick_pairs,
                          rank_candidates)
 from evoadapt.observe import ObservationSpec
-from evoadapt.policy import Mlp, PolicyNet, action_spec, load_checkpoint, save_checkpoint
+from evoadapt.policy import (SIGMA_MAX, SIGMA_MIN, Mlp, PolicyNet, action_spec, load_checkpoint,
+                             save_checkpoint)
 from evoadapt.ppo import PpoConfig, train
 
 from conftest import SerialRollout, counted
@@ -195,7 +196,7 @@ def test_de_generation_spends_np_evaluations_and_keeps_the_best(entry, np_, F, C
         assert replaced.shape == (1, np_)
         assert pop.best_fitness[0] <= best
         best = pop.best_fitness[0]
-    assert np.all((pop.genotypes >= fn.lower) & (pop.genotypes <= fn.upper))
+    assert np.all((pop.genotypes >= LOWER) & (pop.genotypes <= UPPER))
 
 
 @settings(max_examples=25, deadline=None)
@@ -214,6 +215,41 @@ def test_cma_covariance_stays_symmetric_positive_definite(entry, sigma, seed):
         cov = state.cov[0]
         assert np.array_equal(cov, cov.T)
         np.linalg.cholesky(cov)
+
+
+def in_box(x) -> bool:
+    return bool(np.all((x >= LOWER) & (x <= UPPER)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(entry=st.sampled_from(registry_list()),
+       sigma=st.floats(min_value=SIGMA_MIN, max_value=SIGMA_MAX), seed=SEEDS)
+def test_cma_generation_evaluates_only_points_in_the_box(entry, sigma, seed):
+    """The initial means lie in the box, and every evaluated point of every
+    generation does, whatever the step size."""
+    fn = get_function(*entry)
+    rng = np.random.default_rng(seed)
+    state = init_state(fn, [rng])
+    assert in_box(state.mean)
+    z = rng.standard_normal((1, 5, 10, fn.dimension))
+    for g in range(5):
+        result = cma_generation(state, sigma, fn, z[:, g])
+        assert in_box(result.genotypes)
+        state = result.state
+
+
+@pytest.mark.parametrize("entry", registry_list())
+def test_cma_generation_clips_samples_that_leave_the_box(entry):
+    """At sigma 3 the first generation samples points outside the box; they
+    are evaluated at their clipped copies, and the points inside unchanged."""
+    fn = get_function(*entry)
+    rng = np.random.default_rng(0)
+    state = init_state(fn, [rng])
+    result = cma_generation(state, SIGMA_MAX, fn, rng.standard_normal((1, 10, fn.dimension)))
+    inside = (result.samples >= LOWER) & (result.samples <= UPPER)
+    assert not inside.all()
+    assert in_box(result.genotypes)
+    assert np.array_equal(result.genotypes[inside], result.samples[inside])
 
 
 @settings(max_examples=30, deadline=None)
